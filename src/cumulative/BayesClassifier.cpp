@@ -90,7 +90,9 @@ bool BayesClassifier::isErrorSource(const std::vector<BayesTrial> &Trials,
 // BayesAccumulator
 //===----------------------------------------------------------------------===//
 
-BayesAccumulator::BayesAccumulator() : NodeLogSums(NumIntervals + 1, 0.0) {}
+BayesAccumulator::BayesAccumulator() : NodeLogSums(NumIntervals + 1, 0.0) {
+  rescore();
+}
 
 void BayesAccumulator::addTrial(const BayesTrial &Trial) {
   ++NumTrials;
@@ -105,6 +107,7 @@ void BayesAccumulator::addTrial(const BayesTrial &Trial) {
     const double PYes = clampProbability((1.0 - Theta) * X + Theta);
     NodeLogSums[I] += std::log(Trial.Observed ? PYes : 1.0 - PYes);
   }
+  rescore();
 }
 
 void BayesAccumulator::serialize(ByteWriter &Writer) const {
@@ -131,6 +134,7 @@ bool BayesAccumulator::deserialize(ByteReader &Reader) {
   NumTrials = Trials;
   LogH0 = H0;
   NodeLogSums = std::move(Sums);
+  rescore();
   return true;
 }
 

@@ -23,12 +23,13 @@
 /// Simpson quadrature on the log-sum-exp of the per-node log likelihoods.
 ///
 /// Two evaluation forms exist: the batch statics (recompute over a trial
-/// vector) and BayesAccumulator, which folds trials in as they arrive and
-/// answers logBayesFactor() in O(#quadrature nodes) instead of
-/// O(#nodes × #trials).  The accumulator performs the identical additions
-/// in the identical order, so both forms produce bit-identical factors —
-/// what lets the patch server classify after every ingested summary
-/// without the per-summary cost growing with the fleet's history.
+/// vector, O(#quadrature nodes × #trials)) and BayesAccumulator, which
+/// folds each trial in as it arrives and re-scores its factor then, in
+/// O(#nodes).  The accumulator performs the identical additions in the
+/// identical order, so both forms produce bit-identical factors.  Since
+/// only the sites a summary touched re-score, the patch server classifies
+/// after every ingested summary in O(nodes) per touched site plus one
+/// compare per tracked site.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,10 +82,10 @@ private:
 
 /// Incremental evaluation state for one site's trials: the running H0
 /// log likelihood plus the running per-θ-node log likelihoods of the
-/// Simpson quadrature.  addTrial is O(nodes); logBayesFactor is O(nodes)
-/// regardless of how many trials have accumulated.  Bit-identical to the
-/// batch statics over the same trial sequence (same additions, same
-/// order).
+/// Simpson quadrature.  addTrial is O(nodes) and re-scores the factor,
+/// which logBayesFactor then returns in O(1) however many trials have
+/// accumulated.  Bit-identical to the batch statics over the same trial
+/// sequence (same additions, same order).
 class BayesAccumulator {
 public:
   BayesAccumulator();
@@ -95,7 +96,7 @@ public:
 
   double logLikelihoodH0() const { return LogH0; }
   double logLikelihoodH1() const;
-  double logBayesFactor() const { return logLikelihoodH1() - LogH0; }
+  double logBayesFactor() const { return LogBayesFactor; }
 
   /// Serializes the running sums (trial count, H0 sum, per-node sums) so
   /// accumulated classifier state survives a server restart.  Restoring
@@ -109,10 +110,15 @@ public:
   bool deserialize(ByteReader &Reader);
 
 private:
+  /// Refreshes LogBayesFactor from the running sums; every mutation of
+  /// them ends with it.
+  void rescore() { LogBayesFactor = logLikelihoodH1() - LogH0; }
+
   size_t NumTrials = 0;
   double LogH0 = 0.0;
   /// Running Σ_i log P(Y_i | θ_node, X_i) per quadrature node.
   std::vector<double> NodeLogSums;
+  double LogBayesFactor = 0.0;
 };
 
 } // namespace exterminator

@@ -82,9 +82,10 @@ CumulativeIsolator::classifyOverflows() const {
   const double Threshold = Classifier.logThreshold(NumSites);
 
   for (const auto &[Site, State] : OverflowSites) {
-    // O(nodes) from the incremental accumulator — classification after
-    // every ingested summary stays flat as the fleet's history grows
-    // (bit-identical to recomputing over State.Trials).
+    // One compare per tracked site: the accumulator scored itself when
+    // it last took a trial (O(nodes) per touched site, bit-identical to
+    // recomputing over State.Trials); only the threshold moves as new
+    // sites arrive.
     const double LogBF = State.Accum.logBayesFactor();
     if (LogBF <= Threshold)
       continue;

@@ -119,8 +119,9 @@ private:
   struct OverflowSiteState {
     std::vector<BayesTrial> Trials;
     /// Incremental classifier state over Trials (same order, so the
-    /// factor is bit-identical to a batch recompute) — keeps per-summary
-    /// classification cost flat as runs accumulate.
+    /// factor is bit-identical to a batch recompute).  It re-scores only
+    /// when it takes a trial, so classifying after a summary costs
+    /// O(nodes) per touched site plus one compare per tracked site.
     BayesAccumulator Accum;
     uint32_t MaxPad = 0;
     uint32_t Observed = 0;

@@ -2,23 +2,36 @@
 
 #include "exchange/PatchClient.h"
 
+#include "support/RandomGenerator.h"
+
 #include <algorithm>
+#include <atomic>
 #include <random>
 
 using namespace exterminator;
 
-/// Nonzero random token identifying one summary submission.  Generated
-/// when the submission is *queued*, so every retry of that submission —
-/// by a failover transport, a flaky network, or a version downgrade —
-/// carries the same token and the server applies the summary exactly
-/// once.
+/// Nonzero token identifying one summary submission.  Generated when the
+/// submission is *queued*, so every retry of that submission — by a
+/// failover transport, a flaky network, or a version downgrade — carries
+/// the same token and the server applies the summary exactly once.
+///
+/// Tokens are a process-wide atomic counter passed through SplitMix64
+/// (a bijection) keyed by one random value per process: two calls in
+/// one process, from any threads, never collide, and tokens from
+/// different processes look independent.  0 means "tokenless" on the
+/// wire, so the one counter value that mixes to 0 is skipped.
 static uint64_t freshSubmissionToken() {
-  static std::mt19937_64 Rng([] {
+  static const uint64_t Key = [] {
     std::random_device Device;
     return (uint64_t(Device()) << 32) | Device();
-  }());
-  const uint64_t Token = Rng();
-  return Token ? Token : 1;
+  }();
+  static std::atomic<uint64_t> Counter{0};
+  uint64_t Token = 0;
+  while (Token == 0) {
+    uint64_t State = Key + Counter.fetch_add(1, std::memory_order_relaxed);
+    Token = splitMix64(State);
+  }
+  return Token;
 }
 
 /// The bundle format a peer at \p WireVersion understands: v4 peers

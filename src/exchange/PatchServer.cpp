@@ -4,6 +4,7 @@
 
 #include "exchange/StateStore.h"
 
+#include <chrono>
 #include <random>
 
 using namespace exterminator;
@@ -32,6 +33,19 @@ bool PatchServer::noteToken(uint64_t Token) {
   }
   TokensCurrent.insert(Token);
   return true;
+}
+
+CumulativeDiagnosis PatchServer::ingestSummary(const RunSummary &Summary,
+                                               unsigned CleanStreak) {
+  // Un-instrumented servers must not pay even the clock reads.
+  if (!SummaryIngestLatency)
+    return Pipeline.submitSummary(Summary, CleanStreak);
+  const auto Start = std::chrono::steady_clock::now();
+  CumulativeDiagnosis Diagnosis = Pipeline.submitSummary(Summary, CleanStreak);
+  SummaryIngestLatency.observe(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - Start)
+                                   .count());
+  return Diagnosis;
 }
 
 void PatchServer::seedPatches(const PatchSet &Initial) {
@@ -195,6 +209,7 @@ uint64_t PatchServer::epoch() const {
 
 void PatchServer::attachMetrics(MetricsRegistry &Registry) {
   Metrics = &Registry;
+  SummaryIngestLatency = Registry.histogram("xterm_summary_ingest_seconds");
   Registry.addCollector(
       [this](std::vector<MetricSample> &Out) { collectMetrics(Out); });
 }
@@ -345,7 +360,7 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
       Reply.Instance = Instance;
       Applied = noteToken(Token);
       if (Applied) {
-        Reply.Diagnosis = Pipeline.submitSummary(Summary, CleanStreak);
+        Reply.Diagnosis = ingestSummary(Summary, CleanStreak);
         ++Stats.SummariesIngested;
       } else {
         // A retry of a summary this server (or a replica that forwarded
@@ -403,7 +418,7 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
       Reply.Instance = Instance;
       Reply.Applied = noteToken(Token);
       if (Reply.Applied) {
-        Pipeline.submitSummary(Summary, CleanStreak);
+        ingestSummary(Summary, CleanStreak);
         ++Stats.ReplicatedSummaries;
       } else {
         ++Stats.DuplicatesSuppressed;

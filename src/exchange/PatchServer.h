@@ -169,7 +169,9 @@ public:
   uint64_t epoch() const;
 
   /// Attaches the observability plane: registers a collector exporting
-  /// this server's counters and its pipeline's diagnostic metrics, and
+  /// this server's counters and its pipeline's diagnostic metrics, arms
+  /// the xterm_summary_ingest_seconds histogram (the §5 fold and
+  /// classification of every applied client or replicated summary), and
   /// makes Stats requests answer with \p Registry's full snapshot
   /// (every subsystem that attached to it) instead of only this
   /// server's own samples.  Attach before serving; this server must
@@ -196,6 +198,11 @@ private:
   /// (the journal IO must never stall fetches waiting on Mutex).
   void persistQueued();
 
+  /// Pipeline.submitSummary, timed into SummaryIngestLatency when a
+  /// registry is attached.  Call under Mutex.
+  CumulativeDiagnosis ingestSummary(const RunSummary &Summary,
+                                    unsigned CleanStreak);
+
   /// Records \p Token in the duplicate-suppression window; returns
   /// false when it was already there (a retry to suppress).  Token 0 is
   /// always fresh.  Call under Mutex.
@@ -218,6 +225,8 @@ private:
   /// requests snapshot it *outside* Mutex — collectors take their own
   /// subsystem locks, this server's included.
   MetricsRegistry *Metrics = nullptr;
+  /// No-op handle until attachMetrics.
+  MetricsRegistry::Histogram SummaryIngestLatency;
   /// Two-generation token window: lookups hit both sets, inserts go to
   /// Current; when Current fills, Previous is dropped and the sets
   /// rotate.  Bounds memory while keeping any token for at least

@@ -13,11 +13,11 @@
 ///
 ///  - Push handles (Counter / Gauge / Histogram): one relaxed atomic op
 ///    per observation.  Used only where the surrounding work dwarfs the
-///    atomic — journal fwrite/fsync latency.  Handles are null-safe: a
-///    default-constructed handle ignores observations, which is how
-///    subsystems run un-instrumented at zero cost when no registry is
-///    attached (and how the stats_overhead bench gets its no-op
-///    comparator).
+///    atomic — journal fwrite/fsync latency, §5 summary ingest.  Handles
+///    are null-safe: a default-constructed handle ignores observations,
+///    which is how subsystems run un-instrumented at zero cost when no
+///    registry is attached (and how the stats_overhead bench gets its
+///    no-op comparator).
 ///
 ///  - Pull collectors: callbacks that read a subsystem's existing stats
 ///    struct (PatchServerStats, ReplicaSetStats, AllocatorStats, the

@@ -3,13 +3,17 @@
 #include "cumulative/BayesClassifier.h"
 #include "cumulative/CumulativeIsolator.h"
 #include "cumulative/SiteEstimator.h"
+#include "support/RandomGenerator.h"
 #include "support/Serializer.h"
 
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 
 using namespace exterminator;
 using namespace exterminator::testing_support;
@@ -441,8 +445,14 @@ TEST(CumulativeIsolator, LegacyV1StateStillLoads) {
   CumulativeIsolator FromV1;
   ASSERT_TRUE(FromV1.deserialize(V1.buffer()));
   // Replayed v1 state serializes to the identical v2 bytes — same
-  // trials, same running sums.
+  // trials, same running sums — and scores every restored entry.
   EXPECT_EQ(FromV1.serialize(), Original.serialize());
+  const auto Replayed = FromV1.sitePosteriors();
+  const auto Live = Original.sitePosteriors();
+  ASSERT_EQ(Replayed.size(), 2u);
+  ASSERT_EQ(Live.size(), 2u);
+  for (size_t I = 0; I < Live.size(); ++I)
+    EXPECT_EQ(Replayed[I].LogBayesFactor, Live[I].LogBayesFactor);
 }
 
 TEST(CumulativeIsolator, TotalSitesHintRaisesThreshold) {
@@ -524,4 +534,209 @@ TEST(CumulativeIsolator, DeserializedStateClassifiesIdentically) {
     EXPECT_EQ(OriginalDanglings[I].DeferralTicks,
               RestoredDanglings[I].DeferralTicks);
   }
+}
+
+namespace {
+
+/// Per-entry trial cap the isolator retains (its MaxTrialsPerSite).
+constexpr size_t RetainedTrials = 4096;
+
+/// The test's own copy of one tracked entry: its first RetainedTrials
+/// trials, plus the evidence that stays live past the cap.
+struct ReferenceEntry {
+  std::vector<BayesTrial> Trials;
+  uint32_t Observed = 0;
+  uint64_t MaxEvidence = 0; ///< pad bytes, or free-to-failure ticks
+  double Factor = 0.0;      ///< batch recompute, refreshed per check
+
+  void add(double Probability, bool Hit, uint64_t Evidence) {
+    if (Trials.size() < RetainedTrials)
+      Trials.push_back(BayesTrial{Probability, Hit});
+    if (Hit) {
+      ++Observed;
+      MaxEvidence = std::max(MaxEvidence, Evidence);
+    }
+  }
+};
+
+/// Every overflow site (keyed by site) and dangling pair (keyed by
+/// pairKey) a summary stream touched.
+struct ReferenceModel {
+  std::map<uint64_t, ReferenceEntry> Overflow;
+  std::map<uint64_t, ReferenceEntry> Dangling;
+
+  static uint64_t pairKey(SiteId Alloc, SiteId Free) {
+    return (uint64_t(Alloc) << 32) | Free;
+  }
+
+  void addRun(const RunSummary &Summary) {
+    for (const OverflowTrial &T : Summary.OverflowTrials)
+      Overflow[T.AllocSite].add(T.Probability, T.Observed, T.PadEstimate);
+    for (const DanglingTrial &T : Summary.DanglingTrials)
+      Dangling[pairKey(T.AllocSite, T.FreeSite)].add(T.Probability,
+                                                     T.Observed,
+                                                     T.FreeToFailure);
+  }
+};
+
+/// classifyOverflows, classifyDanglings and sitePosteriors(0) of
+/// \p Isolator must equal, double for double, a from-scratch batch
+/// recompute of every entry in \p Ref.
+void expectMatchesBatchRecompute(const CumulativeIsolator &Isolator,
+                                 ReferenceModel &Ref) {
+  for (auto &[Site, Entry] : Ref.Overflow)
+    Entry.Factor = BayesClassifier::logBayesFactor(Entry.Trials);
+  for (auto &[Key, Entry] : Ref.Dangling)
+    Entry.Factor = BayesClassifier::logBayesFactor(Entry.Trials);
+  const BayesClassifier Classifier;
+  const double OverflowBar = Classifier.logThreshold(Ref.Overflow.size());
+  const double DanglingBar = Classifier.logThreshold(Ref.Dangling.size());
+  auto above = [](const auto &Entries, double Bar) {
+    size_t Count = 0;
+    for (const auto &[Key, Entry] : Entries)
+      Count += Entry.Factor > Bar;
+    return Count;
+  };
+
+  const auto Overflows = Isolator.classifyOverflows();
+  ASSERT_EQ(Overflows.size(), above(Ref.Overflow, OverflowBar));
+  std::set<SiteId> Flagged;
+  for (size_t I = 0; I < Overflows.size(); ++I) {
+    const CumulativeOverflowFinding &F = Overflows[I];
+    ASSERT_TRUE(Ref.Overflow.count(F.AllocSite)) << F.AllocSite;
+    const ReferenceEntry &Entry = Ref.Overflow.at(F.AllocSite);
+    EXPECT_TRUE(Flagged.insert(F.AllocSite).second);
+    EXPECT_EQ(F.LogBayesFactor, Entry.Factor) << F.AllocSite;
+    EXPECT_EQ(F.LogThreshold, OverflowBar);
+    EXPECT_EQ(F.PadBytes, Entry.MaxEvidence);
+    EXPECT_EQ(F.TrialCount, Entry.Trials.size());
+    EXPECT_EQ(F.ObservedCount, Entry.Observed);
+    if (I) {
+      EXPECT_GE(Overflows[I - 1].LogBayesFactor, F.LogBayesFactor);
+    }
+  }
+
+  const auto Danglings = Isolator.classifyDanglings();
+  ASSERT_EQ(Danglings.size(), above(Ref.Dangling, DanglingBar));
+  std::set<uint64_t> FlaggedPairs;
+  for (size_t I = 0; I < Danglings.size(); ++I) {
+    const CumulativeDanglingFinding &F = Danglings[I];
+    const uint64_t Key = ReferenceModel::pairKey(F.AllocSite, F.FreeSite);
+    ASSERT_TRUE(Ref.Dangling.count(Key)) << Key;
+    const ReferenceEntry &Entry = Ref.Dangling.at(Key);
+    EXPECT_TRUE(FlaggedPairs.insert(Key).second);
+    EXPECT_EQ(F.LogBayesFactor, Entry.Factor) << Key;
+    EXPECT_EQ(F.LogThreshold, DanglingBar);
+    EXPECT_EQ(F.DeferralTicks, 2 * Entry.MaxEvidence);
+    EXPECT_EQ(F.TrialCount, Entry.Trials.size());
+    EXPECT_EQ(F.ObservedCount, Entry.Observed);
+    if (I) {
+      EXPECT_GE(Danglings[I - 1].LogBayesFactor, F.LogBayesFactor);
+    }
+  }
+
+  const auto Posteriors = Isolator.sitePosteriors(0);
+  ASSERT_EQ(Posteriors.size(), Ref.Overflow.size() + Ref.Dangling.size());
+  std::set<std::pair<bool, uint64_t>> Seen;
+  for (size_t I = 0; I < Posteriors.size(); ++I) {
+    const SitePosterior &P = Posteriors[I];
+    const uint64_t Key =
+        P.Dangling ? ReferenceModel::pairKey(P.AllocSite, P.FreeSite)
+                   : P.AllocSite;
+    const auto &Entries = P.Dangling ? Ref.Dangling : Ref.Overflow;
+    ASSERT_TRUE(Entries.count(Key)) << Key;
+    const ReferenceEntry &Entry = Entries.at(Key);
+    EXPECT_TRUE(Seen.insert({P.Dangling, Key}).second);
+    EXPECT_EQ(P.LogBayesFactor, Entry.Factor) << Key;
+    EXPECT_EQ(P.LogThreshold, P.Dangling ? DanglingBar : OverflowBar);
+    EXPECT_EQ(P.TrialCount, Entry.Trials.size());
+    EXPECT_EQ(P.ObservedCount, Entry.Observed);
+    if (I) {
+      EXPECT_GE(Posteriors[I - 1].margin(), P.margin());
+    }
+  }
+}
+
+} // namespace
+
+TEST(CumulativeIsolator, StoredFactorsMatchBatchRecompute) {
+  // Classification reads each entry's stored factor, which its
+  // accumulator re-scores only when it takes a trial.  Pin it against
+  // recomputing every entry from scratch after every summary: new sites
+  // keep arriving (so the threshold moves under untouched entries),
+  // summaries carry several trials for one site, and one site runs past
+  // the per-site trial cap.  Every tenth summary the state also
+  // round-trips through serialize/deserialize and the stream continues
+  // on the restored copy.
+  constexpr unsigned NumRuns = 60;
+  constexpr SiteId HotSite = 0xf00d;
+  constexpr SiteId GuiltyAlloc = 0xbad0, GuiltyFree = 0xbad1;
+  RandomGenerator Rng(2024);
+  CumulativeIsolator Isolator;
+  ReferenceModel Ref;
+  SiteId NextSite = 1;
+  uint64_t HotTrialsSent = 0;
+  auto chance = [&Rng] { return 0.05 + 0.9 * Rng.nextDouble(); };
+  auto below = [&Rng](uint64_t Bound) {
+    return static_cast<uint32_t>(Rng.nextBelow(Bound));
+  };
+
+  for (unsigned Run = 0; Run < NumRuns; ++Run) {
+    SCOPED_TRACE(::testing::Message() << "run " << Run);
+    RunSummary Summary;
+    Summary.Failed = Run % 4 != 3;
+    Summary.CorruptionObserved = true;
+    // Two new overflow sites and two new dangling pairs per summary.
+    for (int I = 0; I < 2; ++I, ++NextSite) {
+      const double P = chance();
+      Summary.OverflowTrials.push_back(
+          OverflowTrial{NextSite, P, Rng.chance(P), 8 + below(64)});
+      const double Q = chance();
+      Summary.DanglingTrials.push_back(DanglingTrial{
+          NextSite, NextSite + 1000, Q, Rng.chance(Q), below(500)});
+    }
+    // Revisits of tracked entries; an entry may recur within a summary.
+    for (int I = 0; I < 4; ++I) {
+      const SiteId Site = 1 + below(NextSite - 1);
+      const double P = chance();
+      Summary.OverflowTrials.push_back(
+          OverflowTrial{Site, P, Rng.chance(P), below(96)});
+      const double Q = chance();
+      Summary.DanglingTrials.push_back(DanglingTrial{
+          Site, Site + 1000, Q, Rng.chance(Q), below(500)});
+    }
+    // A guilty site hit well above chance, several trials per summary;
+    // the second-to-last summary pushes it past the trial cap and the
+    // last one lands only past-the-cap trials.
+    const unsigned HotTrials = Run == NumRuns - 2 ? 4000 : 3;
+    for (unsigned I = 0; I < HotTrials; ++I, ++HotTrialsSent)
+      Summary.OverflowTrials.push_back(OverflowTrial{
+          HotSite, 0.3, Rng.chance(0.8), below(200)});
+    if (Summary.Failed)
+      Summary.DanglingTrials.push_back(DanglingTrial{
+          GuiltyAlloc, GuiltyFree, 0.5, true, 40 + below(40)});
+
+    Isolator.addRun(Summary);
+    Ref.addRun(Summary);
+    expectMatchesBatchRecompute(Isolator, Ref);
+
+    if (Run % 10 == 9) {
+      CumulativeIsolator Restored;
+      ASSERT_TRUE(Restored.deserialize(Isolator.serialize()));
+      expectMatchesBatchRecompute(Restored, Ref);
+      EXPECT_EQ(Restored.serialize(), Isolator.serialize());
+      Isolator = std::move(Restored);
+    }
+  }
+
+  // The stream covered what the pin is about.
+  EXPECT_GE(Ref.Overflow.size(), 100u);
+  EXPECT_GE(Ref.Dangling.size(), 100u);
+  EXPECT_GT(HotTrialsSent, RetainedTrials);
+  EXPECT_EQ(Ref.Overflow.at(HotSite).Trials.size(), RetainedTrials);
+  ASSERT_FALSE(Isolator.classifyOverflows().empty());
+  EXPECT_EQ(Isolator.classifyOverflows().front().AllocSite, HotSite);
+  ASSERT_FALSE(Isolator.classifyDanglings().empty());
+  EXPECT_EQ(Isolator.classifyDanglings().front().AllocSite, GuiltyAlloc);
+  EXPECT_EQ(Isolator.runCount(), NumRuns);
 }

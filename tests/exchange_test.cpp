@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -32,6 +33,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <thread>
 #include <unistd.h>
 
 using namespace exterminator;
@@ -1020,6 +1022,43 @@ TEST(PatchExchange, TwoClientsShareOneServersPatches) {
   ASSERT_TRUE(Bob.fetchPatches());
   EXPECT_FALSE(Bob.patches().empty());
   EXPECT_TRUE(Bob.patches() == Server.snapshot().Patches);
+}
+
+TEST(PatchExchange, ConcurrentClientsNeverShareASummaryToken) {
+  // Every summary carries a dedup token minted by its client.  Clients
+  // minting concurrently in one process must never draw the same token:
+  // the server would acknowledge the second summary and then drop it as
+  // a retry.
+  constexpr unsigned Threads = 4;
+  constexpr unsigned PerThread = 250;
+  PatchServer Server;
+  RunSummary Summary;
+  Summary.Failed = true;
+  Summary.CorruptionObserved = true;
+  Summary.OverflowTrials.push_back(OverflowTrial{0xabc, 0.5, false, 0});
+
+  std::atomic<unsigned> Ready{0};
+  std::atomic<unsigned> Failures{0};
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&] {
+      LoopbackTransport Transport(Server);
+      PatchClient Client(Transport);
+      Ready.fetch_add(1);
+      while (Ready.load() < Threads)
+        std::this_thread::yield();
+      for (unsigned I = 0; I < PerThread; ++I)
+        if (!Client.submitSummary(Summary, 1))
+          Failures.fetch_add(1);
+    });
+  for (std::thread &Worker : Workers)
+    Worker.join();
+
+  EXPECT_EQ(Failures.load(), 0u);
+  const PatchServerStats Stats = Server.stats();
+  EXPECT_EQ(Stats.SummariesIngested, Threads * PerThread);
+  EXPECT_EQ(Stats.DuplicatesSuppressed, 0u);
+  EXPECT_EQ(Server.cumulativeRuns(), Threads * PerThread);
 }
 
 //===----------------------------------------------------------------------===//
