@@ -32,18 +32,18 @@
 //
 // PR 10 also adds the codec section: the LZ block codec's compression
 // ratio and encode/decode throughput over a representative evidence
-// stream (a v1 image bundle of replicated espresso dumps — the bytes
-// the wire, the state dir, and the bundle container all now route
-// through codec/), and the bundle comparison gains the v2 delta
-// encoding next to v1 and independent images.
+// stream (replicated espresso dumps as concatenated independent v2
+// images — the kind of bytes the wire, the state dir, and the bundle
+// container all route through codec/), and the bundle comparison: the
+// delta-encoded bundle against the same images as independent v2 files.
 //
 // --json FILE writes BENCH_exchange.json (schema in ROADMAP.md):
-//   schema_version        4
+//   schema_version        5
 //   config                {smoke, images_per_submission, rounds}
 //   ingest[]              {kind, items, seconds, per_sec} for
 //                         kind ∈ {image-submission, image, summary}
-//   bundle                {images, bundle_bytes, v1_bytes,
-//                          independent_bytes, ratio, v1_ratio}
+//   bundle                {images, bundle_bytes, independent_bytes,
+//                          ratio}
 //   codec                 {raw_bytes, compressed_bytes, ratio,
 //                          encode_mb_per_sec, decode_mb_per_sec}
 //   collaboration         {users, pads_merged, all_protected}
@@ -436,7 +436,7 @@ int main(int Argc, char **Argv) {
   // Bundle vs independent images
   //===--------------------------------------------------------------------===//
 
-  heading("PR 10: delta ImageBundle vs v1 bundle vs independent images");
+  heading("PR 10: delta ImageBundle vs independent images");
   // Replicated espresso dumps: the site-rich images real deployments
   // ship (the trace evidence above references too few sites to show the
   // shared dictionary off).
@@ -450,19 +450,20 @@ int main(int Argc, char **Argv) {
                         Config, PatchSet())
             .FinalImage);
   }
-  size_t IndependentBytes = 0;
-  for (const HeapImage &Image : Dumps)
-    IndependentBytes += serializeHeapImage(Image).size();
-  const size_t BundleV1Bytes =
-      serializeImageBundle(Dumps, ImageBundleFormatV1).size();
+  // The independent images, concatenated, are also the codec section's
+  // representative input below.
+  std::vector<uint8_t> IndependentImages;
+  for (const HeapImage &Image : Dumps) {
+    const std::vector<uint8_t> Bytes = serializeHeapImage(Image);
+    IndependentImages.insert(IndependentImages.end(), Bytes.begin(),
+                             Bytes.end());
+  }
+  const size_t IndependentBytes = IndependentImages.size();
   const size_t BundleBytes = serializeImageBundle(Dumps).size();
   const double Ratio = double(BundleBytes) / double(IndependentBytes);
-  const double RatioV1 = double(BundleV1Bytes) / double(IndependentBytes);
   Table Bundles({"encoding", "bytes", "vs independent"});
   Bundles.addRow({"independent v2 images", fmt("%zu", IndependentBytes),
                   "1.000x"});
-  Bundles.addRow({"v1 bundle (shared site dictionary)",
-                  fmt("%zu", BundleV1Bytes), fmt("%.3fx", RatioV1)});
   Bundles.addRow({"v2 bundle (delta vs first image)",
                   fmt("%zu", BundleBytes), fmt("%.3fx", Ratio)});
   Bundles.print();
@@ -480,14 +481,14 @@ int main(int Argc, char **Argv) {
   //===--------------------------------------------------------------------===//
 
   heading("PR 10: block codec ratio + throughput");
-  note("LZ block codec over a v1 evidence bundle — the byte stream wire "
-       "frames, snapshots, and the bundle container all route through");
+  note("LZ block codec over independent v2 evidence images — the kind of "
+       "byte stream wire frames, snapshots, and the bundle container all "
+       "route through");
 
-  // Representative input: the v1 bundle above — varint-packed metadata
-  // and repeated slot structure, exactly what travels in SubmitImages
-  // payloads and lands in the state dir.
-  std::vector<uint8_t> CodecRaw =
-      serializeImageBundle(Dumps, ImageBundleFormatV1);
+  // Representative input: the independent v2 images above —
+  // varint-packed metadata and repeated slot structure, the evidence
+  // the delta bundle and the codec both attack.
+  const std::vector<uint8_t> &CodecRaw = IndependentImages;
   std::vector<uint8_t> CodecComp;
   const size_t CodecCompBytes = lzCompress(CodecRaw.data(), CodecRaw.size(),
                                            CodecComp);
@@ -542,7 +543,7 @@ int main(int Argc, char **Argv) {
   if (!JsonPath.empty()) {
     JsonWriter Json;
     Json.beginObject();
-    Json.field("schema_version", 4);
+    Json.field("schema_version", 5);
     Json.beginObject("config");
     Json.field("smoke", Smoke);
     Json.field("images_per_submission", int(ImagesPerSubmission));
@@ -573,10 +574,8 @@ int main(int Argc, char **Argv) {
     Json.beginObject("bundle");
     Json.field("images", uint64_t(BundleImages));
     Json.field("bundle_bytes", uint64_t(BundleBytes));
-    Json.field("v1_bytes", uint64_t(BundleV1Bytes));
     Json.field("independent_bytes", uint64_t(IndependentBytes));
     Json.field("ratio", Ratio);
-    Json.field("v1_ratio", RatioV1);
     Json.endObject();
     Json.beginObject("codec");
     Json.field("raw_bytes", uint64_t(CodecRaw.size()));

@@ -35,11 +35,11 @@
 ///
 /// Tags 0xfe/0xfd extend the slot-record tag space next to VirginRunTag
 /// (0xff); plain records and virgin runs remain available as fallbacks,
-/// so a delta body degrades gracefully toward the v1 encoding when the
-/// images do not actually correlate.  The decoder resolves references
-/// through a HeapImageView of the already-decoded base and validates
-/// every id (present in the base, matching object size) — a corrupt
-/// reference is a decode error, never a wild copy.
+/// so a delta body degrades gracefully toward the plain v2 image body
+/// when the images do not actually correlate.  The decoder resolves
+/// references through a HeapImageView of the already-decoded base and
+/// validates every id (present in the base, matching object size) — a
+/// corrupt reference is a decode error, never a wild copy.
 ///
 /// Passing a null base writes/reads a body with the CanaryRun encoding
 /// but no references — how a v2 bundle encodes its first image.

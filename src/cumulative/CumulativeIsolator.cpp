@@ -25,9 +25,8 @@ static constexpr size_t MaxTrackedSites = size_t(1) << 16;
 /// Bayes factor has decided the site either way — further trials only
 /// grow the stored vector (classification reads the O(1) accumulator),
 /// so the long-lived server drops them instead of growing per-site
-/// state forever.  The accumulator stops folding at the same count so
-/// serialize → deserialize (which replays the stored trials) rebuilds
-/// the identical classifier state.
+/// state forever.  The accumulator stops folding at the same count, so
+/// it always summarizes exactly the stored trials.
 static constexpr size_t MaxTrialsPerSite = size_t(1) << 12;
 
 void CumulativeIsolator::addRun(const RunSummary &Summary) {
@@ -191,18 +190,16 @@ PatchSet CumulativeIsolator::patches() const {
   return Patches;
 }
 
-/// State format magics.  v1 ("XCS1") stores trials only and rebuilds the
-/// incremental Bayes accumulators by replaying them; v2 ("XCS2") appends
-/// each site's running log-likelihood sums so a restored server gets its
-/// classifier state back in O(nodes) per site without replay — the f64
-/// bits round-trip exactly, so the restored factors are bit-identical
-/// either way.  serialize() writes v2; deserialize() accepts both.
-static constexpr uint32_t StateMagicV1 = 0x58435331; // "XCS1"
-static constexpr uint32_t StateMagicV2 = 0x58435332; // "XCS2"
+/// State format magic ("XCS2"): trials plus each site's running
+/// log-likelihood sums, so a restored server gets its classifier state
+/// back in O(nodes) per site without replay — the f64 bits round-trip
+/// exactly, so the restored factors are bit-identical.  The trials-only
+/// "XCS1" format is refused.
+static constexpr uint32_t StateMagic = 0x58435332; // "XCS2"
 
 std::vector<uint8_t> CumulativeIsolator::serialize() const {
   ByteWriter Writer;
-  Writer.writeU32(StateMagicV2);
+  Writer.writeU32(StateMagic);
   Writer.writeU64(Runs);
   Writer.writeU64(FailedRuns);
   Writer.writeU64(CorruptRuns);
@@ -238,10 +235,8 @@ bool CumulativeIsolator::deserialize(const std::vector<uint8_t> &Buffer) {
   // never half-seed the accumulated history (all-or-nothing, like
   // deserializePatchSet).
   ByteReader Reader(Buffer);
-  const uint32_t Magic = Reader.readU32();
-  if (Magic != StateMagicV1 && Magic != StateMagicV2)
+  if (Reader.readU32() != StateMagic)
     return false;
-  const bool HasAccum = Magic == StateMagicV2;
   uint64_t NewRuns = Reader.readU64();
   uint64_t NewFailedRuns = Reader.readU64();
   uint64_t NewCorruptRuns = Reader.readU64();
@@ -260,10 +255,8 @@ bool CumulativeIsolator::deserialize(const std::vector<uint8_t> &Buffer) {
       Trial.Probability = Reader.readF64();
       Trial.Observed = Reader.readU8() != 0;
       State.Trials.push_back(Trial);
-      if (!HasAccum)
-        State.Accum.addTrial(Trial);
     }
-    if (HasAccum && !State.Accum.deserialize(Reader))
+    if (!State.Accum.deserialize(Reader))
       return false;
   }
   const uint64_t NumPairs = Reader.readU64();
@@ -278,10 +271,8 @@ bool CumulativeIsolator::deserialize(const std::vector<uint8_t> &Buffer) {
       Trial.Probability = Reader.readF64();
       Trial.Observed = Reader.readU8() != 0;
       State.Trials.push_back(Trial);
-      if (!HasAccum)
-        State.Accum.addTrial(Trial);
     }
-    if (HasAccum && !State.Accum.deserialize(Reader))
+    if (!State.Accum.deserialize(Reader))
       return false;
   }
   if (!Reader.atEnd())

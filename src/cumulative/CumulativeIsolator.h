@@ -106,12 +106,12 @@ public:
 
   /// Round-trips the accumulated state (persisted between executions,
   /// and the cumulative half of the patch server's durable snapshots).
-  /// serialize writes format v2 ("XCS2"): trials plus each site's
-  /// running Bayes log-likelihood sums, so a restore rebuilds the
-  /// classifier bit-identically without replaying trial history;
-  /// deserialize also accepts v1 ("XCS1", trials only, replayed).
-  /// deserialize is all-or-nothing: a malformed buffer returns false
-  /// and leaves the accumulated state untouched.
+  /// The format ("XCS2") holds trials plus each site's running Bayes
+  /// log-likelihood sums, so a restore rebuilds the classifier
+  /// bit-identically without replaying trial history.  deserialize is
+  /// all-or-nothing: a malformed buffer, or one in the trials-only
+  /// "XCS1" format, returns false and leaves the accumulated state
+  /// untouched.
   std::vector<uint8_t> serialize() const;
   bool deserialize(const std::vector<uint8_t> &Buffer);
 

@@ -6,14 +6,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <random>
 
 using namespace exterminator;
 
 /// Nonzero token identifying one summary submission.  Generated when the
-/// submission is *queued*, so every retry of that submission — by a
-/// failover transport, a flaky network, or a version downgrade — carries
-/// the same token and the server applies the summary exactly once.
+/// submission is encoded, so every retry of that frame — by a failover
+/// transport or a flaky network — carries the same token and the server
+/// applies the summary exactly once.
 ///
 /// Tokens are a process-wide atomic counter passed through SplitMix64
 /// (a bijection) keyed by one random value per process: two calls in
@@ -34,58 +35,24 @@ static uint64_t freshSubmissionToken() {
   return Token;
 }
 
-/// The bundle format a peer at \p WireVersion understands: v4 peers
-/// take delta bundles, v3 peers predate the delta codec.
-static uint32_t bundleVersionFor(uint8_t WireVersion) {
-  return WireVersion >= ProtocolVersion ? ImageBundleFormatV2
-                                        : ImageBundleFormatV1;
-}
-
-bool PatchClient::downgrade() {
-  if (PeerVersion <= LegacyProtocolVersion)
-    return false;
-  PeerVersion = LegacyProtocolVersion;
+bool PatchClient::queueFrame(MessageType Type,
+                             const std::vector<uint8_t> &Payload) {
+  std::vector<uint8_t> Encoded = encodeFrame(Type, Payload);
+  if (Encoded.empty())
+    return false; // evidence exceeds the frame limit
+  PendingFrames.push_back(std::move(Encoded));
   return true;
-}
-
-std::vector<uint8_t>
-PatchClient::encodePending(const PendingRequest &Request,
-                           uint8_t Version) const {
-  if (Request.Type == MessageType::SubmitImages)
-    return encodeFrame(
-        MessageType::SubmitImages,
-        encodeSubmitImages(Request.Evidence, bundleVersionFor(Version)),
-        Version);
-  return encodeFrame(MessageType::SubmitSummary,
-                     encodeSubmitSummary(Request.Summary, Request.CleanStreak,
-                                         Request.Token),
-                     Version);
 }
 
 bool PatchClient::queueImages(const ImageEvidence &Evidence) {
-  PendingRequest Request;
-  Request.Type = MessageType::SubmitImages;
-  Request.Evidence = Evidence;
-  // Validate the frame bound at queue time, against the *legacy*
-  // encoding — the larger of the two, so a mid-batch downgrade can
-  // never turn an accepted submission unencodable.
-  if (encodePending(Request, LegacyProtocolVersion).empty())
-    return false; // evidence exceeds the frame limit
-  PendingRequests.push_back(std::move(Request));
-  return true;
+  return queueFrame(MessageType::SubmitImages, encodeSubmitImages(Evidence));
 }
 
 bool PatchClient::queueSummary(const RunSummary &Summary,
                                unsigned CleanStreak) {
-  PendingRequest Request;
-  Request.Type = MessageType::SubmitSummary;
-  Request.Summary = Summary;
-  Request.CleanStreak = CleanStreak;
-  Request.Token = freshSubmissionToken();
-  if (encodePending(Request, LegacyProtocolVersion).empty())
-    return false;
-  PendingRequests.push_back(std::move(Request));
-  return true;
+  return queueFrame(
+      MessageType::SubmitSummary,
+      encodeSubmitSummary(Summary, CleanStreak, freshSubmissionToken()));
 }
 
 void PatchClient::noteServerState(uint64_t Instance, uint64_t Epoch) {
@@ -99,114 +66,64 @@ bool PatchClient::flush() {
   // unread while later requests are still being written; a chunk keeps
   // that backlog far below any socket buffer so neither peer can end up
   // blocked in send() against the other.
-  std::vector<PendingRequest> Batch = std::move(PendingRequests);
-  PendingRequests.clear();
+  std::vector<std::vector<uint8_t>> Batch = std::move(PendingFrames);
+  PendingFrames.clear();
   for (size_t Begin = 0; Begin < Batch.size(); Begin += FlushChunk) {
     const size_t End = std::min(Batch.size(), Begin + FlushChunk);
-    // A chunk retries at most once, after a downgrade: requests are
-    // re-encoded from their parameters (same tokens, legacy bundles),
-    // and the rejecting server never processed them.
-    for (;;) {
-      std::vector<std::vector<uint8_t>> Chunk;
-      Chunk.reserve(End - Begin);
-      for (size_t I = Begin; I < End; ++I) {
-        Chunk.push_back(encodePending(Batch[I], PeerVersion));
-        if (Chunk.back().empty())
-          return false;
-      }
-      std::vector<std::vector<uint8_t>> Responses;
-      if (!Transport.exchange(Chunk, Responses) ||
-          Responses.size() != Chunk.size()) {
-        // A pre-v4 server rejects the first pipelined frame and closes;
-        // the transport reports wholesale failure but the rejection
-        // sits in the received prefix.  Only that evidence downgrades —
-        // a bare transport fault stays a failure.
-        if (sawVersionRejection(Responses) && downgrade())
-          continue;
-        return false;
-      }
-      bool VersionRejected = false;
-      bool Ok = true;
-      for (const std::vector<uint8_t> &Response : Responses) {
-        Frame Reply;
-        size_t Consumed = 0;
-        if (decodeFrame(Response.data(), Response.size(), Reply,
-                        Consumed) != FrameError::None) {
-          Ok = false;
-          break;
-        }
-        if (Reply.Type == MessageType::ErrorReply) {
-          VersionRejected = isVersionRejection(Reply);
-          Ok = false;
-          break;
-        }
-        // Track the server state the replies report so a following
-        // syncPatches can skip its round trip.  A success-typed reply
-        // whose payload fails to decode is a protocol failure, same as
-        // in the one-shot submit paths.
-        if (Reply.Type == MessageType::SubmitImagesReply) {
-          ImagesReply Decoded;
-          if (!decodeImagesReply(Reply.Payload, Decoded)) {
-            Ok = false;
-            break;
-          }
-          noteServerState(Decoded.Instance, Decoded.Epoch);
-        } else if (Reply.Type == MessageType::SubmitSummaryReply) {
-          SummaryReply Decoded;
-          if (!decodeSummaryReply(Reply.Payload, Decoded)) {
-            Ok = false;
-            break;
-          }
-          noteServerState(Decoded.Instance, Decoded.Epoch);
-        }
-      }
-      if (Ok)
-        break;
-      if (VersionRejected && downgrade())
-        continue;
+    const std::vector<std::vector<uint8_t>> Chunk(
+        std::make_move_iterator(Batch.begin() + Begin),
+        std::make_move_iterator(Batch.begin() + End));
+    std::vector<std::vector<uint8_t>> Responses;
+    if (!Transport.exchange(Chunk, Responses) ||
+        Responses.size() != Chunk.size())
       return false;
+    for (const std::vector<uint8_t> &Response : Responses) {
+      Frame Reply;
+      size_t Consumed = 0;
+      if (decodeFrame(Response.data(), Response.size(), Reply, Consumed) !=
+              FrameError::None ||
+          Reply.Type == MessageType::ErrorReply)
+        return false;
+      // Track the server state the replies report so a following
+      // syncPatches can skip its round trip.  A success-typed reply
+      // whose payload fails to decode is a protocol failure, same as
+      // in the one-shot submit paths.
+      if (Reply.Type == MessageType::SubmitImagesReply) {
+        ImagesReply Decoded;
+        if (!decodeImagesReply(Reply.Payload, Decoded))
+          return false;
+        noteServerState(Decoded.Instance, Decoded.Epoch);
+      } else if (Reply.Type == MessageType::SubmitSummaryReply) {
+        SummaryReply Decoded;
+        if (!decodeSummaryReply(Reply.Payload, Decoded))
+          return false;
+        noteServerState(Decoded.Instance, Decoded.Epoch);
+      }
     }
   }
   return true;
 }
 
-template <typename BuildPayloadFn>
-bool PatchClient::roundTrip(MessageType Type, BuildPayloadFn BuildPayload,
+bool PatchClient::roundTrip(MessageType Type,
+                            const std::vector<uint8_t> &Payload,
                             Frame &ReplyFrame) {
-  // At most two passes: the second runs only after a downgrade, against
-  // a server that rejected (and therefore never processed) the first.
-  for (;;) {
-    std::vector<uint8_t> Request =
-        encodeFrame(Type, BuildPayload(PeerVersion), PeerVersion);
-    if (Request.empty())
-      return false;
-    std::vector<std::vector<uint8_t>> Responses;
-    if (!Transport.exchange({std::move(Request)}, Responses) ||
-        Responses.size() != 1) {
-      if (sawVersionRejection(Responses) && downgrade())
-        continue;
-      return false;
-    }
-    size_t Consumed = 0;
-    if (decodeFrame(Responses[0].data(), Responses[0].size(), ReplyFrame,
-                    Consumed) != FrameError::None)
-      return false;
-    if (ReplyFrame.Type != MessageType::ErrorReply)
-      return true;
-    if (isVersionRejection(ReplyFrame) && downgrade())
-      continue;
+  std::vector<uint8_t> Request = encodeFrame(Type, Payload);
+  if (Request.empty())
     return false;
-  }
+  std::vector<std::vector<uint8_t>> Responses;
+  if (!Transport.exchange({std::move(Request)}, Responses) ||
+      Responses.size() != 1)
+    return false;
+  size_t Consumed = 0;
+  return decodeFrame(Responses[0].data(), Responses[0].size(), ReplyFrame,
+                     Consumed) == FrameError::None &&
+         ReplyFrame.Type != MessageType::ErrorReply;
 }
 
 bool PatchClient::submitImages(const ImageEvidence &Evidence,
                                ImagesReply *ReplyOut) {
   Frame Reply;
-  if (!roundTrip(MessageType::SubmitImages,
-                 [&](uint8_t Version) {
-                   return encodeSubmitImages(Evidence,
-                                             bundleVersionFor(Version));
-                 },
+  if (!roundTrip(MessageType::SubmitImages, encodeSubmitImages(Evidence),
                  Reply) ||
       Reply.Type != MessageType::SubmitImagesReply)
     return false;
@@ -222,14 +139,10 @@ bool PatchClient::submitImages(const ImageEvidence &Evidence,
 bool PatchClient::submitSummary(const RunSummary &Summary,
                                 unsigned CleanStreak,
                                 CumulativeDiagnosis *DiagnosisOut) {
-  // Token minted once, outside the payload builder: a downgrade retry
-  // must carry the same token or a replica pair could double-count.
-  const uint64_t Token = freshSubmissionToken();
   Frame Reply;
   if (!roundTrip(MessageType::SubmitSummary,
-                 [&](uint8_t) {
-                   return encodeSubmitSummary(Summary, CleanStreak, Token);
-                 },
+                 encodeSubmitSummary(Summary, CleanStreak,
+                                     freshSubmissionToken()),
                  Reply) ||
       Reply.Type != MessageType::SubmitSummaryReply)
     return false;
@@ -245,10 +158,7 @@ bool PatchClient::submitSummary(const RunSummary &Summary,
 bool PatchClient::fetchPatches() {
   Frame Reply;
   if (!roundTrip(MessageType::FetchPatches,
-                 [&](uint8_t) {
-                   return encodeFetchPatches(MirrorEpoch, MirrorInstance);
-                 },
-                 Reply) ||
+                 encodeFetchPatches(MirrorEpoch, MirrorInstance), Reply) ||
       Reply.Type != MessageType::PatchesReply)
     return false;
   PatchesReply Decoded;
@@ -275,7 +185,6 @@ bool PatchClient::syncPatches() {
 
 bool PatchClient::shutdownServer() {
   Frame Reply;
-  return roundTrip(MessageType::Shutdown,
-                   [](uint8_t) { return std::vector<uint8_t>(); }, Reply) &&
+  return roundTrip(MessageType::Shutdown, {}, Reply) &&
          Reply.Type == MessageType::ShutdownReply;
 }

@@ -18,16 +18,12 @@
 /// skips even that when the last submission reply already proved the
 /// mirror current.
 ///
-/// Version negotiation (v4): the client speaks the newest protocol
-/// until this peer proves it cannot — the transport fails mid-exchange
-/// (a pre-v4 server closes after rejecting the first frame) or an
-/// ErrorReply says "unknown protocol version" — then re-encodes at v3
-/// and sticks there for the life of this client.  Queued evidence is
-/// stored as *parameters*, not frames, so a downgrade re-encodes the
-/// same batch (same dedup tokens, v1 bundles for the legacy peer) and
-/// retries once; the retry is safe because a server that rejected the
-/// version never processed the payload, summaries carry their original
-/// tokens, and patch merges are idempotent.
+/// There is no version negotiation: the client speaks the one wire
+/// version (WireProtocol.h), and a server that rejects it is a failed
+/// exchange like any other.  Queued evidence is encoded into its frame
+/// once, at queue time — which is also where the frame bound is
+/// checked — so flush() ships bytes, never re-encodes, and a summary's
+/// dedup token is fixed in its frame for every retry a transport makes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +32,6 @@
 
 #include "exchange/Transport.h"
 #include "exchange/WireProtocol.h"
-
-#include <algorithm>
-#include <optional>
 
 namespace exterminator {
 
@@ -61,7 +54,7 @@ public:
   /// the wire frame limit — submit fewer images per evidence set.
   bool queueImages(const ImageEvidence &Evidence);
   bool queueSummary(const RunSummary &Summary, unsigned CleanStreak);
-  size_t pendingCount() const { return PendingRequests.size(); }
+  size_t pendingCount() const { return PendingFrames.size(); }
   /// Ships the batch; returns false on transport failure or any error
   /// reply (the batch is dropped either way — evidence submission is
   /// idempotent under max-merge, so callers just re-collect).
@@ -95,17 +88,6 @@ public:
   /// shutdown` and test teardown).
   bool shutdownServer();
 
-  /// Caps the wire version this client speaks (the "force a legacy
-  /// client" test knob; also clamps the starting peer version).
-  void setMaxWireVersion(uint8_t Version) {
-    MaxVersion = Version;
-    PeerVersion = std::min(PeerVersion, Version);
-  }
-
-  /// The version this client currently believes the peer speaks
-  /// (observability: tests pin the sticky downgrade through this).
-  uint8_t peerVersion() const { return PeerVersion; }
-
   /// Last fetched merged patch set (empty before the first fetch).
   const PatchSet &patches() const { return Mirror; }
   /// Epoch of patches(); NeverFetched before the first fetch.
@@ -114,33 +96,14 @@ public:
   uint64_t serverInstance() const { return MirrorInstance; }
 
 private:
-  /// One queued submission, stored as parameters so a version downgrade
-  /// can re-encode it (same token, the right bundle format) instead of
-  /// replaying stale bytes.
-  struct PendingRequest {
-    MessageType Type = MessageType::SubmitSummary;
-    ImageEvidence Evidence;  ///< SubmitImages
-    RunSummary Summary;      ///< SubmitSummary
-    unsigned CleanStreak = 0;
-    uint64_t Token = 0; ///< minted at queue time; stable across retries
-  };
+  /// Frames \p Payload into the pending batch; false (queueing nothing)
+  /// when it exceeds the frame bound.
+  bool queueFrame(MessageType Type, const std::vector<uint8_t> &Payload);
 
-  /// Encodes \p Request as a frame at \p Version (bundle format coupled
-  /// to the wire version for image submissions).
-  std::vector<uint8_t> encodePending(const PendingRequest &Request,
-                                     uint8_t Version) const;
-
-  /// Ships one request (re-encoding \p Payload via \p BuildPayload at
-  /// the current peer version) and decodes the single reply frame into
+  /// Ships one request frame and decodes the single reply frame into
   /// \p ReplyFrame; returns false on transport failure or ErrorReply.
-  /// A version rejection downgrades and retries once.
-  template <typename BuildPayloadFn>
-  bool roundTrip(MessageType Type, BuildPayloadFn BuildPayload,
+  bool roundTrip(MessageType Type, const std::vector<uint8_t> &Payload,
                  Frame &ReplyFrame);
-
-  /// Sticks this peer at the legacy version; false when already there
-  /// (so a rejection loop terminates after one retry).
-  bool downgrade();
 
   /// Records the (instance, epoch) a submission reply reported.
   void noteServerState(uint64_t Instance, uint64_t Epoch);
@@ -150,10 +113,8 @@ private:
   static constexpr size_t FlushChunk = 32;
 
   ClientTransport &Transport;
-  std::vector<PendingRequest> PendingRequests;
-  /// Version this client encodes at for this peer (sticky downgrade).
-  uint8_t PeerVersion = ProtocolVersion;
-  uint8_t MaxVersion = ProtocolVersion;
+  /// Encoded request frames awaiting flush(), in queue order.
+  std::vector<std::vector<uint8_t>> PendingFrames;
   PatchSet Mirror;
   uint64_t MirrorEpoch = NeverFetched;
   uint64_t MirrorInstance = 0;

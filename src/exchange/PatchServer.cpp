@@ -253,26 +253,8 @@ bool PatchServer::handleFrame(const uint8_t *Request, size_t Size,
       std::lock_guard<std::mutex> Lock(Mutex);
       ++Stats.FramesRejected;
     }
-    // The sender's version is unknown (or unparseable), so the error
-    // answers in the legacy encoding every client generation reads.
     ResponseOut = encodeFrame(MessageType::ErrorReply,
-                              encodeErrorReply(frameErrorName(Error)),
-                              LegacyProtocolVersion);
-    return false;
-  }
-  if (Parsed.Version > MaxWireVersion) {
-    // The legacy-peer emulation (setMaxWireVersion): answer exactly as
-    // a pre-v4 server's decodeFrame rejection would — a v3 ErrorReply
-    // saying "unknown protocol version", then close the connection —
-    // which is the reply a v4 client keys its downgrade on.
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++Stats.FramesRejected;
-    }
-    ResponseOut =
-        encodeFrame(MessageType::ErrorReply,
-                    encodeErrorReply(frameErrorName(FrameError::BadVersion)),
-                    LegacyProtocolVersion);
+                              encodeErrorReply(frameErrorName(Error)));
     return false;
   }
   if (Consumed != Size) {
@@ -282,8 +264,7 @@ bool PatchServer::handleFrame(const uint8_t *Request, size_t Size,
     std::lock_guard<std::mutex> Lock(Mutex);
     ++Stats.FramesRejected;
     ResponseOut = encodeFrame(MessageType::ErrorReply,
-                              encodeErrorReply("trailing bytes after frame"),
-                              Parsed.Version);
+                              encodeErrorReply("trailing bytes after frame"));
     return false;
   }
   ResponseOut = dispatch(Parsed);
@@ -291,18 +272,10 @@ bool PatchServer::handleFrame(const uint8_t *Request, size_t Size,
 }
 
 std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
-  // Every reply echoes the request's wire version: a legacy v3 peer
-  // must never be handed a v4 envelope it cannot parse, and a v4 peer
-  // gets its replies compressed.
-  const uint8_t Version = Request.Version;
-  auto Respond = [Version](MessageType Type,
-                           const std::vector<uint8_t> &Payload) {
-    return encodeFrame(Type, Payload, Version);
-  };
-  auto Reject = [this, &Respond](const char *Reason) {
+  auto Reject = [this](const char *Reason) {
     std::lock_guard<std::mutex> Lock(Mutex);
     ++Stats.FramesRejected;
-    return Respond(MessageType::ErrorReply, encodeErrorReply(Reason));
+    return encodeFrame(MessageType::ErrorReply, encodeErrorReply(Reason));
   };
 
   switch (Request.Type) {
@@ -344,7 +317,8 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
       persistQueued();
     if (Changed && Replica)
       Replica->onPatchDelta(Result.Patches);
-    return Respond(MessageType::SubmitImagesReply, encodeImagesReply(Reply));
+    return encodeFrame(MessageType::SubmitImagesReply,
+                       encodeImagesReply(Reply));
   }
 
   case MessageType::SubmitSummary: {
@@ -388,8 +362,8 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
       persistQueued();
     if (Applied && Replica)
       Replica->onSummary(Summary, CleanStreak, Token);
-    return Respond(MessageType::SubmitSummaryReply,
-                   encodeSummaryReply(Reply));
+    return encodeFrame(MessageType::SubmitSummaryReply,
+                       encodeSummaryReply(Reply));
   }
 
   case MessageType::MergePatches: {
@@ -403,7 +377,7 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
       Reply.Instance = Instance;
       Reply.Epoch = Pipeline.epoch();
     }
-    return Respond(MessageType::MergePatchesReply, encodeMergeReply(Reply));
+    return encodeFrame(MessageType::MergePatchesReply, encodeMergeReply(Reply));
   }
 
   case MessageType::ReplicateSummary: {
@@ -437,7 +411,8 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
     if (Reply.Applied && Store)
       persistQueued();
     // Remote origin: never re-forwarded (no-restream rule).
-    return Respond(MessageType::ReplicateReply, encodeReplicateReply(Reply));
+    return encodeFrame(MessageType::ReplicateReply,
+                       encodeReplicateReply(Reply));
   }
 
   case MessageType::FetchPatches: {
@@ -457,7 +432,7 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
     ++Stats.FetchesServed;
     if (!Reply.Modified)
       ++Stats.FetchesUnmodified;
-    return Respond(MessageType::PatchesReply, encodePatchesReply(Reply));
+    return encodeFrame(MessageType::PatchesReply, encodePatchesReply(Reply));
   }
 
   case MessageType::Stats: {
@@ -483,14 +458,14 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
       Reply.Text = MetricsRegistry::renderText(Snap);
     else
       Reply.Samples = std::move(Snap.Samples);
-    return Respond(MessageType::StatsReply, encodeStatsReply(Reply));
+    return encodeFrame(MessageType::StatsReply, encodeStatsReply(Reply));
   }
 
   case MessageType::Shutdown:
     if (!Request.Payload.empty())
       return Reject("shutdown carries no payload");
     ShutdownFlag.store(true, std::memory_order_release);
-    return Respond(MessageType::ShutdownReply, {});
+    return encodeFrame(MessageType::ShutdownReply, {});
 
   default:
     // A reply type arriving as a request.

@@ -143,12 +143,6 @@ public:
     return handleFrame(Request.data(), Request.size(), ResponseOut);
   }
 
-  /// Caps the wire version this server accepts (default: the current
-  /// ProtocolVersion).  handleFrame answers frames above the cap with
-  /// the same "unknown protocol version" ErrorReply-and-close a real
-  /// pre-v4 server produces — the test knob for mixed-version fleets.
-  void setMaxWireVersion(uint8_t Version) { MaxWireVersion = Version; }
-
   /// A Shutdown frame was accepted; socket front-ends stop serving.
   bool shutdownRequested() const {
     return ShutdownFlag.load(std::memory_order_acquire);
@@ -212,8 +206,6 @@ private:
   DiagnosisPipeline Pipeline;
   PatchServerStats Stats;
   uint64_t Instance;
-  /// Highest wire version handleFrame accepts (see setMaxWireVersion).
-  uint8_t MaxWireVersion = ProtocolVersion;
   std::atomic<bool> ShutdownFlag{false};
   /// Durable state (optional; guarded by Mutex for attach-time writes,
   /// internally synchronized for enqueue/drain).

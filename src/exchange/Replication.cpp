@@ -81,8 +81,10 @@ void ReplicaSet::collectMetrics(std::vector<MetricSample> &Out) const {
   }
 }
 
-void ReplicaSet::enqueueAll(MessageType Type, std::vector<uint8_t> Payload) {
-  if (Payload.size() > MaxFramePayload)
+void ReplicaSet::enqueueAll(MessageType Type,
+                            const std::vector<uint8_t> &Payload) {
+  const std::vector<uint8_t> Encoded = encodeFrame(Type, Payload);
+  if (Encoded.empty())
     return; // over the frame limit; anti-entropy will carry the state
   bool Notify = false;
   {
@@ -98,7 +100,7 @@ void ReplicaSet::enqueueAll(MessageType Type, std::vector<uint8_t> Payload) {
         P->PushedEpoch = NeverAcked;
         ++Counters.QueueOverflows;
       }
-      P->Outbound.push_back(OutboundRecord{Type, Payload});
+      P->Outbound.push_back(Encoded);
       Notify = true;
     }
     WakeFlag = Notify;
@@ -120,77 +122,46 @@ void ReplicaSet::onSummary(const RunSummary &Summary, unsigned CleanStreak,
 bool ReplicaSet::drainPeer(Peer &P) {
   // Copy the queue head under the lock, ship outside it, pop what was
   // acked.  Records enqueued mid-exchange stay behind the copied batch,
-  // so per-peer order is preserved.  Frames are built here, at the
-  // peer's negotiated version; a version rejection downgrades the peer
-  // and re-frames the same batch once (the rejecting peer never
-  // processed it, and summaries keep their origin tokens).
-  std::vector<OutboundRecord> Batch;
-  uint8_t Version;
+  // so per-peer order is preserved.
+  std::vector<std::vector<uint8_t>> Batch;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     Batch.assign(P.Outbound.begin(), P.Outbound.end());
-    Version = P.Version;
   }
   if (Batch.empty())
     return true;
 
-  for (;;) {
-    std::vector<std::vector<uint8_t>> Frames;
-    Frames.reserve(Batch.size());
-    for (const OutboundRecord &Record : Batch)
-      Frames.push_back(encodeFrame(Record.Type, Record.Payload, Version));
-
-    auto TryDowngrade = [&]() {
-      if (Version <= LegacyProtocolVersion)
-        return false;
-      Version = LegacyProtocolVersion;
-      std::lock_guard<std::mutex> Lock(Mutex);
-      P.Version = Version;
-      return true;
-    };
-
-    std::vector<std::vector<uint8_t>> Responses;
-    if (!P.Transport->exchange(Frames, Responses) ||
-        Responses.size() != Frames.size()) {
-      // Downgrade only on evidence: a version rejection in the partial
-      // response prefix.  A down peer is a stream failure, not a
-      // version mismatch.
-      if (sawVersionRejection(Responses) && TryDowngrade())
-        continue;
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++Counters.StreamFailures;
-      return false;
-    }
-
-    size_t Acked = 0, Rejected = 0;
-    bool VersionRejected = false;
-    for (const std::vector<uint8_t> &Response : Responses) {
-      Frame Reply;
-      size_t Consumed = 0;
-      if (decodeFrame(Response.data(), Response.size(), Reply, Consumed) !=
-          FrameError::None) {
-        ++Rejected; // garbled reply: dropped, not retried forever
-      } else if (Reply.Type != MessageType::ErrorReply) {
-        ++Acked;
-      } else {
-        if (isVersionRejection(Reply))
-          VersionRejected = true;
-        ++Rejected; // poison record: dropped, not retried forever
-      }
-    }
-    if (VersionRejected && TryDowngrade())
-      continue;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      // The transport delivered every frame, so the whole batch leaves
-      // the queue either way; rejects only affect the counters.
-      for (size_t I = 0; I < Batch.size() && !P.Outbound.empty(); ++I)
-        P.Outbound.pop_front();
-      Counters.RecordsStreamed += Acked;
-      Counters.StreamFailures += Rejected;
-    }
-    return Rejected == 0;
+  std::vector<std::vector<uint8_t>> Responses;
+  if (!P.Transport->exchange(Batch, Responses) ||
+      Responses.size() != Batch.size()) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++Counters.StreamFailures;
+    return false;
   }
+
+  size_t Acked = 0, Rejected = 0;
+  for (const std::vector<uint8_t> &Response : Responses) {
+    Frame Reply;
+    size_t Consumed = 0;
+    // A garbled reply or an ErrorReply (a poison record) counts as a
+    // reject: dropped, not retried forever.
+    if (decodeFrame(Response.data(), Response.size(), Reply, Consumed) ==
+            FrameError::None &&
+        Reply.Type != MessageType::ErrorReply)
+      ++Acked;
+    else
+      ++Rejected;
+  }
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    // The transport delivered every frame, so the whole batch leaves
+    // the queue either way; rejects only affect the counters.
+    for (size_t I = 0; I < Batch.size() && !P.Outbound.empty(); ++I)
+      P.Outbound.pop_front();
+    Counters.RecordsStreamed += Acked;
+    Counters.StreamFailures += Rejected;
+  }
+  return Rejected == 0;
 }
 
 bool ReplicaSet::drainOnce() {
@@ -224,61 +195,30 @@ size_t ReplicaSet::antiEntropyOnce() {
   for (size_t I = 0; I < Count; ++I) {
     Peer *P;
     uint64_t PushedEpoch, SeenInstance, SeenEpoch;
-    uint8_t Version;
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       P = Peers[I].get();
       PushedEpoch = P->PushedEpoch;
       SeenInstance = P->SeenInstance;
       SeenEpoch = P->SeenEpoch;
-      Version = P->Version;
     }
 
     // Push before pull in one batched exchange: the pull's reply then
     // already reflects the push, so the merged result this round is the
-    // pairwise join.  Frames encode at the peer's negotiated version —
-    // full-set pushes are the biggest frames replication ships, so a v4
-    // peer receives them compressed — and a version rejection
-    // downgrades and retries once, like every other send path.
+    // pairwise join.  Full-set pushes are the biggest frames replication
+    // ships; they ride compressed like every other frame.
     const bool Push = PushedEpoch != Snap.Epoch;
-    auto TryDowngrade = [&]() {
-      if (Version <= LegacyProtocolVersion)
-        return false;
-      Version = LegacyProtocolVersion;
-      std::lock_guard<std::mutex> Lock(Mutex);
-      P->Version = Version;
-      return true;
-    };
+    std::vector<std::vector<uint8_t>> Requests;
+    if (Push)
+      Requests.push_back(encodeFrame(MessageType::MergePatches,
+                                     encodeMergePatches(Snap.Patches)));
+    Requests.push_back(
+        encodeFrame(MessageType::FetchPatches,
+                    encodeFetchPatches(SeenEpoch, SeenInstance)));
 
     std::vector<std::vector<uint8_t>> Responses;
-    for (;;) {
-      std::vector<std::vector<uint8_t>> Requests;
-      if (Push)
-        Requests.push_back(encodeFrame(MessageType::MergePatches,
-                                       encodeMergePatches(Snap.Patches),
-                                       Version));
-      Requests.push_back(encodeFrame(MessageType::FetchPatches,
-                                     encodeFetchPatches(SeenEpoch,
-                                                        SeenInstance),
-                                     Version));
-
-      Responses.clear();
-      if (!P->Transport->exchange(Requests, Responses) ||
-          Responses.size() != Requests.size()) {
-        if (sawVersionRejection(Responses) && TryDowngrade())
-          continue;
-        Responses.clear();
-        break;
-      }
-      Frame First;
-      size_t Consumed = 0;
-      if (decodeFrame(Responses[0].data(), Responses[0].size(), First,
-                      Consumed) == FrameError::None &&
-          isVersionRejection(First) && TryDowngrade())
-        continue;
-      break;
-    }
-    if (Responses.empty())
+    if (!P->Transport->exchange(Requests, Responses) ||
+        Responses.size() != Requests.size())
       continue;
     ++Answered;
 

@@ -133,24 +133,13 @@ public:
 private:
   void collectMetrics(std::vector<MetricSample> &Out) const;
 
-  /// One queued replication record: the message type and its payload
-  /// bytes.  Frames are built per peer at drain time, at whatever wire
-  /// version that peer negotiated — a mixed-version fleet streams the
-  /// same records compressed to v4 peers and raw to v3 ones.
-  struct OutboundRecord {
-    MessageType Type;
-    std::vector<uint8_t> Payload;
-  };
-
   struct Peer {
     std::string Label;
     std::unique_ptr<ClientTransport> Transport;
-    /// Replication records awaiting this peer, oldest first.
-    std::deque<OutboundRecord> Outbound;
-    /// Wire version this peer speaks (sticky downgrade, same trigger
-    /// set as PatchClient: transport failure or a version-rejection
-    /// ErrorReply while we were speaking v4).
-    uint8_t Version = ProtocolVersion;
+    /// Encoded replication frames awaiting this peer, oldest first.
+    /// Each record is framed once, in enqueueAll, and the same bytes go
+    /// to every peer on every attempt.
+    std::deque<std::vector<uint8_t>> Outbound;
     /// Local epoch this peer last acked a full-set push for;
     /// NeverAcked until then.
     uint64_t PushedEpoch;
@@ -166,7 +155,7 @@ private:
   /// full set (patch deltas are thereby never lost, only deferred).
   static constexpr size_t MaxQueuedPerPeer = 1024;
 
-  void enqueueAll(MessageType Type, std::vector<uint8_t> Payload);
+  void enqueueAll(MessageType Type, const std::vector<uint8_t> &Payload);
   bool drainPeer(Peer &P);
   void pumpLoop(unsigned IntervalMs);
 

@@ -501,10 +501,10 @@ void SocketPatchServer::serveConnection(int Fd) {
       // Lingering close.  The peer may still be writing a pipelined
       // batch; an immediate close() turns its unread bytes into an
       // RST, and a reset flushes the peer's receive queue — including
-      // the ErrorReply just sent (for a version rejection, that reply
-      // is the very evidence the client's downgrade logic needs).
-      // Half-close our direction and drain, bounded in both time and
-      // bytes, until the peer reads the reply and closes.
+      // the reply just sent (the ErrorReply naming a fatal frame, or
+      // the ShutdownReply the admin client waits for).  Half-close our
+      // direction and drain, bounded in both time and bytes, until the
+      // peer reads the reply and closes.
       ::shutdown(Fd, SHUT_WR);
       const auto LingerDeadline =
           std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);

@@ -19,21 +19,13 @@ using namespace exterminator;
 
 static constexpr uint32_t SnapshotMagic = 0x58535431; // "XST1"
 static constexpr uint32_t JournalMagic = 0x58534A31;  // "XSJ1"
-/// Snapshot format: v1 stores the pipeline-state blob raw; v2 (PR 10)
-/// stores it as a codec envelope (BlockCodec.h).  Both load; new
-/// snapshots are written as v2.  The checksum still covers the whole
-/// file, so corruption is caught before any decompression runs.
-static constexpr uint8_t SnapshotVersionLegacy = 1;
-static constexpr uint8_t SnapshotVersion = 2;
-/// Journal format: v1 (PR 5) has no token field; v2 appends the dedup
-/// token to summary records; v3 (PR 10) may wrap a record in the codec
-/// envelope behind a marker byte (records below the threshold stay
-/// plain — compressing a 40-byte patch delta buys nothing).  All load;
-/// new journals are written as v3.
-static constexpr uint8_t JournalVersionLegacy = 1;
-static constexpr uint8_t JournalVersionTokens = 2;
+/// Journal format: summary records end with the dedup token, and a
+/// record may be wrapped in the codec envelope behind a marker byte
+/// (records below the threshold stay plain — compressing a 40-byte
+/// patch delta buys nothing).  Versions 1 and 2 (no envelope, and no
+/// token in version 1) are refused.
 static constexpr uint8_t JournalVersion = 3;
-/// First byte of a v3 compressed record: outside the Kind value space
+/// First byte of a compressed record: outside the Kind value space
 /// (kinds are small enums), so a record is self-describing.  The codec
 /// envelope of the plain record bytes follows.
 static constexpr uint8_t CompressedRecordMarker = 0x80;
@@ -47,8 +39,6 @@ static constexpr size_t JournalHeaderBytes = 4 + 1 + 8;
 /// journal records are re-encodings of wire payloads anyway).
 static constexpr uint32_t MaxJournalRecordBytes = MaxFramePayload;
 
-/// Pre-rotation layouts used one fixed snapshot name.
-static constexpr const char *LegacySnapshotName = "snapshot.xst";
 static constexpr const char *SnapshotPrefix = "snapshot-";
 static constexpr const char *SnapshotSuffix = ".xst";
 
@@ -113,18 +103,13 @@ listRotatedSnapshots(const std::string &Dir) {
 
 std::string StateStore::snapshotPath() const {
   const auto Rotated = listRotatedSnapshots(Dir);
-  if (!Rotated.empty())
-    return Rotated.front().second;
-  return Dir + "/" + LegacySnapshotName;
+  return Rotated.empty() ? std::string() : Rotated.front().second;
 }
 
 std::vector<std::string> StateStore::snapshotFiles() const {
   std::vector<std::string> Paths;
   for (const auto &[Gen, Path] : listRotatedSnapshots(Dir))
     Paths.push_back(Path);
-  const std::string Legacy = Dir + "/" + LegacySnapshotName;
-  if (::access(Legacy.c_str(), F_OK) == 0)
-    Paths.push_back(Legacy);
   return Paths;
 }
 
@@ -162,9 +147,9 @@ encodeRecord(const StateStore::JournalRecord &Record) {
     Writer.writeU64(Record.Token);
   }
   std::vector<uint8_t> Plain = Writer.buffer();
-  // v3: big records (full patch-set seeds, summary batches) ship
-  // through the codec when that actually shrinks them; the marker byte
-  // keeps plain and compressed records distinguishable per record.
+  // Big records (full patch-set seeds, summary batches) ship through
+  // the codec when that actually shrinks them; the marker byte keeps
+  // plain and compressed records distinguishable per record.
   if (Plain.size() >= CompressRecordThreshold) {
     std::vector<uint8_t> Envelope = encodeCodecBlock(Plain);
     if (Envelope.size() + 1 < Plain.size()) {
@@ -179,15 +164,12 @@ encodeRecord(const StateStore::JournalRecord &Record) {
 }
 
 static bool decodeRecord(const uint8_t *Data, size_t Size,
-                         uint8_t JournalFormat,
                          StateStore::JournalRecord &Out) {
-  // v3 compressed record: unwrap the envelope, then decode the plain
+  // Compressed record: unwrap the envelope, then decode the plain
   // bytes.  The expansion bound mirrors the record-length bound — a
   // corrupt envelope cannot inflate past what a plain record may hold.
   std::vector<uint8_t> Expanded;
   if (Size >= 1 && Data[0] == CompressedRecordMarker) {
-    if (JournalFormat < JournalVersion)
-      return false; // pre-v3 journals never wrote the marker
     if (!decodeCodecBlock(Data + 1, Size - 1, Expanded,
                           MaxJournalRecordBytes))
       return false;
@@ -206,47 +188,34 @@ static bool decodeRecord(const uint8_t *Data, size_t Size,
     Out.CleanStreak = static_cast<unsigned>(Reader.readVarU64());
     if (!deserializeRunSummary(Reader.readBlob(), Out.Summary))
       return false;
-    // v1 journals predate submission tokens; a zero token is never
-    // suppressed, which is the right degradation for pre-upgrade
-    // records.
-    Out.Token = JournalFormat >= JournalVersionTokens ? Reader.readU64()
-                                                      : uint64_t(0);
+    Out.Token = Reader.readU64();
   } else {
     return false;
   }
   return !Reader.failed() && Reader.atEnd();
 }
 
-/// Validates one snapshot file: checksum over everything, then magic,
-/// version, generation, state blob (v2: codec envelope around it).
-static bool readSnapshotFile(const std::string &Path, uint64_t &GenOut,
-                             std::vector<uint8_t> &StateOut) {
-  std::vector<uint8_t> Bytes;
-  if (!readFileBytes(Path, Bytes) || Bytes.size() <= 4)
+bool StateStore::parseSnapshot(const std::vector<uint8_t> &Bytes,
+                               SnapshotContents &Out) {
+  // The checksum covers the whole file, so corruption is caught before
+  // any decompression runs.
+  if (Bytes.size() <= 4)
     return false;
   const uint32_t StoredCheck = readFrameU32(Bytes.data() + Bytes.size() - 4);
   if (frameChecksum(Bytes.data(), Bytes.size() - 4) != StoredCheck)
     return false;
   ByteReader Reader(Bytes.data(), Bytes.size() - 4);
-  if (Reader.readU32() != SnapshotMagic)
+  if (Reader.readU32() != SnapshotMagic || Reader.readU8() != SnapshotVersion)
     return false;
-  const uint8_t Version = Reader.readU8();
-  if (Version != SnapshotVersionLegacy && Version != SnapshotVersion)
-    return false;
-  GenOut = Reader.readU64();
-  if (Version == SnapshotVersionLegacy) {
-    StateOut = Reader.readBlob();
-  } else {
-    // The envelope's declared raw size is bounded before allocation;
-    // pipeline states are megabytes at the extreme, so the frame bound
-    // is generous and a forged multi-gigabyte declaration still fails
-    // cheaply.
-    const std::vector<uint8_t> Envelope = Reader.readBlob();
-    if (Reader.failed() ||
-        !decodeCodecBlock(Envelope, StateOut, MaxFramePayload))
-      return false;
-  }
-  return !Reader.failed() && Reader.atEnd();
+  Out.Generation = Reader.readU64();
+  // The envelope's declared raw size is bounded before allocation;
+  // pipeline states are megabytes at the extreme, so the frame bound is
+  // generous and a forged multi-gigabyte declaration still fails
+  // cheaply.
+  const std::vector<uint8_t> Envelope = Reader.readBlob();
+  Out.StoredStateBytes = Envelope.size();
+  return !Reader.failed() && Reader.atEnd() &&
+         decodeCodecBlock(Envelope, Out.State, MaxFramePayload);
 }
 
 StateStore::LoadResult
@@ -255,20 +224,10 @@ StateStore::load(std::vector<uint8_t> &SnapshotStateOut,
   SnapshotStateOut.clear();
   RecordsOut.clear();
 
-  // Candidate snapshots, newest first; the legacy single-file layout is
-  // the oldest candidate (it predates every rotated generation this
-  // store would have written after upgrading).
-  std::vector<std::string> Candidates;
-  uint64_t NewestNamedGen = 0;
-  for (const auto &[Gen, Path] : listRotatedSnapshots(Dir)) {
-    NewestNamedGen = std::max(NewestNamedGen, Gen);
-    Candidates.push_back(Path);
-  }
-  {
-    const std::string Legacy = Dir + "/" + LegacySnapshotName;
-    if (::access(Legacy.c_str(), F_OK) == 0)
-      Candidates.push_back(Legacy);
-  }
+  // Candidate snapshots, newest first.
+  const auto Candidates = listRotatedSnapshots(Dir);
+  const uint64_t NewestNamedGen =
+      Candidates.empty() ? 0 : Candidates.front().first;
 
   std::vector<uint8_t> JournalBytes;
   const bool HaveJournal = readFileBytes(journalPath(), JournalBytes);
@@ -279,12 +238,12 @@ StateStore::load(std::vector<uint8_t> &SnapshotStateOut,
     return HaveJournal ? LoadResult::Corrupt : LoadResult::Fresh;
   }
 
-  uint64_t ChosenGen = 0;
-  std::vector<uint8_t> State;
+  SnapshotContents Chosen;
   bool Loaded = false;
   bool SkippedCorrupt = false;
-  for (const std::string &Path : Candidates) {
-    if (readSnapshotFile(Path, ChosenGen, State)) {
+  for (const auto &[Gen, Path] : Candidates) {
+    std::vector<uint8_t> Bytes;
+    if (readFileBytes(Path, Bytes) && parseSnapshot(Bytes, Chosen)) {
       Loaded = true;
       break;
     }
@@ -292,6 +251,7 @@ StateStore::load(std::vector<uint8_t> &SnapshotStateOut,
   }
   if (!Loaded)
     return LoadResult::Corrupt;
+  const uint64_t ChosenGen = Chosen.Generation;
 
   if (HaveJournal) {
     // The journal header is only ever written atomically (the reset is
@@ -304,8 +264,7 @@ StateStore::load(std::vector<uint8_t> &SnapshotStateOut,
     const uint32_t Magic = Header.readU32();
     const uint8_t Version = Header.readU8();
     const uint64_t JournalGen = Header.readU64();
-    if (Magic != JournalMagic || Version < JournalVersionLegacy ||
-        Version > JournalVersion)
+    if (Magic != JournalMagic || Version != JournalVersion)
       return LoadResult::Corrupt;
     // A journal generation no snapshot file accounts for cannot come
     // from this class's write ordering (snapshot first, then journal
@@ -331,7 +290,7 @@ StateStore::load(std::vector<uint8_t> &SnapshotStateOut,
         if (frameChecksum(Record, Length) != readFrameU32(Record + Length))
           break;
         JournalRecord Decoded;
-        if (!decodeRecord(Record, Length, Version, Decoded))
+        if (!decodeRecord(Record, Length, Decoded))
           break;
         RecordsOut.push_back(std::move(Decoded));
         Offset += 4 + size_t(Length) + 4;
@@ -340,19 +299,17 @@ StateStore::load(std::vector<uint8_t> &SnapshotStateOut,
   }
 
   Generation = std::max(ChosenGen, NewestNamedGen);
-  SnapshotStateOut = std::move(State);
+  SnapshotStateOut = std::move(Chosen.State);
   return LoadResult::Restored;
 }
 
 void StateStore::pruneSnapshots(uint64_t NewestGen) {
   // Retention: keep the newest SnapshotKeep generations; everything
-  // older (and any legacy single-file snapshot, now superseded) goes.
-  // Best-effort — a prune that fails leaves extra fallbacks, never
-  // less state.
+  // older goes.  Best-effort — a prune that fails leaves extra
+  // fallbacks, never less state.
   for (const auto &[Gen, Path] : listRotatedSnapshots(Dir))
     if (Gen + SnapshotKeep <= NewestGen)
       ::unlink(Path.c_str());
-  ::unlink((Dir + "/" + LegacySnapshotName).c_str());
 }
 
 bool StateStore::writeSnapshot(const std::vector<uint8_t> &PipelineState) {
@@ -372,9 +329,9 @@ bool StateStore::writeSnapshot(const std::vector<uint8_t> &PipelineState) {
   Writer.writeU32(SnapshotMagic);
   Writer.writeU8(SnapshotVersion);
   Writer.writeU64(NextGen);
-  // v2: the state blob travels as a codec envelope (stored raw inside
-  // it when incompressible, so this never grows the file by more than
-  // the envelope header).
+  // The state blob travels as a codec envelope (stored raw inside it
+  // when incompressible, so this never grows the file by more than the
+  // envelope header).
   Writer.writeBlob(encodeCodecBlock(PipelineState));
   Writer.writeU32(frameChecksum(Writer.buffer().data(), Writer.size()));
   if (!writeFileBytes(rotatedSnapshotPath(NextGen), Writer.buffer()))

@@ -21,8 +21,9 @@
 ///    crash mid-write leaves prior snapshots intact; keeping more than
 ///    one means even external corruption of the newest file (the disk,
 ///    not this class) degrades to the previous generation instead of an
-///    unusable directory.  The pre-rotation single `snapshot.xst`
-///    layout still loads.
+///    unusable directory.  The state blob is stored as a codec envelope
+///    (BlockCodec.h), so a snapshot is compressed whenever that shrinks
+///    it.
 ///
 ///  * `journal.xsj` ("XSJ1") — an append-only journal of the accepted
 ///    state-changing submissions since the newest snapshot.  Each
@@ -30,13 +31,15 @@
 ///    the server held after applying it; replaying the journal on top
 ///    of its snapshot reproduces the exact pre-crash state, and a torn
 ///    tail (the record a crash interrupted) is detected and skipped.
-///    Header version 2 records also carry the submission's dedup token
-///    (version-1 journals still load, with zero tokens).  Version 3
-///    records may travel through the codec layer: a record whose
-///    encoding crosses a size threshold is stored as a marker byte plus
-///    its compressed envelope, with the declared expansion bounded
-///    before any allocation.  Snapshots compress the same way from
-///    snapshot version 2 (older snapshots and journals still load).
+///    Summary records carry the submission's dedup token.  A record
+///    whose encoding crosses a size threshold is stored as a marker
+///    byte plus its compressed envelope, with the declared expansion
+///    bounded before any allocation.
+///
+/// Each file carries one format version (snapshot 2, journal 3).  Any
+/// other version is refused, never half-read: a snapshot with an
+/// unknown version fails validation like a corrupt one, and a journal
+/// with one makes the whole directory Corrupt.
 ///
 /// The generation counter pairs the journal with its snapshot: a
 /// snapshot write bumps it and resets the journal, so a crash between
@@ -112,6 +115,26 @@ public:
     Corrupt,  ///< state present but unusable; do not serve from it
   };
 
+  /// The snapshot format version every snapshot file carries.
+  static constexpr uint8_t SnapshotVersion = 2;
+
+  /// One decoded snapshot file (see parseSnapshot).
+  struct SnapshotContents {
+    uint64_t Generation = 0;
+    /// The pipeline-state blob (DiagnosisPipeline::serializeState).
+    std::vector<uint8_t> State;
+    /// Bytes the blob occupies in the file (its codec envelope).
+    uint64_t StoredStateBytes = 0;
+  };
+
+  /// Validates and decodes the bytes of one snapshot file: checksum
+  /// over everything, then magic, version, generation, and the state
+  /// blob's codec envelope.  Returns false on any mismatch, including a
+  /// version other than SnapshotVersion.  The one snapshot parser: load()
+  /// and `xtermtool inspect` both read through it.
+  static bool parseSnapshot(const std::vector<uint8_t> &Bytes,
+                            SnapshotContents &Out);
+
   /// Reads the directory's state: on Restored, \p SnapshotStateOut holds
   /// the pipeline-state blob of the newest snapshot that validates and
   /// \p RecordsOut the journal records to replay on top of it, in
@@ -164,8 +187,8 @@ public:
   void attachMetrics(MetricsRegistry &Registry);
 
   const std::string &directory() const { return Dir; }
-  /// Path of the newest on-disk snapshot (the head of the ring), or of
-  /// the legacy single-file layout when only that exists.
+  /// Path of the newest on-disk snapshot (the head of the ring); empty
+  /// when the directory holds none.
   std::string snapshotPath() const;
   std::string journalPath() const;
 

@@ -40,9 +40,9 @@ public:
   /// Ships every frame in \p Requests and collects one response frame
   /// per request, in order.  Returns false on transport failure; \p
   /// ResponsesOut then holds, best-effort, the prefix of responses that
-  /// *were* received before the failure — which is how a protocol layer
-  /// sees the ErrorReply a pre-v4 server sends right before closing the
-  /// connection on a pipelined batch (the v4 downgrade trigger).
+  /// *were* received before the failure — which is where a caller finds
+  /// the ErrorReply a server sends right before closing the connection
+  /// on a fatal frame in a pipelined batch.
   virtual bool exchange(const std::vector<std::vector<uint8_t>> &Requests,
                         std::vector<std::vector<uint8_t>> &ResponsesOut) = 0;
 

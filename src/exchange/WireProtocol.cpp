@@ -41,7 +41,7 @@ static bool isKnownType(uint8_t Type) {
   return false;
 }
 
-/// Builds the v4 payload envelope: u8 encoding ++ [varint RawSize ++]
+/// Builds the payload envelope: u8 encoding ++ [varint RawSize ++]
 /// body.  Compresses only when the whole envelope ends up smaller than
 /// raw ++ its one-byte tag.
 static std::vector<uint8_t>
@@ -73,35 +73,25 @@ buildEnvelope(const std::vector<uint8_t> &Payload) {
 
 std::vector<uint8_t>
 exterminator::encodeFrame(MessageType Type,
-                          const std::vector<uint8_t> &Payload,
-                          uint8_t Version) {
+                          const std::vector<uint8_t> &Payload) {
   // Enforce the bound on the send side too: a payload past the limit
   // would be rejected by every receiver anyway (and past 4 GiB the u32
   // length would silently wrap into a desynced stream), so refuse to
   // encode it — callers treat an empty frame as "too big to ship".
   if (Payload.size() > MaxFramePayload)
     return {};
-  if (Version != ProtocolVersion && Version != LegacyProtocolVersion)
+  const std::vector<uint8_t> Envelope = buildEnvelope(Payload);
+  if (Envelope.size() > MaxFramePayload)
     return {};
-  // v3 wire bytes stay bit-identical to the pre-v4 encoder: the
-  // envelope exists only inside v4 frames.
-  const std::vector<uint8_t> *Wire = &Payload;
-  std::vector<uint8_t> Envelope;
-  if (Version == ProtocolVersion) {
-    Envelope = buildEnvelope(Payload);
-    if (Envelope.size() > MaxFramePayload)
-      return {};
-    Wire = &Envelope;
-  }
   std::vector<uint8_t> Out;
   VectorSink Sink(Out);
   StreamWriter Writer(Sink);
   Writer.writeU32(FrameMagic);
-  Writer.writeU8(Version);
+  Writer.writeU8(ProtocolVersion);
   Writer.writeU8(static_cast<uint8_t>(Type));
-  Writer.writeU32(static_cast<uint32_t>(Wire->size()));
-  Writer.writeBytes(Wire->data(), Wire->size());
-  Writer.writeU32(frameChecksum(Wire->data(), Wire->size()));
+  Writer.writeU32(static_cast<uint32_t>(Envelope.size()));
+  Writer.writeBytes(Envelope.data(), Envelope.size());
+  Writer.writeU32(frameChecksum(Envelope.data(), Envelope.size()));
   return Out;
 }
 
@@ -112,7 +102,7 @@ uint32_t exterminator::readFrameU32(const uint8_t *Data) {
          uint32_t(Data[2]) << 16 | uint32_t(Data[3]) << 24;
 }
 
-/// Expands a v4 payload envelope into FrameOut.Payload.  Runs only
+/// Expands a payload envelope into FrameOut.Payload.  Runs only
 /// after the checksum passed, so every byte here is what the sender
 /// meant — failures are a hostile or buggy *encoder*, not line noise.
 static FrameError expandEnvelope(const uint8_t *Data, size_t Size,
@@ -155,7 +145,7 @@ FrameError exterminator::decodeFrame(const uint8_t *Data, size_t Size,
   const uint32_t Length = readFrameU32(Data + 6);
   if (Magic != FrameMagic)
     return FrameError::BadMagic;
-  if (Version != ProtocolVersion && Version != LegacyProtocolVersion)
+  if (Version != ProtocolVersion)
     return FrameError::BadVersion;
   if (!isKnownType(Type))
     return FrameError::BadType;
@@ -169,17 +159,11 @@ FrameError exterminator::decodeFrame(const uint8_t *Data, size_t Size,
       frameChecksum(Data + FrameHeaderBytes, Length))
     return FrameError::BadChecksum;
   FrameOut.Type = static_cast<MessageType>(Type);
-  FrameOut.Version = Version;
-  if (Version == ProtocolVersion) {
-    const FrameError Error =
-        expandEnvelope(Data + FrameHeaderBytes, Length, FrameOut);
-    if (Error != FrameError::None) {
-      codecdetail::noteReject();
-      return Error;
-    }
-  } else {
-    FrameOut.Payload.assign(Data + FrameHeaderBytes,
-                            Data + FrameHeaderBytes + Length);
+  const FrameError Error =
+      expandEnvelope(Data + FrameHeaderBytes, Length, FrameOut);
+  if (Error != FrameError::None) {
+    codecdetail::noteReject();
+    return Error;
   }
   ConsumedOut = FrameHeaderBytes + size_t(Length) + 4;
   return FrameError::None;
@@ -209,38 +193,16 @@ const char *exterminator::frameErrorName(FrameError Error) {
   return "unknown";
 }
 
-bool exterminator::isVersionRejection(const Frame &Reply) {
-  if (Reply.Type != MessageType::ErrorReply)
-    return false;
-  std::string Message;
-  return decodeErrorReply(Reply.Payload, Message) &&
-         Message == frameErrorName(FrameError::BadVersion);
-}
-
-bool exterminator::sawVersionRejection(
-    const std::vector<std::vector<uint8_t>> &Responses) {
-  for (const std::vector<uint8_t> &Response : Responses) {
-    Frame Reply;
-    size_t Consumed = 0;
-    if (decodeFrame(Response.data(), Response.size(), Reply, Consumed) ==
-            FrameError::None &&
-        isVersionRejection(Reply))
-      return true;
-  }
-  return false;
-}
-
 //===----------------------------------------------------------------------===//
 // Payload codecs
 //===----------------------------------------------------------------------===//
 
 std::vector<uint8_t>
-exterminator::encodeSubmitImages(const ImageEvidence &Evidence,
-                                 uint32_t BundleVersion) {
+exterminator::encodeSubmitImages(const ImageEvidence &Evidence) {
   std::vector<uint8_t> Payload;
   VectorSink Sink(Payload);
-  serializeImageBundle(Evidence.Primary, Sink, BundleVersion);
-  serializeImageBundle(Evidence.Fallback, Sink, BundleVersion);
+  serializeImageBundle(Evidence.Primary, Sink);
+  serializeImageBundle(Evidence.Fallback, Sink);
   return Payload;
 }
 

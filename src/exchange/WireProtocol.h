@@ -12,10 +12,10 @@
 /// Every message is one *frame*:
 ///
 ///   u32  FrameMagic      "XPF1"
-///   u8   ProtocolVersion (3 or 4; see the version history below)
+///   u8   ProtocolVersion (4; every other value is rejected)
 ///   u8   MessageType
 ///   u32  PayloadLength   (little-endian; bounded by MaxFramePayload)
-///   u8[] Payload         (v4: compression envelope, see below)
+///   u8[] Payload         (a compression envelope, see below)
 ///   u32  Checksum        FNV-1a over the payload bytes as transmitted
 ///
 /// The fixed 10-byte header makes frames cheap to delimit on a byte
@@ -24,14 +24,12 @@
 /// replies use disjoint type ranges so a frame is self-describing.
 ///
 /// Payloads ride on the formats the rest of the system already speaks:
-/// image evidence as two ImageBundles (primary + fallback, one
-/// cross-image site dictionary each), run summaries and patch sets in
-/// their existing serialized forms, plus varint-packed scalars.
+/// image evidence as two delta-encoded ImageBundles (primary + fallback),
+/// run summaries and patch sets in their existing serialized forms, plus
+/// varint-packed scalars.
 ///
-/// Version history: v1 was the single-server protocol.  v2 adds the
-/// replication messages (MergePatches, ReplicateSummary) and prefixes
-/// every summary submission with a random u64 *submission token*.  The
-/// token is what makes summaries safe to retry: patch merges are
+/// Every summary submission leads with a random u64 *submission token*.
+/// The token is what makes summaries safe to retry: patch merges are
 /// idempotent under max-merge, but a run summary grows the Bayesian
 /// trial history every time it is applied, so a client retry after a
 /// lost reply (or a replica forwarding a summary the origin also
@@ -39,19 +37,13 @@
 /// tokens and answer a duplicate with their current state instead of
 /// re-applying it.
 ///
-/// v3 adds the observability pair (Stats, StatsReply): any endpoint can
-/// be scraped for a point-in-time metrics snapshot, either as binary
-/// samples (what `xtermtool watch` and the AlertEngine consume) or as
-/// server-rendered Prometheus-style text exposition (what `xtermtool
-/// stats` prints).
-///
-/// v4 adds payload compression.  A v4 payload is an *envelope*:
+/// The payload is an *envelope*:
 ///
 ///   u8 encoding            0 = raw, 1 = LZ block codec
 ///   [varint RawSize]       encoding 1 only; bounded by MaxFramePayload
 ///   u8[] body              raw bytes, or the compressed block
 ///
-/// The checksum still covers the payload bytes *as transmitted* (the
+/// The checksum covers the payload bytes *as transmitted* (the
 /// envelope), so corruption is rejected by a cheap hash before any
 /// decompression runs.  The declared RawSize is validated against
 /// MaxFramePayload before any buffer is sized from it — a compression
@@ -60,15 +52,13 @@
 /// incompressible payloads ride as encoding 0 with one byte of
 /// overhead.
 ///
-/// Negotiation is by downgrade, not handshake: a v4 client speaks v4
-/// until a peer rejects the version (the transport fails or the first
-/// reply is an ErrorReply saying "unknown protocol version"), then
-/// re-encodes at v3 and sticks there for that peer.  Servers accept
-/// both versions, answer each request in the version it arrived with,
-/// and couple the bundle format to it (v4 SubmitImages carries delta
-/// bundles, v3 carries the standalone v1 bundles a legacy server
-/// expects) — so an uncompressed v3 peer interoperates bit-identically
-/// with the pre-v4 protocol.
+/// Version history: v1 was the single-server protocol; v2 added the
+/// replication messages and submission tokens; v3 the observability
+/// pair (Stats, StatsReply); v4 the payload envelope.  Only v4 is
+/// spoken or accepted: a frame carrying any other version byte is
+/// answered with an "unknown protocol version" ErrorReply and the
+/// connection closes.  There is no negotiation — a fleet upgrades as a
+/// whole.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,12 +78,10 @@ namespace exterminator {
 
 /// Protocol constants.
 inline constexpr uint32_t FrameMagic = 0x58504631; // "XPF1"
-/// Current protocol version (v4: compressed payload envelopes).
+/// The protocol version every frame carries (v4: compressed payload
+/// envelopes); decoders reject any other.
 inline constexpr uint8_t ProtocolVersion = 4;
-/// Oldest version every endpoint still speaks (raw payloads, standalone
-/// v1 bundles).  Clients downgrade to this when a peer rejects v4.
-inline constexpr uint8_t LegacyProtocolVersion = 3;
-/// v4 payload-envelope encoding bytes.
+/// Payload-envelope encoding bytes.
 inline constexpr uint8_t PayloadEncodingRaw = 0;
 inline constexpr uint8_t PayloadEncodingLz = 1;
 /// Bytes of frame header before the payload: magic + version + type +
@@ -147,24 +135,19 @@ uint32_t frameChecksum(const uint8_t *Data, size_t Size);
 /// decoder and the socket stream delimiter; host-endianness-independent).
 uint32_t readFrameU32(const uint8_t *Data);
 
-/// Encodes a complete frame around \p Payload at \p Version.  v3 frames
-/// are bit-identical to the pre-v4 encoder; v4 frames wrap the payload
-/// in the compression envelope (compressed only when that shrinks it).
-/// Returns an empty buffer when the payload exceeds MaxFramePayload or
-/// \p Version is unknown — such a frame could never be accepted, and
-/// past 4 GiB the u32 length prefix would wrap into a desynced stream,
-/// so the bound is enforced on the send side too.
+/// Encodes a complete frame around \p Payload, wrapping it in the
+/// compression envelope (compressed only when that shrinks it).
+/// Returns an empty buffer when the payload exceeds MaxFramePayload —
+/// such a frame could never be accepted, and past 4 GiB the u32 length
+/// prefix would wrap into a desynced stream, so the bound is enforced
+/// on the send side too.
 std::vector<uint8_t> encodeFrame(MessageType Type,
-                                 const std::vector<uint8_t> &Payload,
-                                 uint8_t Version = ProtocolVersion);
+                                 const std::vector<uint8_t> &Payload);
 
 /// A decoded frame (payload copied out of the transport buffer, with
-/// the v4 envelope already stripped/expanded).  Version records which
-/// protocol the frame arrived in — servers echo it in their replies so
-/// a legacy peer never sees a frame it cannot parse.
+/// the envelope already stripped/expanded).
 struct Frame {
   MessageType Type = MessageType::ErrorReply;
-  uint8_t Version = ProtocolVersion;
   std::vector<uint8_t> Payload;
 };
 
@@ -178,9 +161,9 @@ enum class FrameError {
   BadType,         ///< message type outside the known set
   OversizedLength, ///< length prefix past MaxFramePayload
   BadChecksum,     ///< payload bytes do not match the checksum
-  BadEncoding,     ///< v4 envelope: unknown encoding byte or a
+  BadEncoding,     ///< envelope: unknown encoding byte or a
                    ///< compressed body that fails to expand
-  OversizedExpansion, ///< v4 envelope: declared raw size past
+  OversizedExpansion, ///< envelope: declared raw size past
                       ///< MaxFramePayload (compression bomb)
 };
 
@@ -191,31 +174,13 @@ FrameError decodeFrame(const uint8_t *Data, size_t Size, Frame &FrameOut,
 
 const char *frameErrorName(FrameError Error);
 
-/// True when \p Reply is the "unknown protocol version" ErrorReply a
-/// pre-v4 server answers a v4 frame with — the shared downgrade trigger
-/// for PatchClient and ReplicaSet.
-bool isVersionRejection(const Frame &Reply);
-
-/// True when any frame in \p Responses decodes as a version rejection.
-/// Senders run this over the (possibly partial) response set of a
-/// failed exchange: a pre-v4 server answers the first pipelined frame
-/// with the rejection and then closes, so the evidence of *why* the
-/// transport failed sits in the received prefix.  A transport failure
-/// with no such evidence (connect refused, timeout) is NOT a downgrade
-/// trigger — transient faults must stay failures, not silent retries.
-bool sawVersionRejection(const std::vector<std::vector<uint8_t>> &Responses);
-
 //===----------------------------------------------------------------------===//
 // Payload codecs
 //===----------------------------------------------------------------------===//
 
-/// SubmitImages: primary and fallback image sets as two bundles.
-/// \p BundleVersion couples the bundle format to the negotiated wire
-/// version: v4 peers receive delta-encoded v2 bundles, v3 peers the
-/// standalone v1 encoding they predate the delta codec expect.
-std::vector<uint8_t>
-encodeSubmitImages(const ImageEvidence &Evidence,
-                   uint32_t BundleVersion = ImageBundleFormatV2);
+/// SubmitImages: primary and fallback image sets as two delta-encoded
+/// bundles.
+std::vector<uint8_t> encodeSubmitImages(const ImageEvidence &Evidence);
 bool decodeSubmitImages(const std::vector<uint8_t> &Payload,
                         ImageEvidence &EvidenceOut);
 

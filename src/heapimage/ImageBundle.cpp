@@ -16,14 +16,10 @@ using namespace exterminator::imagedetail;
 static constexpr uint32_t BundleMagic = 0x58494231;
 
 bool exterminator::serializeImageBundle(const std::vector<HeapImage> &Images,
-                                        ByteSink &Sink,
-                                        uint32_t FormatVersion) {
-  if (FormatVersion != ImageBundleFormatV1 &&
-      FormatVersion != ImageBundleFormatV2)
-    return false;
+                                        ByteSink &Sink) {
   StreamWriter Writer(Sink);
   Writer.writeU32(BundleMagic);
-  Writer.writeU32(FormatVersion);
+  Writer.writeU32(ImageBundleFormatV2);
   Writer.writeVarU64(Images.size());
 
   // One dictionary across every image: replicated dumps of the same
@@ -34,16 +30,12 @@ bool exterminator::serializeImageBundle(const std::vector<HeapImage> &Images,
     Sites.collect(Image);
   writeSiteTable(Writer, Sites.table());
 
-  // v2: every body uses the delta codec — the first image with a null
-  // base (canary-run encoding only), members referencing the first
-  // image's slots by object id (codec/DeltaCodec.h).
+  // Every body uses the delta codec — the first image with a null base
+  // (canary-run encoding only), members referencing the first image's
+  // slots by object id (codec/DeltaCodec.h).
   std::unique_ptr<HeapImageView> Base;
   for (const HeapImage &Image : Images) {
     writeImageHeader(Writer, Image);
-    if (FormatVersion == ImageBundleFormatV1) {
-      writeImageBody(Writer, Image, Sites);
-      continue;
-    }
     writeDeltaImageBody(Writer, Image, Sites, Base.get());
     if (!Base)
       Base = std::make_unique<HeapImageView>(Images.front());
@@ -52,11 +44,10 @@ bool exterminator::serializeImageBundle(const std::vector<HeapImage> &Images,
 }
 
 std::vector<uint8_t>
-exterminator::serializeImageBundle(const std::vector<HeapImage> &Images,
-                                   uint32_t FormatVersion) {
+exterminator::serializeImageBundle(const std::vector<HeapImage> &Images) {
   std::vector<uint8_t> Buffer;
   VectorSink Sink(Buffer);
-  if (!serializeImageBundle(Images, Sink, FormatVersion))
+  if (!serializeImageBundle(Images, Sink))
     Buffer.clear();
   return Buffer;
 }
@@ -65,9 +56,7 @@ exterminator::serializeImageBundle(const std::vector<HeapImage> &Images,
 static bool deserializeBundleBody(StreamReader &Reader,
                                   std::vector<HeapImage> &ImagesOut,
                                   uint64_t &SlotBudget) {
-  const uint32_t FormatVersion = Reader.readU32();
-  if (FormatVersion != ImageBundleFormatV1 &&
-      FormatVersion != ImageBundleFormatV2)
+  if (Reader.readU32() != ImageBundleFormatV2)
     return false;
   const uint64_t NumImages = Reader.readVarU64();
   if (Reader.failed() || NumImages > MaxBundleImages)
@@ -87,19 +76,15 @@ static bool deserializeBundleBody(StreamReader &Reader,
     if (Reader.failed())
       return false;
     // One budget across all images: N forged maximal images cannot
-    // multiply what one is allowed to declare.  The first v2 image reads
+    // multiply what one is allowed to declare.  The first image reads
     // with a null base — readDeltaImageBody rejects reference tags
     // there, so a forged bundle cannot make image 0 reference a base
     // that does not exist.
-    if (FormatVersion == ImageBundleFormatV1) {
-      if (!readImageBody(Reader, Image, SiteTable, SlotBudget))
-        return false;
-    } else if (!readDeltaImageBody(Reader, Image, SiteTable, Base.get(),
-                                   SlotBudget)) {
+    if (!readDeltaImageBody(Reader, Image, SiteTable, Base.get(),
+                            SlotBudget))
       return false;
-    }
     ImagesOut.push_back(std::move(Image));
-    if (FormatVersion == ImageBundleFormatV2 && !Base)
+    if (!Base)
       Base = std::make_unique<HeapImageView>(ImagesOut.front());
   }
   return !Reader.failed();

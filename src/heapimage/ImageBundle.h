@@ -5,26 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The image *bundle* format ("XIB1"): a set of heap images serialized
-/// with one cross-image call-site dictionary.  Diagnosis evidence always
-/// travels as sets — §4 isolation needs multiple images of
-/// differently-randomized heaps, and those replicated dumps reference
-/// almost exactly the same allocation/deallocation sites — so a bundle
-/// writes the union site table once and every image's slot records index
-/// into it.  A bundle of N replicated dumps is therefore strictly smaller
-/// than N independent v2 files (tests pin this), which is what makes
-/// image evidence cheap enough to ship to a patch server.
+/// The image *bundle* format ("XIB1", format version 2): a set of heap
+/// images serialized with one cross-image call-site dictionary, every
+/// member image delta-encoded against the first.  Diagnosis evidence
+/// always travels as sets — §4 isolation needs multiple images of
+/// differently-randomized heaps — and those replicated dumps capture the
+/// same program state under different heap layouts: they reference
+/// almost exactly the same allocation/deallocation sites, and almost
+/// every object's metadata and contents repeat.  So a bundle writes the
+/// union site table once, and member slots reference the base image's
+/// slot by object id instead of repeating metadata and contents
+/// (codec/DeltaCodec.h).  A bundle of N replicated dumps is at most half
+/// the size of N independent v2 files (tests pin this), which is what
+/// makes image evidence cheap enough to ship to a patch server.
 ///
-/// The per-image bodies reuse the v2 columnar/run-length encoding
-/// byte-for-byte (ImageFormatDetail.h); only the dictionary placement
-/// differs.
-///
-/// Bundle format v2 (PR 10) additionally *delta-encodes* every member
-/// image against the first: replicated dumps capture the same program
-/// state under different heap layouts, so member slots reference the
-/// base image's slot by object id instead of repeating metadata and
-/// contents (codec/DeltaCodec.h).  v1 bundles still decode; encoders
-/// pick the version per peer (uncompressed v3 wire peers receive v1).
+/// The per-image bodies extend the v2 columnar/run-length encoding
+/// (ImageFormatDetail.h) with the delta codec's reference tags.  Format
+/// version 1 (standalone bodies, no delta) is refused.
 ///
 /// On disk a bundle is wrapped in the compressed container ("XIC1"): the
 /// bundle byte stream passes through the LZ block codec
@@ -45,9 +42,8 @@
 
 namespace exterminator {
 
-/// Bundle wire-format versions: v1 encodes every image standalone, v2
-/// delta-encodes members against the first image.
-inline constexpr uint32_t ImageBundleFormatV1 = 1;
+/// The bundle format version every bundle carries (delta-encoded
+/// members); decoders reject any other.
 inline constexpr uint32_t ImageBundleFormatV2 = 2;
 
 /// "XIC1": the compressed bundle file container (an "XIB1" byte stream
@@ -72,18 +68,12 @@ inline constexpr uint64_t MaxBundleSlots = uint64_t(1) << 24;
 inline constexpr uint64_t MaxWireSlots = uint64_t(1) << 21;
 
 /// Streams \p Images as one bundle into \p Sink; returns false on write
-/// failure or an unknown \p FormatVersion.  An empty set encodes as a
-/// valid zero-image bundle.  v2 (the default) delta-encodes members
-/// against the first image; pass ImageBundleFormatV1 for peers that
-/// predate the delta codec.
+/// failure.  An empty set encodes as a valid zero-image bundle.
 bool serializeImageBundle(const std::vector<HeapImage> &Images,
-                          ByteSink &Sink,
-                          uint32_t FormatVersion = ImageBundleFormatV2);
+                          ByteSink &Sink);
 
 /// Encodes \p Images into a self-describing bundle byte buffer.
-std::vector<uint8_t>
-serializeImageBundle(const std::vector<HeapImage> &Images,
-                     uint32_t FormatVersion = ImageBundleFormatV2);
+std::vector<uint8_t> serializeImageBundle(const std::vector<HeapImage> &Images);
 
 /// Streaming decode of one bundle.  Returns false (leaving \p ImagesOut
 /// unspecified) on malformed input — truncation, bad magic/version,

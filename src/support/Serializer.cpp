@@ -199,6 +199,10 @@ bool FileSink::close() {
 
 size_t MemorySource::read(void *Out, size_t Count) {
   const size_t Take = Count < Size - Offset ? Count : Size - Offset;
+  // An empty buffer has a null Data, and memcpy from null is undefined
+  // even for zero bytes.
+  if (Take == 0)
+    return 0;
   std::memcpy(Out, Data + Offset, Take);
   Offset += Take;
   return Take;

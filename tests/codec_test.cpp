@@ -309,8 +309,7 @@ TEST(CodecStream, RejectsOversizedDeclaredBlock) {
 
 TEST(DeltaBundle, RoundTripIsLosslessOnReplicatedDumps) {
   const std::vector<HeapImage> Images = espressoDumps(3);
-  const std::vector<uint8_t> Bytes =
-      serializeImageBundle(Images, ImageBundleFormatV2);
+  const std::vector<uint8_t> Bytes = serializeImageBundle(Images);
   std::vector<HeapImage> Decoded;
   ASSERT_TRUE(deserializeImageBundle(Bytes, Decoded));
   ASSERT_EQ(Decoded.size(), Images.size());
@@ -327,33 +326,18 @@ TEST(DeltaBundle, RatioAtMostHalfOnReplicatedEspressoDumps) {
   size_t IndependentBytes = 0;
   for (const HeapImage &Image : Images)
     IndependentBytes += serializeHeapImage(Image).size();
-  const size_t DeltaBytes =
-      serializeImageBundle(Images, ImageBundleFormatV2).size();
+  const size_t DeltaBytes = serializeImageBundle(Images).size();
   const double Ratio =
       static_cast<double>(DeltaBytes) / static_cast<double>(IndependentBytes);
   EXPECT_LE(Ratio, 0.5) << "delta " << DeltaBytes << " B vs independent "
                         << IndependentBytes << " B";
 
-  // And v2 must beat the v1 dictionary-only bundle outright.
-  EXPECT_LT(DeltaBytes,
-            serializeImageBundle(Images, ImageBundleFormatV1).size());
-}
-
-TEST(DeltaBundle, V1StillDecodesAndMatchesV2) {
-  const std::vector<HeapImage> Images = espressoDumps(2);
-  std::vector<HeapImage> FromV1, FromV2;
-  ASSERT_TRUE(deserializeImageBundle(
-      serializeImageBundle(Images, ImageBundleFormatV1), FromV1));
-  ASSERT_TRUE(deserializeImageBundle(
-      serializeImageBundle(Images, ImageBundleFormatV2), FromV2));
-  ASSERT_EQ(FromV1.size(), FromV2.size());
-  for (size_t I = 0; I < FromV1.size(); ++I)
-    EXPECT_TRUE(FromV1[I] == FromV2[I]) << "image " << I;
+  // The baseline the bundle replaces is the independent images.
+  EXPECT_LT(DeltaBytes, IndependentBytes);
 }
 
 TEST(DeltaBundle, TruncationSweepNeverDecodes) {
-  const std::vector<uint8_t> Bytes =
-      serializeImageBundle(espressoDumps(2), ImageBundleFormatV2);
+  const std::vector<uint8_t> Bytes = serializeImageBundle(espressoDumps(2));
   std::vector<HeapImage> Decoded;
   for (size_t Cut = 0; Cut < Bytes.size(); Cut += 509) {
     std::vector<uint8_t> Truncated(Bytes.begin(), Bytes.begin() + Cut);
@@ -366,8 +350,7 @@ TEST(DeltaBundle, CorruptBackReferencesRejectedNotWild) {
   // Byte-flip sweep over a delta bundle: corrupt object-id references
   // must decode as errors (unknown id, size mismatch) or as valid
   // alternate bundles — never crash, hang, or blow the slot budget.
-  const std::vector<uint8_t> Bytes =
-      serializeImageBundle(espressoDumps(2), ImageBundleFormatV2);
+  const std::vector<uint8_t> Bytes = serializeImageBundle(espressoDumps(2));
   size_t Rejections = 0;
   for (size_t I = 0; I < Bytes.size(); I += 131) {
     std::vector<uint8_t> Mutated = Bytes;
@@ -386,7 +369,7 @@ TEST(DeltaBundle, FirstImageMayNotCarryReferences) {
   // re-encoding a single-image bundle and corrupting the tag space —
   // readDeltaImageBody must reject references against a null base.
   const std::vector<HeapImage> One = espressoDumps(1);
-  std::vector<uint8_t> Bytes = serializeImageBundle(One, ImageBundleFormatV2);
+  std::vector<uint8_t> Bytes = serializeImageBundle(One);
   // Brute-force: flipping any byte to the full-reference tag must never
   // produce an out-of-bounds copy; most positions must fail cleanly.
   size_t Failures = 0, Trials = 0;
@@ -412,10 +395,9 @@ TEST(BundleContainer, SaveLoadRoundTripsAndShrinks) {
 
   std::vector<uint8_t> FileBytes;
   ASSERT_TRUE(readFileBytes(Path, FileBytes));
-  // On-disk container must be smaller than the raw v1 bundle stream —
-  // the codec working end to end.
-  EXPECT_LT(FileBytes.size(),
-            serializeImageBundle(Images, ImageBundleFormatV1).size());
+  // On-disk container must be smaller than the bare bundle stream it
+  // wraps — the codec working end to end.
+  EXPECT_LT(FileBytes.size(), serializeImageBundle(Images).size());
 
   std::vector<HeapImage> Back;
   ASSERT_TRUE(loadImageBundle(Path, Back));
@@ -426,11 +408,11 @@ TEST(BundleContainer, SaveLoadRoundTripsAndShrinks) {
 }
 
 TEST(BundleContainer, BareBundleFilesStillLoad) {
-  // Pre-container files (a raw "XIB1" stream on disk) must keep loading.
+  // Bare files (an "XIB1" stream on disk, no container) must keep
+  // loading.
   const std::vector<HeapImage> Images = espressoDumps(2);
   const std::string Path = ::testing::TempDir() + "/codec_bare.xib";
-  ASSERT_TRUE(writeFileBytes(
-      Path, serializeImageBundle(Images, ImageBundleFormatV1)));
+  ASSERT_TRUE(writeFileBytes(Path, serializeImageBundle(Images)));
   std::vector<HeapImage> Back;
   ASSERT_TRUE(loadImageBundle(Path, Back));
   ASSERT_EQ(Back.size(), Images.size());

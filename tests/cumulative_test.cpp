@@ -402,57 +402,34 @@ TEST(CumulativeIsolator, MalformedInputLeavesStateUntouched) {
   EXPECT_EQ(Victim.runCount(), 6u);
 }
 
-TEST(CumulativeIsolator, LegacyV1StateStillLoads) {
-  // Pre-PR-5 state files ("XCS1") carry trials but no accumulator sums;
-  // deserialize rebuilds the sums by replay, bit-identical to a v2
-  // ("XCS2") restore of the same history.
-  CumulativeIsolator Original;
-  RunSummary Summary;
-  Summary.Failed = true;
-  Summary.CorruptionObserved = true;
-  for (unsigned I = 0; I < 9; ++I) {
-    Summary.OverflowTrials = {{0xabc, 0.25, I % 3 != 0, 12}};
-    Summary.DanglingTrials = {{0x123, 0x456, 0.4, true, 50 + I}};
-    Original.addRun(Summary);
-  }
-
-  // Hand-build the v1 encoding from the isolator's own v2 bytes: v1 is
-  // v2 minus the per-site accumulator blobs, so re-encode trials only.
+TEST(CumulativeIsolator, RefusesTrialsOnlyV1State) {
+  // The trials-only "XCS1" format (no accumulator sums) is no longer
+  // read: a well-formed one is refused whole, and the accumulated state
+  // stays untouched.
   ByteWriter V1;
   V1.writeU32(0x58435331); // "XCS1"
-  V1.writeU64(Original.runCount());
-  V1.writeU64(Original.failedRunCount());
-  V1.writeU64(Original.corruptRunCount());
-  V1.writeU64(1); // one overflow site
+  V1.writeU64(2);          // runs
+  V1.writeU64(2);          // failed runs
+  V1.writeU64(1);          // corrupt runs
+  V1.writeU64(1);          // one overflow site
   V1.writeU32(0xabc);
   V1.writeU32(12); // MaxPad
-  V1.writeU32(6);  // Observed (runs with I % 3 != 0)
-  V1.writeU64(9);
-  for (unsigned I = 0; I < 9; ++I) {
+  V1.writeU32(1);  // Observed
+  V1.writeU64(2);  // trials
+  for (bool Observed : {true, false}) {
     V1.writeF64(0.25);
-    V1.writeU8(I % 3 != 0 ? 1 : 0);
+    V1.writeU8(Observed ? 1 : 0);
   }
-  V1.writeU64(1); // one dangling pair
-  V1.writeU64((uint64_t(0x123) << 32) | 0x456);
-  V1.writeU64(58); // MaxFreeToFailure
-  V1.writeU32(9);
-  V1.writeU64(9);
-  for (unsigned I = 0; I < 9; ++I) {
-    V1.writeF64(0.4);
-    V1.writeU8(1);
-  }
+  V1.writeU64(0); // no dangling pairs
 
-  CumulativeIsolator FromV1;
-  ASSERT_TRUE(FromV1.deserialize(V1.buffer()));
-  // Replayed v1 state serializes to the identical v2 bytes — same
-  // trials, same running sums — and scores every restored entry.
-  EXPECT_EQ(FromV1.serialize(), Original.serialize());
-  const auto Replayed = FromV1.sitePosteriors();
-  const auto Live = Original.sitePosteriors();
-  ASSERT_EQ(Replayed.size(), 2u);
-  ASSERT_EQ(Live.size(), 2u);
-  for (size_t I = 0; I < Live.size(); ++I)
-    EXPECT_EQ(Replayed[I].LogBayesFactor, Live[I].LogBayesFactor);
+  CumulativeIsolator Victim;
+  RunSummary Summary;
+  Summary.Failed = true;
+  Summary.OverflowTrials = {{0x123, 0.5, true, 8}};
+  Victim.addRun(Summary);
+  const std::vector<uint8_t> Before = Victim.serialize();
+  EXPECT_FALSE(Victim.deserialize(V1.buffer()));
+  EXPECT_EQ(Victim.serialize(), Before);
 }
 
 TEST(CumulativeIsolator, TotalSitesHintRaisesThreshold) {

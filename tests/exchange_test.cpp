@@ -467,6 +467,35 @@ void expectRejectedThenAlive(PatchServer &Server,
   EXPECT_TRUE(Client.fetchPatches());
 }
 
+/// Asserts that \p Response is an ErrorReply frame naming \p Reason.
+void expectErrorReply(const std::vector<uint8_t> &Response,
+                      FrameError Reason) {
+  Frame Reply;
+  size_t Consumed = 0;
+  ASSERT_EQ(decodeFrame(Response.data(), Response.size(), Reply, Consumed),
+            FrameError::None);
+  ASSERT_EQ(Reply.Type, MessageType::ErrorReply);
+  std::string Message;
+  ASSERT_TRUE(decodeErrorReply(Reply.Payload, Message));
+  EXPECT_EQ(Message, frameErrorName(Reason));
+}
+
+/// Hand-assembles \p Payload in the removed v3 layout — version byte 3
+/// and the raw payload with no envelope — as a pre-v4 peer sends it.
+std::vector<uint8_t> legacyV3Frame(MessageType Type,
+                                   const std::vector<uint8_t> &Payload) {
+  std::vector<uint8_t> Out;
+  VectorSink Sink(Out);
+  StreamWriter Writer(Sink);
+  Writer.writeU32(FrameMagic);
+  Writer.writeU8(3);
+  Writer.writeU8(static_cast<uint8_t>(Type));
+  Writer.writeU32(static_cast<uint32_t>(Payload.size()));
+  Writer.writeBytes(Payload.data(), Payload.size());
+  Writer.writeU32(frameChecksum(Payload.data(), Payload.size()));
+  return Out;
+}
+
 } // namespace
 
 TEST(PatchExchange, RejectsTruncatedFrames) {
@@ -504,6 +533,28 @@ TEST(PatchExchange, RejectsUnknownProtocolVersion) {
       encodeFrame(MessageType::FetchPatches, encodeFetchPatches(0, 0));
   Bytes[4] = ProtocolVersion + 1;
   expectRejectedThenAlive(Server, Bytes);
+
+  // A well-formed frame from a v3 peer is refused by its version byte
+  // alone, over loopback and over TCP.
+  const uint64_t FetchesBefore = Server.stats().FetchesServed;
+  const std::vector<uint8_t> V3 =
+      legacyV3Frame(MessageType::FetchPatches, encodeFetchPatches(0, 0));
+  std::vector<uint8_t> Response;
+  EXPECT_FALSE(Server.handleFrame(V3, Response));
+  expectErrorReply(Response, FrameError::BadVersion);
+
+  SocketPatchServer Front(Server, /*Workers=*/1);
+  Endpoint Ep;
+  ASSERT_TRUE(parseEndpoint("tcp:0", Ep));
+  ASSERT_TRUE(Front.listen(Ep));
+  ASSERT_TRUE(Front.start());
+  SocketClientTransport Transport(Front.endpoint());
+  std::vector<std::vector<uint8_t>> Responses;
+  ASSERT_TRUE(Transport.exchange({V3}, Responses));
+  ASSERT_EQ(Responses.size(), 1u);
+  expectErrorReply(Responses[0], FrameError::BadVersion);
+  EXPECT_EQ(Server.stats().FetchesServed, FetchesBefore);
+  Front.stop();
 }
 
 TEST(PatchExchange, RejectsMalformedBundlePayload) {
@@ -518,7 +569,7 @@ TEST(PatchExchange, RejectsMalformedBundlePayload) {
     VectorSink Sink(Bundle);
     StreamWriter Writer(Sink);
     Writer.writeU32(0x58494231);
-    Writer.writeU32(1);
+    Writer.writeU32(ImageBundleFormatV2);
     Writer.writeVarU64(1);
     Writer.writeVarU64(1);
     Writer.writeU32(0);
@@ -558,8 +609,8 @@ TEST(PatchExchange, RejectsSlotAmplificationBomb) {
   {
     VectorSink Sink(Bundle);
     StreamWriter Writer(Sink);
-    Writer.writeU32(0x58494231); // magic
-    Writer.writeU32(1);          // bundle version
+    Writer.writeU32(0x58494231);          // magic
+    Writer.writeU32(ImageBundleFormatV2); // bundle version
     Writer.writeVarU64(1);       // one image
     Writer.writeVarU64(1);       // site table: just "no site"
     Writer.writeU32(0);
@@ -644,7 +695,7 @@ TEST(PatchExchange, ShutdownFrameStopsSocketServer) {
 }
 
 //===----------------------------------------------------------------------===//
-// Wire v4: compressed frames and version negotiation (PR 10)
+// Wire v4: compressed frames (PR 10)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -687,27 +738,22 @@ std::vector<uint8_t> bombEnvelope() {
   return Envelope;
 }
 
-RunSummary anySummary() {
-  return DiagnosisPipeline().summarize(
-      imagesFromTrace(overflowTrace(6), 1).front(), /*Failed=*/true);
-}
-
 } // namespace
 
 TEST(WireProtocol, V4CompressesAndRoundTrips) {
   const std::vector<uint8_t> Payload = compressiblePayload(32 * 1024);
   const std::vector<uint8_t> V4 =
       encodeFrame(MessageType::SubmitSummary, Payload);
-  const std::vector<uint8_t> V3 =
-      encodeFrame(MessageType::SubmitSummary, Payload, LegacyProtocolVersion);
-  EXPECT_LT(V4.size(), V3.size());
+  // The whole frame, header and checksum included, undercuts the bare
+  // payload.
+  EXPECT_LT(V4.size(), Payload.size());
+  EXPECT_EQ(V4[FrameHeaderBytes], PayloadEncodingLz);
 
   Frame Decoded;
   size_t Consumed = 0;
   ASSERT_EQ(decodeFrame(V4.data(), V4.size(), Decoded, Consumed),
             FrameError::None);
   EXPECT_EQ(Consumed, V4.size());
-  EXPECT_EQ(Decoded.Version, ProtocolVersion);
   EXPECT_EQ(Decoded.Payload, Payload);
 }
 
@@ -722,9 +768,8 @@ TEST(WireProtocol, V4StoresIncompressiblePayloadsRaw) {
   }
   const std::vector<uint8_t> V4 =
       encodeFrame(MessageType::SubmitSummary, Payload);
-  const std::vector<uint8_t> V3 =
-      encodeFrame(MessageType::SubmitSummary, Payload, LegacyProtocolVersion);
-  EXPECT_EQ(V4.size(), V3.size() + 1);
+  EXPECT_EQ(V4.size(), FrameHeaderBytes + 1 + Payload.size() + 4);
+  EXPECT_EQ(V4[FrameHeaderBytes], PayloadEncodingRaw);
   Frame Decoded;
   size_t Consumed = 0;
   ASSERT_EQ(decodeFrame(V4.data(), V4.size(), Decoded, Consumed),
@@ -732,24 +777,40 @@ TEST(WireProtocol, V4StoresIncompressiblePayloadsRaw) {
   EXPECT_EQ(Decoded.Payload, Payload);
 }
 
-TEST(WireProtocol, LegacyEncodingIsBitIdenticalToPreCodecLayout) {
-  // The uncompressed-peer interop pin: a v3 frame from this encoder must
-  // match the pre-codec layout byte for byte — hand-assembled here from
-  // the documented format.
-  const std::vector<uint8_t> Payload{9, 8, 7, 6, 5, 4};
-  const std::vector<uint8_t> Legacy =
-      encodeFrame(MessageType::SubmitSummary, Payload, LegacyProtocolVersion);
+TEST(WireProtocol, FrameLayoutIsPinnedByteForByte) {
+  // The wire layout, hand-assembled from the documented format for both
+  // envelope encodings: "XPF1" (little-endian), version 4, the message
+  // type, the u32 LE envelope length, the envelope, and the u32 LE
+  // FNV-1a of the envelope.  Any change here breaks every deployed peer.
+  //
+  // Raw envelope: a payload below the codec's minimum input rides as
+  // 0x00 ++ payload.
+  const std::vector<uint8_t> RawFrame{
+      0x31, 0x46, 0x50, 0x58, 0x04, 0x02, 0x07, 0x00, 0x00, 0x00, // header
+      0x00, 9,    8,    7,    6,    5,    4,                      // envelope
+      0x66, 0xc3, 0x42, 0xc7};                                  // FNV-1a
+  EXPECT_EQ(encodeFrame(MessageType::SubmitSummary, {9, 8, 7, 6, 5, 4}),
+            RawFrame);
 
-  std::vector<uint8_t> Expected;
-  VectorSink Sink(Expected);
-  StreamWriter Writer(Sink);
-  Writer.writeU32(FrameMagic);
-  Writer.writeU8(LegacyProtocolVersion);
-  Writer.writeU8(static_cast<uint8_t>(MessageType::SubmitSummary));
-  Writer.writeU32(static_cast<uint32_t>(Payload.size()));
-  Writer.writeBytes(Payload.data(), Payload.size());
-  Writer.writeU32(frameChecksum(Payload.data(), Payload.size()));
-  EXPECT_EQ(Legacy, Expected);
+  // LZ envelope: 0x01 ++ varint RawSize (32) ++ the block — one
+  // sequence (token 0x1f: one literal, match nibble 15; the literal;
+  // offset 1 LE; match extension 12, so length 4 + 15 + 12 = 31) and
+  // the terminal token with no literals.
+  const std::vector<uint8_t> Payload(32, 0x5a);
+  const std::vector<uint8_t> LzFrame{
+      0x31, 0x46, 0x50, 0x58, 0x04, 0x02, 0x08, 0x00, 0x00, 0x00, // header
+      0x01, 0x20, 0x1f, 0x5a, 0x01, 0x00, 0x0c, 0x00,             // envelope
+      0xec, 0xcf, 0x01, 0x70};                                  // FNV-1a
+  EXPECT_EQ(encodeFrame(MessageType::SubmitSummary, Payload), LzFrame);
+
+  Frame Decoded;
+  size_t Consumed = 0;
+  ASSERT_EQ(decodeFrame(LzFrame.data(), LzFrame.size(), Decoded, Consumed),
+            FrameError::None);
+  EXPECT_EQ(Decoded.Payload, Payload);
+  ASSERT_EQ(decodeFrame(RawFrame.data(), RawFrame.size(), Decoded, Consumed),
+            FrameError::None);
+  EXPECT_EQ(Decoded.Payload, std::vector<uint8_t>({9, 8, 7, 6, 5, 4}));
 }
 
 TEST(WireProtocol, RejectsCompressionBombBeforeAllocation) {
@@ -814,15 +875,7 @@ TEST(PatchExchange, CompressionBombGetsErrorReplyOverTcp) {
       {forgedV4Frame(MessageType::SubmitSummary, bombEnvelope())},
       Responses));
   ASSERT_EQ(Responses.size(), 1u);
-  Frame Reply;
-  size_t Consumed = 0;
-  ASSERT_EQ(decodeFrame(Responses[0].data(), Responses[0].size(), Reply,
-                        Consumed),
-            FrameError::None);
-  EXPECT_EQ(Reply.Type, MessageType::ErrorReply);
-  std::string Message;
-  ASSERT_TRUE(decodeErrorReply(Reply.Payload, Message));
-  EXPECT_EQ(Message, frameErrorName(FrameError::OversizedExpansion));
+  expectErrorReply(Responses[0], FrameError::OversizedExpansion);
 
   // Still healthy afterwards.
   SocketClientTransport Fresh(Front.endpoint());
@@ -831,110 +884,52 @@ TEST(PatchExchange, CompressionBombGetsErrorReplyOverTcp) {
   Front.stop();
 }
 
-TEST(WireNegotiation, ModernClientDowngradesToLegacyServerLoopback) {
-  // A pre-v4 server (emulated with the version cap) rejects the first
-  // compressed frame; the client must downgrade, re-send, and land the
-  // exact same diagnostic state as a local pipeline.
+TEST(PatchExchange, FatalFrameReplyReachesPipelinedClientOverTcp) {
+  // A fatal frame at the head of a pipelined batch: the server answers
+  // it with an ErrorReply and closes without reading on.  The lingering
+  // close must deliver that reply — an immediate close() turns the
+  // unread frames behind it into a reset, which can fail the client's
+  // sends or flush the reply from its receive queue — and nothing
+  // behind the fatal frame may be ingested.
   PatchServer Server;
-  Server.setMaxWireVersion(LegacyProtocolVersion);
-  LoopbackTransport Transport(Server);
-  expectRoundTripEquivalence(Transport, Server);
-  EXPECT_GE(Server.stats().FramesRejected, 1u);
-}
-
-TEST(WireNegotiation, ModernClientDowngradesToLegacyServerOverTcp) {
-  PatchServer Server;
-  Server.setMaxWireVersion(LegacyProtocolVersion);
-  SocketPatchServer Front(Server, /*Workers=*/2);
-  Endpoint Ep;
-  ASSERT_TRUE(parseEndpoint("tcp:0", Ep));
-  ASSERT_TRUE(Front.listen(Ep));
-  ASSERT_TRUE(Front.start());
-  SocketClientTransport Transport(Front.endpoint());
-  expectRoundTripEquivalence(Transport, Server);
-  Front.stop();
-}
-
-TEST(WireNegotiation, LegacyClientInteroperatesWithModernServer) {
-  // The reverse direction: an uncompressed v3 client against a v4
-  // server must work unchanged — the server answers at the version the
-  // request arrived in, and never rejects anything.
-  for (const bool OverTcp : {false, true}) {
-    PatchServer Server;
-    SocketPatchServer Front(Server, /*Workers=*/1);
-    std::unique_ptr<SocketClientTransport> Socket;
-    std::unique_ptr<LoopbackTransport> Loopback;
-    ClientTransport *Transport = nullptr;
-    if (OverTcp) {
-      Endpoint Ep;
-      ASSERT_TRUE(parseEndpoint("tcp:0", Ep));
-      ASSERT_TRUE(Front.listen(Ep));
-      ASSERT_TRUE(Front.start());
-      Socket = std::make_unique<SocketClientTransport>(Front.endpoint());
-      Transport = Socket.get();
-    } else {
-      Loopback = std::make_unique<LoopbackTransport>(Server);
-      Transport = Loopback.get();
-    }
-
-    PatchClient Client(*Transport);
-    Client.setMaxWireVersion(LegacyProtocolVersion);
-    const ImageEvidence Evidence{imagesFromTrace(overflowTrace(6), 3), {}};
-    DiagnosisPipeline Local;
-    Local.submitImages(Evidence);
-    ASSERT_TRUE(Client.submitImages(Evidence));
-    ASSERT_TRUE(Client.fetchPatches());
-    EXPECT_TRUE(Client.patches() == Local.patches());
-    EXPECT_EQ(Client.peerVersion(), LegacyProtocolVersion);
-    EXPECT_EQ(Server.stats().FramesRejected, 0u);
-    if (OverTcp)
-      Front.stop();
-  }
-}
-
-TEST(WireNegotiation, DowngradeIsStickyAndEvidenceBased) {
-  PatchServer Server;
-  Server.setMaxWireVersion(LegacyProtocolVersion);
-  LoopbackTransport Transport(Server);
-  PatchClient Client(Transport);
-  EXPECT_EQ(Client.peerVersion(), ProtocolVersion);
-
-  // First round trip: one v4 rejection, then success at v3 — and the
-  // retry reuses the same submission token, so the summary lands once.
-  ASSERT_TRUE(Client.submitSummary(anySummary(), /*CleanStreak=*/0));
-  EXPECT_EQ(Client.peerVersion(), LegacyProtocolVersion);
-  EXPECT_EQ(Server.stats().SummariesIngested, 1u);
-  const uint64_t RejectionsAfterFirst = Server.stats().FramesRejected;
-  EXPECT_GE(RejectionsAfterFirst, 1u);
-
-  // Sticky: further traffic goes straight to v3, no new rejections.
-  ASSERT_TRUE(Client.submitSummary(anySummary(), 0));
-  ASSERT_TRUE(Client.fetchPatches());
-  EXPECT_EQ(Server.stats().FramesRejected, RejectionsAfterFirst);
-}
-
-TEST(WireNegotiation, BatchedFlushDowngradesMidPipelineOverTcp) {
-  // Pipelined chunk against a legacy server: the rejection ErrorReply
-  // sits in the received prefix of a failed exchange (the server closes
-  // after rejecting frame one).  The client must find it there,
-  // downgrade, and re-send the whole chunk — every summary ingested
-  // exactly once.
-  PatchServer Server;
-  Server.setMaxWireVersion(LegacyProtocolVersion);
   SocketPatchServer Front(Server, /*Workers=*/1);
   Endpoint Ep;
   ASSERT_TRUE(parseEndpoint("tcp:0", Ep));
   ASSERT_TRUE(Front.listen(Ep));
   ASSERT_TRUE(Front.start());
 
+  // Valid summaries behind the bomb, bulky enough (about 1.7 MB in all,
+  // random probabilities so the envelope cannot shrink them) that the
+  // client is still writing when the server answers: far past what
+  // socket buffers absorb, well inside the 4 MiB the lingering close
+  // drains.
+  RunSummary Summary;
+  Summary.Failed = true;
+  Summary.CorruptionObserved = true;
+  uint64_t State = 1;
+  for (SiteId Site = 1; Site <= 4096; ++Site) {
+    State = State * 6364136223846793005ull + 1442695040888963407ull;
+    Summary.OverflowTrials.push_back(
+        {Site, double(State >> 11) / double(uint64_t(1) << 53), true, 8});
+  }
+  std::vector<std::vector<uint8_t>> Batch{
+      forgedV4Frame(MessageType::SubmitSummary, bombEnvelope())};
+  for (uint64_t Token = 1; Token <= 24; ++Token)
+    Batch.push_back(encodeFrame(MessageType::SubmitSummary,
+                                encodeSubmitSummary(Summary, 0, Token)));
+
   SocketClientTransport Transport(Front.endpoint());
-  PatchClient Client(Transport);
-  const RunSummary Summary = anySummary();
-  for (unsigned I = 0; I < 16; ++I)
-    ASSERT_TRUE(Client.queueSummary(Summary, 0));
-  ASSERT_TRUE(Client.flush());
-  EXPECT_EQ(Server.stats().SummariesIngested, 16u);
-  EXPECT_EQ(Client.peerVersion(), LegacyProtocolVersion);
+  std::vector<std::vector<uint8_t>> Responses;
+  EXPECT_FALSE(Transport.exchange(Batch, Responses));
+  ASSERT_EQ(Responses.size(), 1u);
+  expectErrorReply(Responses[0], FrameError::OversizedExpansion);
+  EXPECT_EQ(Server.stats().SummariesIngested, 0u);
+
+  // The server is still healthy and holds nothing from the batch.
+  SocketClientTransport Fresh(Front.endpoint());
+  PatchClient Client(Fresh);
+  ASSERT_TRUE(Client.fetchPatches());
+  EXPECT_EQ(Server.cumulativeRuns(), 0u);
   Front.stop();
 }
 
@@ -1238,8 +1233,7 @@ namespace {
 std::string freshStateDir(const std::string &Name) {
   const std::string Dir = ::testing::TempDir() + "/xst_" + Name;
   // Start clean: earlier runs of the same test leave files behind —
-  // the legacy single snapshot, the journal, and the whole rotated
-  // snapshot ring.
+  // the journal and the whole snapshot ring.
   std::remove((Dir + "/journal.xsj").c_str());
   if (DIR *Handle = ::opendir(Dir.c_str())) {
     std::vector<std::string> Stale;
@@ -1692,4 +1686,55 @@ TEST(StatePersistence, SnapshotsAreCompressedStrictlySmallerThanRaw) {
             StateStore::LoadResult::Restored);
   EXPECT_EQ(Restored, RawState);
   EXPECT_TRUE(Records.empty());
+}
+
+TEST(StatePersistence, RemovedFormatVersionsAreRefusedNotFresh) {
+  // Snapshot version 1 (the state blob stored raw) and journal versions
+  // 1 and 2 are no longer read.  A directory holding one must load as
+  // Corrupt and fail attach: loading it as fresh would drop
+  // acknowledged history, and half-reading it would fabricate some.
+  enum class Removed { SnapshotV1, JournalV1, JournalV2 };
+  for (const Removed Case :
+       {Removed::SnapshotV1, Removed::JournalV1, Removed::JournalV2}) {
+    SCOPED_TRACE(static_cast<int>(Case));
+    const std::string Dir = freshStateDir("removedversion");
+    {
+      PatchServer Original;
+      StateStore Store(Dir);
+      ASSERT_TRUE(Original.attachState(Store, /*SnapshotInterval=*/1000));
+      submitStream(Original, recoveryEvidence());
+    }
+    StateStore Probe(Dir);
+    ASSERT_EQ(Probe.snapshotFiles().size(), 1u);
+    const std::string Path = Case == Removed::SnapshotV1
+                                 ? Probe.snapshotPath()
+                                 : Probe.journalPath();
+    std::vector<uint8_t> Bytes;
+    ASSERT_TRUE(readFileBytes(Path, Bytes));
+    if (Case == Removed::SnapshotV1) {
+      // Re-encode in the version-1 layout: the same fields with the
+      // state blob raw instead of in a codec envelope, checksummed.
+      StateStore::SnapshotContents Snapshot;
+      ASSERT_TRUE(StateStore::parseSnapshot(Bytes, Snapshot));
+      ByteWriter V1;
+      V1.writeU32(readFrameU32(Bytes.data())); // "XST1"
+      V1.writeU8(1);
+      V1.writeU64(Snapshot.Generation);
+      V1.writeBlob(Snapshot.State);
+      V1.writeU32(frameChecksum(V1.buffer().data(), V1.size()));
+      Bytes = V1.buffer();
+    } else {
+      Bytes[4] = Case == Removed::JournalV1 ? 1 : 2; // header version
+    }
+    ASSERT_TRUE(writeFileBytes(Path, Bytes));
+
+    std::vector<uint8_t> State;
+    std::vector<StateStore::JournalRecord> Records;
+    EXPECT_EQ(Probe.load(State, Records), StateStore::LoadResult::Corrupt);
+    PatchServer Recovered;
+    StateStore Store(Dir);
+    std::string Error;
+    EXPECT_FALSE(Recovered.attachState(Store, 64, &Error));
+    EXPECT_FALSE(Error.empty());
+  }
 }

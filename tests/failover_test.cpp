@@ -215,36 +215,6 @@ TEST(SnapshotRotation, RetentionKeepsLastK) {
   EXPECT_EQ(Recovered.serializeState(), Server.serializeState());
 }
 
-TEST(SnapshotRotation, LegacySingleSnapshotLayoutStillLoads) {
-  const std::string Dir = freshStateDir("legacy");
-  std::vector<uint8_t> State;
-  {
-    StateStore Store(Dir);
-    PatchServer Server;
-    ASSERT_TRUE(Server.attachState(Store));
-    LoopbackTransport Transport(Server);
-    PatchClient Client(Transport);
-    ASSERT_TRUE(Client.submitImages(overflowEvidence()));
-    ASSERT_TRUE(Server.persistNow());
-    State = Server.serializeState();
-  }
-  // Rewrite the directory into the pre-rotation layout: the newest
-  // snapshot under the legacy fixed name, no generation-named files.
-  {
-    StateStore Probe(Dir);
-    const std::vector<std::string> Rotated = Probe.snapshotFiles();
-    std::vector<uint8_t> Bytes;
-    ASSERT_TRUE(readFileBytes(Probe.snapshotPath(), Bytes));
-    ASSERT_TRUE(writeFileBytes(Dir + "/snapshot.xst", Bytes));
-    for (const std::string &Path : Rotated)
-      ASSERT_EQ(std::remove(Path.c_str()), 0);
-  }
-  PatchServer Recovered;
-  StateStore Store(Dir);
-  ASSERT_TRUE(Recovered.attachState(Store));
-  EXPECT_EQ(Recovered.serializeState(), State);
-}
-
 //===----------------------------------------------------------------------===//
 // Failover: retry budget and backoff envelope
 //===----------------------------------------------------------------------===//

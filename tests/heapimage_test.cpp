@@ -546,17 +546,21 @@ TEST(ImageBundle, RejectsTrailingGarbage) {
   EXPECT_FALSE(deserializeImageBundle(Bytes, Out));
 }
 
-TEST(ImageBundle, RejectsOutOfRangeDictionaryIndex) {
-  // Hand-built bundle: one image whose only slot references site index
-  // 7 against a 1-entry dictionary.  Must be rejected, not crash or
-  // mis-resolve.
+namespace {
+
+/// Hand-builds a one-image bundle tagged \p FormatVersion whose only
+/// slot references site-table index \p AllocSiteIndex against a
+/// one-entry dictionary.  With index 0 it is a valid bundle; the slot
+/// uses only plain records, which both bundle format versions share.
+std::vector<uint8_t> oneSlotBundle(uint32_t FormatVersion,
+                                   uint64_t AllocSiteIndex) {
   std::vector<uint8_t> Bytes;
   VectorSink Sink(Bytes);
   StreamWriter Writer(Sink);
-  Writer.writeU32(0x58494231); // "XIB1"
-  Writer.writeU32(1);          // bundle version
-  Writer.writeVarU64(1);       // one image
-  Writer.writeVarU64(1);       // site table: only index 0 ("no site")
+  Writer.writeU32(0x58494231);    // "XIB1"
+  Writer.writeU32(FormatVersion); // bundle version
+  Writer.writeVarU64(1);          // one image
+  Writer.writeVarU64(1);          // site table: only index 0 ("no site")
   Writer.writeU32(0);
   // Image header.
   Writer.writeU64(42);  // AllocationTime
@@ -565,26 +569,46 @@ TEST(ImageBundle, RejectsOutOfRangeDictionaryIndex) {
   Writer.writeF64(2.0); // Multiplier
   Writer.writeU64(3);   // HeapSeed
   // Body: one miniheap, one slot with metadata.
-  Writer.writeVarU64(1);   // miniheap count
-  Writer.writeVarU64(0);   // size class
-  Writer.writeVarU64(16);  // object size
-  Writer.writeU64(0x1000); // base address
-  Writer.writeVarU64(0);   // creation time
-  Writer.writeVarU64(1);   // one slot
+  Writer.writeVarU64(1);    // miniheap count
+  Writer.writeVarU64(0);    // size class
+  Writer.writeVarU64(16);   // object size
+  Writer.writeU64(0x1000);  // base address
+  Writer.writeVarU64(0);    // creation time
+  Writer.writeVarU64(1);    // one slot
   Writer.writeU8(0x80 | 1); // HasMeta | Allocated
-  Writer.writeVarU64(5);   // object id
-  Writer.writeVarU64(0);   // free time
-  Writer.writeVarU64(7);   // alloc-site index: OUT OF RANGE
-  Writer.writeVarU64(0);   // free-site index
-  Writer.writeVarU64(16);  // requested size
-  Writer.writeVarU64(1);   // one contents run
-  Writer.writeU8(1);       // pattern
+  Writer.writeVarU64(5);    // object id
+  Writer.writeVarU64(0);    // free time
+  Writer.writeVarU64(AllocSiteIndex);
+  Writer.writeVarU64(0);  // free-site index
+  Writer.writeVarU64(16); // requested size
+  Writer.writeVarU64(1);  // one contents run
+  Writer.writeU8(1);      // pattern
   Writer.writeVarU64(16);
   Writer.writeU64(0);
-  ASSERT_FALSE(Writer.failed());
+  EXPECT_FALSE(Writer.failed());
+  return Bytes;
+}
 
+} // namespace
+
+TEST(ImageBundle, RejectsOutOfRangeDictionaryIndex) {
+  // Index 7 against a 1-entry dictionary must be rejected, not crash or
+  // mis-resolve; the same bundle with index 0 decodes.
   std::vector<HeapImage> Out;
-  EXPECT_FALSE(deserializeImageBundle(Bytes, Out));
+  ASSERT_TRUE(deserializeImageBundle(oneSlotBundle(ImageBundleFormatV2, 0),
+                                     Out));
+  EXPECT_FALSE(
+      deserializeImageBundle(oneSlotBundle(ImageBundleFormatV2, 7), Out));
+}
+
+TEST(ImageBundle, RejectsRemovedFormatVersion) {
+  // Format version 1 (standalone bodies) is no longer read: a bundle
+  // that is valid in both layouts decodes as version 2 and is refused
+  // as version 1.
+  std::vector<HeapImage> Out;
+  ASSERT_TRUE(deserializeImageBundle(oneSlotBundle(ImageBundleFormatV2, 0),
+                                     Out));
+  EXPECT_FALSE(deserializeImageBundle(oneSlotBundle(1, 0), Out));
 }
 
 TEST(ImageBundle, RejectsOversizedImageCount) {
@@ -592,7 +616,7 @@ TEST(ImageBundle, RejectsOversizedImageCount) {
   VectorSink Sink(Bytes);
   StreamWriter Writer(Sink);
   Writer.writeU32(0x58494231);
-  Writer.writeU32(1);
+  Writer.writeU32(ImageBundleFormatV2);
   Writer.writeVarU64(MaxBundleImages + 1);
   std::vector<HeapImage> Out;
   EXPECT_FALSE(deserializeImageBundle(Bytes, Out));

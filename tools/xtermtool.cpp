@@ -212,66 +212,40 @@ static int inspectBundleSizes(const std::string &Path,
                  Path.c_str());
     return 1;
   }
-  const size_t RawV1 = serializeImageBundle(Images, ImageBundleFormatV1).size();
-  const size_t DeltaV2 =
-      serializeImageBundle(Images, ImageBundleFormatV2).size();
+  // The baseline is what the bundle replaces: every image shipped as
+  // its own v2 file.
+  size_t Independent = 0;
+  for (const HeapImage &Image : Images)
+    Independent += serializeHeapImage(Image).size();
+  const size_t Delta = serializeImageBundle(Images).size();
   std::printf("%s: image bundle, %zu image(s)\n", Path.c_str(),
               Images.size());
-  std::printf("  %-22s %10llu B\n", "raw (v1 standalone)",
-              static_cast<unsigned long long>(RawV1));
-  printSizeLine("delta-encoded (v2)", RawV1, DeltaV2);
-  printSizeLine("on-disk (compressed)", RawV1, FileBytes.size());
+  std::printf("  %-22s %10llu B\n", "raw (independent v2)",
+              static_cast<unsigned long long>(Independent));
+  printSizeLine("delta-encoded (v2)", Independent, Delta);
+  printSizeLine("on-disk (compressed)", Independent, FileBytes.size());
   return 0;
 }
 
 static int inspectSnapshotSizes(const std::string &Path,
                                 const std::vector<uint8_t> &Bytes) {
-  // Mirrors StateStore's snapshot reader: trailing u32 checksum, then
-  // magic, version, generation, state blob (v2 wraps the blob in a
-  // codec envelope).
-  const char *Bad = nullptr;
-  do {
-    if (Bytes.size() <= 4 ||
-        frameChecksum(Bytes.data(), Bytes.size() - 4) !=
-            readFrameU32(Bytes.data() + Bytes.size() - 4)) {
-      Bad = "checksum mismatch";
-      break;
-    }
-    ByteReader Reader(Bytes.data(), Bytes.size() - 4);
-    Reader.readU32(); // magic, already sniffed
-    const uint8_t Version = Reader.readU8();
-    const uint64_t Generation = Reader.readU64();
-    std::vector<uint8_t> State;
-    uint64_t StoredBlob = 0;
-    if (Version == 1) {
-      State = Reader.readBlob();
-      StoredBlob = State.size();
-    } else if (Version == 2) {
-      const std::vector<uint8_t> Envelope = Reader.readBlob();
-      StoredBlob = Envelope.size();
-      if (!decodeCodecBlock(Envelope, State, MaxFramePayload)) {
-        Bad = "corrupt codec envelope";
-        break;
-      }
-    } else {
-      Bad = "unknown snapshot version";
-      break;
-    }
-    if (Reader.failed() || !Reader.atEnd()) {
-      Bad = "truncated or oversized";
-      break;
-    }
-    std::printf("%s: state snapshot v%u, generation %llu\n", Path.c_str(),
-                Version, static_cast<unsigned long long>(Generation));
-    std::printf("  %-22s %10llu B\n", "raw state blob",
-                static_cast<unsigned long long>(State.size()));
-    printSizeLine("stored blob", State.size(), StoredBlob);
-    printSizeLine("on-disk", State.size(), Bytes.size());
-    return 0;
-  } while (false);
-  std::fprintf(stderr, "error: cannot parse snapshot '%s': %s\n",
-               Path.c_str(), Bad);
-  return 1;
+  StateStore::SnapshotContents Snapshot;
+  if (!StateStore::parseSnapshot(Bytes, Snapshot)) {
+    std::fprintf(stderr,
+                 "error: cannot parse snapshot '%s': corrupt, truncated, "
+                 "or not snapshot version %u\n",
+                 Path.c_str(), unsigned(StateStore::SnapshotVersion));
+    return 1;
+  }
+  const uint64_t Raw = Snapshot.State.size();
+  std::printf("%s: state snapshot v%u, generation %llu\n", Path.c_str(),
+              unsigned(StateStore::SnapshotVersion),
+              static_cast<unsigned long long>(Snapshot.Generation));
+  std::printf("  %-22s %10llu B\n", "raw state blob",
+              static_cast<unsigned long long>(Raw));
+  printSizeLine("stored blob", Raw, Snapshot.StoredStateBytes);
+  printSizeLine("on-disk", Raw, Bytes.size());
+  return 0;
 }
 
 /// inspect/report accept any repo artifact, routed by leading magic.
