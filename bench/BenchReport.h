@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Small helpers shared by the experiment harnesses: aligned table
-/// printing and wall-clock timing.  Each bench binary regenerates one
-/// table or figure from the paper's evaluation (§7) and prints both the
-/// measured values and the paper's reference numbers.
+/// printing, wall-clock timing, the host's CPU model and JSON output.
+/// Each bench binary regenerates one table or figure from the paper's
+/// evaluation (§7) and prints both the measured values and the paper's
+/// reference numbers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -93,6 +95,20 @@ template <typename FnT> double timeSeconds(FnT Fn) {
   Fn();
   const auto End = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(End - Start).count();
+}
+
+/// The host CPU's model name from /proc/cpuinfo ("unknown" where the
+/// file or the field is missing), for the `config` block of a capture.
+inline std::string cpuModel() {
+  std::ifstream Info("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(Info, Line))
+    if (Line.rfind("model name", 0) == 0) {
+      const size_t Colon = Line.find(": ");
+      if (Colon != std::string::npos)
+        return Line.substr(Colon + 2);
+    }
+  return "unknown";
 }
 
 /// Minimal streaming JSON writer for the machine-readable bench reports

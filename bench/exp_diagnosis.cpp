@@ -1,24 +1,27 @@
 //===- bench/exp_diagnosis.cpp - Evidence-path throughput -----------------===//
 //
-// PR 4's fast-vs-legacy A/B over the diagnosis half of the system, in
-// the same one-binary discipline PR 1 established for the allocator
-// (DieHardConfig::LegacyHotPath there, evidence_path::force here).
-// Every section runs the identical work under the fast evidence path
-// and the pre-PR-4 legacy path and reports both, so speedups compare
-// code, not machines — per the ROADMAP rule, compare ratios within one
-// capture of this JSON, never absolute numbers across captures.
+// Per-stage throughput of the diagnosis half of the system: each stage
+// an image passes through between a failing run and a derived patch.
+// Each stage runs its work in three timed blocks and keeps the best, so
+// a noisy neighbour mid-run costs one block, not the figure.  Absolute
+// numbers move with the host (its core count and CPU model are in the
+// JSON's config); compare a change against an earlier commit by running
+// both builds on one host.
 //
 //   capture     MB/s of captureHeapImage over live post-run heaps
-//               (espresso, squid): SIMD uniform-slot encoding + the
-//               dispatched run scanner vs the scalar word loop.
-//   view-build  ns/image to index a HeapImageView: flat open-addressing
-//               id index vs std::unordered_map.
+//               (espresso, squid) and two synthetic resident heaps.
+//   view-build  ns/image to index a HeapImageView (flat id index).
 //   isolate     §4 isolation throughput (images/s) over the canonical
 //               scripted-overflow evidence, views rebuilt per episode
-//               the way a server sees fresh submissions.
+//               the way a server sees fresh submissions, evidence
+//               sweeps fanned out on the shared executor.
 //   ingest      patch-server image submissions/s over loopback (full
-//               frame encode → decode → diagnose), where the fast path
-//               also exercises the DiagnosisPipeline view cache.
+//               frame encode → decode → diagnose), which also exercises
+//               the DiagnosisPipeline view cache.
+//
+// Before timing isolation the bench checks that executor-driven and
+// sequential isolation derive the same non-empty patch set, and exits 1
+// when they do not.
 //
 // --json FILE writes BENCH_diagnosis.json (schema in ROADMAP.md).
 //
@@ -38,11 +41,12 @@
 #include "workload/ScriptedBugs.h"
 #include "workload/SquidWorkload.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace exterminator;
@@ -50,27 +54,18 @@ using namespace benchreport;
 
 namespace {
 
-const char *modeName(evidence_path::Mode M) {
-  return M == evidence_path::Mode::Fast ? "fast" : "legacy";
-}
-
-/// One fast/legacy measurement pair plus everything the JSON needs.
+/// One stage's throughput plus everything the JSON needs.
 struct Measurement {
   std::string Metric;
   std::string Name;
-  uint64_t Items = 0;          ///< work items per mode (images, builds…)
-  double Seconds[2] = {0, 0};  ///< [fast, legacy]
-  double PerSec[2] = {0, 0};
-  double Extra[2] = {0, 0};    ///< metric-specific (MB/s, ns/image)
+  uint64_t Items = 0; ///< work items per block (images, builds…)
+  double Seconds = 0; ///< the best block
+  double PerSec = 0;
+  double Extra = 0; ///< metric-specific (MB/s, ns/image)
   const char *ExtraKey = nullptr;
-
-  double speedup() const { return Seconds[1] / Seconds[0]; }
 };
 
-/// Times \p Body under fast and legacy and fills a Measurement.  The
-/// two modes run in alternating blocks and each keeps its best block,
-/// so frequency drift or a noisy neighbour mid-run skews both modes
-/// alike instead of whichever happened to run second.
+/// Times \p Body in \p Blocks blocks and keeps the best one.
 template <typename FnT>
 Measurement measure(const std::string &Metric, const std::string &Name,
                     uint64_t Items, FnT Body, unsigned Blocks = 3) {
@@ -78,16 +73,10 @@ Measurement measure(const std::string &Metric, const std::string &Name,
   M.Metric = Metric;
   M.Name = Name;
   M.Items = Items;
-  const evidence_path::Mode Modes[2] = {evidence_path::Mode::Fast,
-                                        evidence_path::Mode::Legacy};
-  M.Seconds[0] = M.Seconds[1] = 1e300;
+  M.Seconds = 1e300;
   for (unsigned Block = 0; Block < Blocks; ++Block)
-    for (int I = 0; I < 2; ++I) {
-      evidence_path::Scoped Mode(Modes[I]);
-      M.Seconds[I] = std::min(M.Seconds[I], timeSeconds([&] { Body(); }));
-    }
-  for (int I = 0; I < 2; ++I)
-    M.PerSec[I] = Items / M.Seconds[I];
+    M.Seconds = std::min(M.Seconds, timeSeconds([&] { Body(); }));
+  M.PerSec = Items / M.Seconds;
   return M;
 }
 
@@ -113,16 +102,16 @@ int main(int Argc, char **Argv) {
   // Capture throughput
   //===--------------------------------------------------------------------===//
 
-  heading("PR 4: heap-image capture throughput (fast vs legacy encoder)");
+  heading("Heap-image capture throughput");
   {
     // Four heap shapes: two real post-run workload heaps (tiny slabs —
     // per-slot cost dominates), plus two synthetic *resident* services:
     // 4 KiB objects, a quarter carrying live literal data, a third
     // freed (canaried) — the uniform-dominated population a DieHard
-    // heap converges to.  "hot" fits in L2, so throughput compares the
-    // encoders; "cold" spills to L3/DRAM, where both paths converge on
-    // memory bandwidth (the same hot/resident distinction the PR 1
-    // bench documents).
+    // heap converges to.  "hot" fits in L2, so throughput measures the
+    // encoder; "cold" spills to L3/DRAM, where it is bound by memory
+    // bandwidth (the same hot/resident distinction the hot-path bench
+    // documents).
     struct CaptureCase {
       const char *Name;
       unsigned Rounds;
@@ -179,11 +168,11 @@ int main(int Argc, char **Argv) {
             });
     }
 
-    Table CaptureTable({"heap", "slab MB", "mode", "captures/s", "MB/s"});
+    Table CaptureTable({"heap", "slab MB", "captures/s", "MB/s"});
     for (CaptureCase &Case : Cases) {
-      // No explicit warmup: each mode keeps its best of three timed
-      // blocks, so the cold first block is discarded anyway and every
-      // timed block performs exactly Rounds captures.
+      // No explicit warmup: the best of three timed blocks is kept, so
+      // the cold first block is discarded anyway and every timed block
+      // performs exactly Rounds captures.
       Measurement M = measure("capture", Case.Name, Case.Rounds, [&] {
         for (unsigned I = 0; I < Case.Rounds; ++I) {
           const HeapImage Image = captureHeapImage(Case.heap());
@@ -192,27 +181,22 @@ int main(int Argc, char **Argv) {
         }
       });
       M.ExtraKey = "mb_per_sec";
-      for (int I = 0; I < 2; ++I) {
-        M.Extra[I] = (double(Case.Bytes) * Case.Rounds) / M.Seconds[I] / 1e6;
-        CaptureTable.addRow({Case.Name, fmt("%.2f", Case.Bytes / 1e6),
-                             modeName(I == 0 ? evidence_path::Mode::Fast
-                                             : evidence_path::Mode::Legacy),
-                             fmt("%.1f", M.PerSec[I]),
-                             fmt("%.1f", M.Extra[I])});
-      }
+      M.Extra = (double(Case.Bytes) * Case.Rounds) / M.Seconds / 1e6;
+      CaptureTable.addRow({Case.Name, fmt("%.2f", Case.Bytes / 1e6),
+                           fmt("%.1f", M.PerSec), fmt("%.1f", M.Extra)});
       Results.push_back(std::move(M));
     }
     CaptureTable.print();
-    note("the fast encoder settles uniform slots (virgin, canaried, "
+    note("the encoder settles uniform slots (virgin, canaried, "
          "zero-filled) with one SIMD sweep and scans literal stretches "
-         "at vector width; the legacy path word-scans every slot");
+         "at vector width");
   }
 
   //===--------------------------------------------------------------------===//
   // View build
   //===--------------------------------------------------------------------===//
 
-  heading("PR 4: HeapImageView build (flat id index vs unordered_map)");
+  heading("HeapImageView build (flat id index)");
   const unsigned ViewRounds = Smoke ? 50 : 5000;
   {
     EspressoWorkload Espresso;
@@ -230,14 +214,10 @@ int main(int Argc, char **Argv) {
       }
     });
     M.ExtraKey = "ns_per_image";
-    Table ViewTable({"image", "slots", "mode", "builds/s", "ns/image"});
-    for (int I = 0; I < 2; ++I) {
-      M.Extra[I] = M.Seconds[I] / ViewRounds * 1e9;
-      ViewTable.addRow({"espresso", fmt("%zu", Image.totalSlots()),
-                        modeName(I == 0 ? evidence_path::Mode::Fast
-                                        : evidence_path::Mode::Legacy),
-                        fmt("%.0f", M.PerSec[I]), fmt("%.0f", M.Extra[I])});
-    }
+    M.Extra = M.Seconds / ViewRounds * 1e9;
+    Table ViewTable({"image", "slots", "builds/s", "ns/image"});
+    ViewTable.addRow({"espresso", fmt("%zu", Image.totalSlots()),
+                      fmt("%.0f", M.PerSec), fmt("%.0f", M.Extra)});
     Results.push_back(std::move(M));
     ViewTable.print();
   }
@@ -246,25 +226,21 @@ int main(int Argc, char **Argv) {
   // §4 isolation throughput
   //===--------------------------------------------------------------------===//
 
-  heading("PR 4: error-isolation throughput (full Sec 4 pipeline)");
+  heading("Error-isolation throughput (full Sec 4 pipeline)");
   const unsigned IsolateRounds = Smoke ? 3 : 2000;
   const unsigned ImagesPerSet = 3;
   {
     const std::vector<HeapImage> Evidence =
         scriptedEvidenceImages(ImagesPerSet, /*OverflowBytes=*/9);
 
-    // Sanity: both paths must diagnose, and identically.
-    PatchSet FastPatches, LegacyPatches;
-    {
-      evidence_path::Scoped Mode(evidence_path::Mode::Fast);
-      FastPatches = isolateErrors(Evidence, {}, &sharedExecutor()).Patches;
-    }
-    {
-      evidence_path::Scoped Mode(evidence_path::Mode::Legacy);
-      LegacyPatches = isolateErrors(Evidence).Patches;
-    }
-    if (FastPatches.empty() || !(FastPatches == LegacyPatches)) {
-      std::fprintf(stderr, "fast/legacy isolation drifted; refusing to "
+    // Sanity: executor-driven and sequential sweeps must diagnose, and
+    // identically.
+    const PatchSet Sequential = isolateErrors(Evidence).Patches;
+    const PatchSet Parallel =
+        isolateErrors(Evidence, {}, &sharedExecutor()).Patches;
+    if (Sequential.empty() || !(Parallel == Sequential)) {
+      std::fprintf(stderr, "executor-driven and sequential isolation "
+                           "disagree (or found nothing); refusing to "
                            "report bogus throughput\n");
       return 1;
     }
@@ -273,27 +249,20 @@ int main(int Argc, char **Argv) {
                             uint64_t(IsolateRounds) * ImagesPerSet, [&] {
                               for (unsigned I = 0; I < IsolateRounds; ++I) {
                                 const IsolationResult Result = isolateErrors(
-                                    Evidence, {},
-                                    evidence_path::isLegacy()
-                                        ? nullptr
-                                        : &sharedExecutor());
+                                    Evidence, {}, &sharedExecutor());
                                 if (Result.Patches.empty())
                                   std::abort();
                               }
                             });
-    Table IsolateTable({"evidence", "mode", "images/s", "episodes/s"});
-    for (int I = 0; I < 2; ++I)
-      IsolateTable.addRow(
-          {fmt("%u x scripted overflow", ImagesPerSet),
-           modeName(I == 0 ? evidence_path::Mode::Fast
-                           : evidence_path::Mode::Legacy),
-           fmt("%.1f", M.PerSec[I]),
-           fmt("%.1f", M.PerSec[I] / ImagesPerSet)});
+    Table IsolateTable({"evidence", "images/s", "episodes/s"});
+    IsolateTable.addRow({fmt("%u x scripted overflow", ImagesPerSet),
+                         fmt("%.1f", M.PerSec),
+                         fmt("%.1f", M.PerSec / ImagesPerSet)});
     Results.push_back(std::move(M));
     IsolateTable.print();
     note("views are rebuilt per episode, as a server sees fresh "
-         "submissions; the fast path also fans evidence sweeps across "
-         "%u executor thread(s)",
+         "submissions; evidence sweeps fan out across %u executor "
+         "thread(s)",
          sharedExecutor().threadCount());
   }
 
@@ -301,7 +270,7 @@ int main(int Argc, char **Argv) {
   // Server ingest
   //===--------------------------------------------------------------------===//
 
-  heading("PR 4: patch-server image ingest (loopback, fast vs legacy)");
+  heading("Patch-server image ingest (loopback)");
   const unsigned IngestRounds = Smoke ? 5 : 500;
   {
     const std::vector<HeapImage> Evidence =
@@ -315,43 +284,29 @@ int main(int Argc, char **Argv) {
         if (!Client.submitImages({Evidence, {}}))
           std::abort();
     });
-    Table IngestTable({"kind", "mode", "submissions/s"});
-    for (int I = 0; I < 2; ++I)
-      IngestTable.addRow({"3-image bundle + isolation",
-                          modeName(I == 0 ? evidence_path::Mode::Fast
-                                          : evidence_path::Mode::Legacy),
-                          fmt("%.1f", M.PerSec[I])});
+    Table IngestTable({"kind", "submissions/s"});
+    IngestTable.addRow(
+        {"3-image bundle + isolation", fmt("%.1f", M.PerSec)});
     Results.push_back(std::move(M));
     IngestTable.print();
     note("repeated submissions of one bundle are the retry/duplicate "
-         "shape the view cache exists for; the legacy path re-indexes "
-         "every time");
+         "shape the view cache exists for");
   }
 
   //===--------------------------------------------------------------------===//
-  // Speedup summary + JSON
+  // JSON
   //===--------------------------------------------------------------------===//
-
-  heading("PR 4: fast-vs-legacy speedups (same binary, same data)");
-  Table Speedups({"metric", "name", "speedup (legacy/fast)"});
-  double HeadlineSpeedup = 0;
-  std::string HeadlineMetric;
-  for (const Measurement &M : Results) {
-    Speedups.addRow({M.Metric, M.Name, fmt("%.2fx", M.speedup())});
-    if (M.Metric == "capture" && M.Name == "resident-hot") {
-      HeadlineSpeedup = M.speedup();
-      HeadlineMetric = M.Metric + ":" + M.Name;
-    }
-  }
-  Speedups.print();
 
   if (!JsonPath.empty()) {
     JsonWriter Json;
     Json.beginObject();
-    Json.field("schema_version", 1);
+    Json.field("schema_version", 2);
     Json.beginObject("config");
     Json.field("smoke", Smoke);
     Json.field("canary_dispatch", canary_dispatch::activeName());
+    Json.field("hardware_threads",
+               static_cast<uint64_t>(std::thread::hardware_concurrency()));
+    Json.field("cpu_model", cpuModel());
     Json.field("executor_threads", uint64_t(sharedExecutor().threadCount()));
     Json.field("view_rounds", int(ViewRounds));
     Json.field("isolate_rounds", int(IsolateRounds));
@@ -359,31 +314,17 @@ int main(int Argc, char **Argv) {
     Json.endObject();
     Json.beginArray("results");
     for (const Measurement &M : Results) {
-      for (int I = 0; I < 2; ++I) {
-        Json.beginObject();
-        Json.field("metric", M.Metric);
-        Json.field("name", M.Name);
-        Json.field("mode", I == 0 ? "fast" : "legacy");
-        Json.field("items", M.Items);
-        Json.field("seconds", M.Seconds[I]);
-        Json.field("per_sec", M.PerSec[I]);
-        if (M.ExtraKey)
-          Json.field(M.ExtraKey, M.Extra[I]);
-        Json.endObject();
-      }
-    }
-    Json.endArray();
-    Json.beginArray("speedups");
-    for (const Measurement &M : Results) {
       Json.beginObject();
       Json.field("metric", M.Metric);
       Json.field("name", M.Name);
-      Json.field("speedup", M.speedup());
+      Json.field("items", M.Items);
+      Json.field("seconds", M.Seconds);
+      Json.field("per_sec", M.PerSec);
+      if (M.ExtraKey)
+        Json.field(M.ExtraKey, M.Extra);
       Json.endObject();
     }
     Json.endArray();
-    Json.field("headline_metric", HeadlineMetric);
-    Json.field("headline_speedup", HeadlineSpeedup);
     Json.endObject();
     if (!Json.writeFile(JsonPath)) {
       std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());

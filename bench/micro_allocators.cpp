@@ -3,14 +3,10 @@
 // Malloc/free hot-path microbenchmarks of the allocator stack: baseline
 // (GNU-libc stand-in), DieHard, DieFast, and the correcting allocator
 // with a loaded patch table.  These are the per-operation costs
-// underlying Figure 7's whole-program overheads.
-//
-// Every randomized heap runs each scenario twice: once on the PR-1 fast
-// paths (offset-table placement, page-directory pointer lookup, SIMD
-// canaries, fused verify+zero) and once with DieHardConfig::LegacyHotPath
-// plus scalar canary dispatch, which reinstate the original O(n)
-// implementation.  Both measurements land in one run, so every speedup
-// column is self-contained and machine-checkable.
+// underlying Figure 7's whole-program overheads, so every randomized
+// heap is reported as a ratio to the baseline rows of the same scenario
+// in the same run — the paper's comparator.  Compare a change against
+// an earlier commit by running both builds, not within one binary.
 //
 // Scenarios:
 //  * hot-pairs      — immediate malloc/free pairs on an empty heap, the
@@ -26,7 +22,9 @@
 //                     DRAM bandwidth and converge.)
 //  * op:*           — isolated hot-path operations (pointer lookup,
 //                     placement, canary fill/verify) for the per-op cost
-//                     trajectory.
+//                     trajectory.  The canary rows time both kernels
+//                     that ship: the scalar one and the one dispatched
+//                     from the CPU at startup.
 //  * mt-hot-pairs   — N threads of immediate malloc/free pairs with
 //  * mt-churn         cross-thread frees, through the PR-7 concurrent
 //                     front-end in both its modes: per-thread caches
@@ -42,7 +40,9 @@
 //   micro_allocators [--json FILE] [--smoke]
 //
 // --json writes the BENCH_hotpath.json document (schema documented in
-// ROADMAP.md); --smoke shrinks the workload for CI smoke runs.
+// ROADMAP.md); --smoke shrinks the workload for CI smoke runs.  The
+// contended runs stamp and verify every object, so the exit status is 1
+// when any of them saw a pattern fault (two threads sharing a slot).
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,11 +51,7 @@
 #include "alloc/BaselineAllocator.h"
 #include "alloc/ConcurrentAllocator.h"
 #include "correct/CorrectingHeap.h"
-#include "heapimage/HeapImageIO.h"
 #include "runtime/ConcurrentStress.h"
-#include "runtime/Exterminator.h"
-#include "workload/EspressoWorkload.h"
-#include "workload/SquidWorkload.h"
 
 #include <cstdlib>
 #include <cstring>
@@ -82,7 +78,6 @@ const std::vector<size_t> LargeSizes = {2048, 4096, 8192};
 struct Measurement {
   std::string Scenario;
   std::string Name;
-  std::string Mode; // "fast" or "legacy"
   double NsPerOp = 0;
   double OpsPerSec = 0;
 };
@@ -137,20 +132,15 @@ PatchSet loadedPatches() {
   return Patches;
 }
 
-DieHardConfig heapConfig(bool Legacy) {
+DieHardConfig heapConfig() {
   DieHardConfig Config;
   Config.Seed = 1;
-  Config.LegacyHotPath = Legacy;
   return Config;
 }
 
-/// Runs \p Scenario for the named allocator in fast or legacy mode.
-/// Legacy also pins the canary kernels to the pre-PR-1 scalar code.
+/// Runs \p Scenario for the named allocator.
 Measurement runScenario(const std::string &Scenario, const std::string &Name,
-                        bool Legacy, const Options &Opts) {
-  canary_dispatch::force(Legacy ? canary_dispatch::Mode::Scalar
-                                : canary_dispatch::Mode::Auto);
-
+                        const Options &Opts) {
   const std::vector<size_t> &Sizes =
       Scenario == "large-pairs" ? LargeSizes : MixedSizes;
   uint64_t Ops = Scenario == "large-pairs"      ? 300000
@@ -172,23 +162,23 @@ Measurement runScenario(const std::string &Scenario, const std::string &Name,
     BaselineAllocator Heap;
     Ns = Measure(Heap);
   } else if (Name == "diehard") {
-    DieHardHeap Heap(heapConfig(Legacy));
+    DieHardHeap Heap(heapConfig());
     Ns = Measure(Heap);
   } else if (Name == "diefast") {
     DieFastConfig Config;
-    Config.Heap = heapConfig(Legacy);
+    Config.Heap = heapConfig();
     DieFastHeap Heap(Config);
     Ns = Measure(Heap);
   } else if (Name == "diefast-cumulative") {
     DieFastConfig Config;
-    Config.Heap = heapConfig(Legacy);
+    Config.Heap = heapConfig();
     Config.CanaryFillProbability = 0.5;
     DieFastHeap Heap(Config);
     Ns = Measure(Heap);
   } else if (Name == "correcting-patched") {
     CallContext Context;
     DieFastConfig Config;
-    Config.Heap = heapConfig(Legacy);
+    Config.Heap = heapConfig();
     CorrectingHeap Heap(Config, &Context);
     Heap.setPatches(loadedPatches());
     Ns = Measure(Heap);
@@ -197,33 +187,24 @@ Measurement runScenario(const std::string &Scenario, const std::string &Name,
     std::fprintf(stderr, "unknown allocator %s\n", Name.c_str());
     std::abort();
   }
-  canary_dispatch::force(canary_dispatch::Mode::Auto);
-
-  Measurement M;
-  M.Scenario = Scenario;
-  M.Name = Name;
-  M.Mode = Legacy ? "legacy" : "fast";
-  M.NsPerOp = Ns;
-  M.OpsPerSec = 1e9 / Ns;
-  return M;
+  return Measurement{Scenario, Name, Ns, 1e9 / Ns};
 }
 
-/// Isolated hot-path operations; each returns fast and legacy ns/op.
+/// Isolated hot-path operations, ns/op each.
 std::vector<Measurement> runOpBenches(const Options &Opts) {
   std::vector<Measurement> Out;
   const uint64_t Ops = 2000000 / Opts.Scale;
   const size_t LiveTarget = 20000 / static_cast<size_t>(Opts.Scale);
 
   auto Record = [&](const std::string &Scenario, const std::string &Name,
-                    bool Legacy, double Ns) {
-    Out.push_back(Measurement{Scenario, Name, Legacy ? "legacy" : "fast", Ns,
-                              1e9 / Ns});
+                    double Ns) {
+    Out.push_back(Measurement{Scenario, Name, Ns, 1e9 / Ns});
   };
 
-  // Pointer lookup (free-path resolution) over a resident heap: page
-  // directory vs sorted-range binary search.
-  for (int Legacy = 0; Legacy < 2; ++Legacy) {
-    DieHardHeap Heap(heapConfig(Legacy));
+  // Pointer lookup (free-path resolution) over a resident heap: one
+  // page-directory probe per pointer.
+  {
+    DieHardHeap Heap(heapConfig());
     std::vector<void *> Live;
     for (size_t I = 0; Live.size() < LiveTarget; ++I)
       if (void *Ptr = Heap.allocate(MixedSizes[I % MixedSizes.size()]))
@@ -237,13 +218,13 @@ std::vector<Measurement> runOpBenches(const Options &Opts) {
       }
       Sink = Sink + Acc;
     });
-    Record("op:pointer-lookup", "diehard", Legacy, Ns);
+    Record("op:pointer-lookup", "diehard", Ns);
   }
 
-  // Placement (reserve + resolved free): offset-table resolve vs linear
-  // miniheap walk, over a grown multi-slab heap.
-  for (int Legacy = 0; Legacy < 2; ++Legacy) {
-    DieHardHeap Heap(heapConfig(Legacy));
+  // Placement (reserve + resolved free): offset-table resolve over a
+  // grown multi-slab heap.
+  {
+    DieHardHeap Heap(heapConfig());
     std::vector<void *> Live;
     for (size_t I = 0; Live.size() < LiveTarget; ++I)
       if (void *Ptr = Heap.allocate(MixedSizes[I % MixedSizes.size()]))
@@ -255,18 +236,20 @@ std::vector<Measurement> runOpBenches(const Options &Opts) {
         Heap.deallocateResolved(Ref);
       }
     });
-    Record("op:placement", "diehard", Legacy, Ns);
+    Record("op:placement", "diehard", Ns);
   }
 
-  // Canary kernels on cached buffers (SIMD dispatch vs scalar).
+  // Canary kernels on cached buffers: the scalar kernel and the one
+  // dispatched from the CPU (both ship; the rows are named after the
+  // kernel).
   for (size_t Size : {size_t(256), size_t(4096)}) {
     RandomGenerator Rng(7);
     const Canary C = Canary::random(Rng);
     std::vector<uint8_t> Buffer(Size);
     const uint64_t KernelOps = Ops * 256 / Size;
-    for (int Legacy = 0; Legacy < 2; ++Legacy) {
-      canary_dispatch::force(Legacy ? canary_dispatch::Mode::Scalar
-                                    : canary_dispatch::Mode::Auto);
+    for (canary_dispatch::Mode Mode :
+         {canary_dispatch::Mode::Auto, canary_dispatch::Mode::Scalar}) {
+      canary_dispatch::force(Mode);
       volatile bool Sink = false;
       const double FillNs = bestNsPerOp(KernelOps, [&] {
         for (uint64_t It = 0; It < KernelOps; ++It)
@@ -278,25 +261,49 @@ std::vector<Measurement> runOpBenches(const Options &Opts) {
           Ok &= C.verify(Buffer.data(), Size);
         Sink = Ok;
       });
-      Record(fmt("op:canary-fill-%zu", Size), "canary", Legacy, FillNs);
-      Record(fmt("op:canary-verify-%zu", Size), "canary", Legacy, VerifyNs);
+      const std::string Kernel = canary_dispatch::activeName();
+      Record(fmt("op:canary-fill-%zu", Size), Kernel, FillNs);
+      Record(fmt("op:canary-verify-%zu", Size), Kernel, VerifyNs);
     }
     canary_dispatch::force(canary_dispatch::Mode::Auto);
   }
   return Out;
 }
 
-/// Pairs each op scenario's fast and legacy measurements into a
-/// legacy/fast speedup, in first-seen scenario order.
-std::vector<std::pair<std::string, double>>
-opSpeedups(const std::vector<Measurement> &OpResults) {
-  std::vector<std::pair<std::string, double>> Out;
-  for (const Measurement &Fast : OpResults) {
-    if (Fast.Mode != "fast")
+/// One heap's ns/op over the baseline allocator's in one scenario.
+struct BaselineRatio {
+  std::string Scenario;
+  std::string Name;
+  double Ratio = 0;
+};
+
+/// Each randomized heap's ratio to the baseline row of its scenario
+/// (Figure 7's normalization, per operation).
+std::vector<BaselineRatio>
+baselineRatios(const std::vector<Measurement> &Results) {
+  std::vector<BaselineRatio> Out;
+  for (const Measurement &Baseline : Results) {
+    if (Baseline.Name != "baseline")
       continue;
-    for (const Measurement &Legacy : OpResults)
-      if (Legacy.Mode == "legacy" && Legacy.Scenario == Fast.Scenario) {
-        Out.emplace_back(Fast.Scenario, Legacy.NsPerOp / Fast.NsPerOp);
+    for (const Measurement &M : Results)
+      if (M.Scenario == Baseline.Scenario && M.Name != "baseline")
+        Out.push_back({M.Scenario, M.Name, M.NsPerOp / Baseline.NsPerOp});
+  }
+  return Out;
+}
+
+/// Scalar ns / dispatched ns for each canary op row pair.
+std::vector<std::pair<std::string, double>>
+kernelSpeedups(const std::vector<Measurement> &OpResults) {
+  std::vector<std::pair<std::string, double>> Out;
+  for (const Measurement &Dispatched : OpResults) {
+    if (Dispatched.Scenario.rfind("op:canary", 0) != 0 ||
+        Dispatched.Name == "scalar")
+      continue;
+    for (const Measurement &Scalar : OpResults)
+      if (Scalar.Scenario == Dispatched.Scenario && Scalar.Name == "scalar") {
+        Out.emplace_back(Dispatched.Scenario,
+                         Scalar.NsPerOp / Dispatched.NsPerOp);
         break;
       }
   }
@@ -395,42 +402,6 @@ mtSpeedups(const std::vector<MtMeasurement> &MtResults) {
   return Out;
 }
 
-/// Heap-image format footprint: serialized bytes of the same image in
-/// the legacy v1 layout and the columnar v2 layout (PR 2), on the
-/// example workloads the diagnosis side processes.
-struct ImageSizeSample {
-  std::string Workload;
-  size_t V1Bytes = 0;
-  size_t V2Bytes = 0;
-  double reduction() const {
-    return V2Bytes ? static_cast<double>(V1Bytes) / V2Bytes : 0.0;
-  }
-};
-
-static std::vector<ImageSizeSample> measureImageSizes() {
-  std::vector<ImageSizeSample> Samples;
-  ExterminatorConfig Config;
-  EspressoWorkload Espresso;
-  SquidWorkload Squid;
-  struct Case {
-    const char *Name;
-    Workload *Work;
-    uint64_t Input;
-  } Cases[] = {{"espresso", &Espresso, 5}, {"squid", &Squid, 1}};
-  for (const Case &C : Cases) {
-    const HeapImage Image =
-        runWorkloadOnce(*C.Work, C.Input, /*HeapSeed=*/11, Config,
-                        PatchSet())
-            .FinalImage;
-    ImageSizeSample Sample;
-    Sample.Workload = C.Name;
-    Sample.V1Bytes = serializeHeapImageV1(Image).size();
-    Sample.V2Bytes = serializeHeapImage(Image).size();
-    Samples.push_back(std::move(Sample));
-  }
-  return Samples;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -451,60 +422,37 @@ int main(int Argc, char **Argv) {
   note("canary dispatch (auto): %s", canary_dispatch::activeName());
 
   const char *Scenarios[] = {"hot-pairs", "resident-churn", "large-pairs"};
-  const char *Heaps[] = {"diehard", "diefast", "diefast-cumulative",
-                         "correcting-patched"};
+  const char *Heaps[] = {"baseline", "diehard", "diefast",
+                         "diefast-cumulative", "correcting-patched"};
 
   std::vector<Measurement> Results;
-  Results.push_back(runScenario("hot-pairs", "baseline", false, Opts));
-  Results.push_back(runScenario("resident-churn", "baseline", false, Opts));
-  Results.push_back(runScenario("large-pairs", "baseline", false, Opts));
-
-  // speedups[scenario][allocator] = legacy ns / fast ns
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string, double>>>>
-      Speedups;
-  for (const char *Scenario : Scenarios) {
-    Speedups.emplace_back(Scenario,
-                          std::vector<std::pair<std::string, double>>{});
-    for (const char *Name : Heaps) {
-      Measurement Fast = runScenario(Scenario, Name, false, Opts);
-      Measurement Legacy = runScenario(Scenario, Name, true, Opts);
-      Speedups.back().second.emplace_back(Name,
-                                          Legacy.NsPerOp / Fast.NsPerOp);
-      Results.push_back(std::move(Fast));
-      Results.push_back(std::move(Legacy));
-    }
-  }
+  for (const char *Scenario : Scenarios)
+    for (const char *Name : Heaps)
+      Results.push_back(runScenario(Scenario, Name, Opts));
+  const std::vector<BaselineRatio> Ratios = baselineRatios(Results);
 
   std::vector<Measurement> OpResults = runOpBenches(Opts);
+  const std::vector<std::pair<std::string, double>> KernelSpeedups =
+      kernelSpeedups(OpResults);
 
-  Table Report({"scenario", "allocator", "mode", "ns/op", "Mops/s"});
+  Table Report({"scenario", "allocator", "ns/op", "Mops/s"});
   for (const std::vector<Measurement> *Set : {&Results, &OpResults})
     for (const Measurement &M : *Set)
-      Report.addRow({M.Scenario, M.Name, M.Mode, fmt("%.1f", M.NsPerOp),
+      Report.addRow({M.Scenario, M.Name, fmt("%.1f", M.NsPerOp),
                      fmt("%.2f", M.OpsPerSec / 1e6)});
   Report.print();
 
-  heading("Speedup: fast hot path vs legacy (same binary, same run)");
-  Table SpeedupTable({"scenario", "allocator", "speedup"});
-  double Headline = 0;
-  for (const auto &[Scenario, PerHeap] : Speedups)
-    for (const auto &[Name, Speedup] : PerHeap) {
-      SpeedupTable.addRow({Scenario, Name, fmt("%.2fx", Speedup)});
-      if (Scenario == std::string("large-pairs") &&
-          Name == std::string("diefast"))
-        Headline = Speedup;
-    }
-  // Op-level speedups: match each scenario's fast and legacy rows.
-  const std::vector<std::pair<std::string, double>> OpSpeedups =
-      opSpeedups(OpResults);
-  for (const auto &[Scenario, Speedup] : OpSpeedups)
-    SpeedupTable.addRow({Scenario, "", fmt("%.2fx", Speedup)});
-  SpeedupTable.print();
-  note("headline (diefast large-pairs, the canary-bound §3.3 hot path): "
-       "%.2fx",
-       Headline);
+  heading("Per-operation cost relative to the baseline allocator");
+  Table RatioTable({"scenario", "allocator", "x baseline"});
+  for (const BaselineRatio &R : Ratios)
+    RatioTable.addRow({R.Scenario, R.Name, fmt("%.2fx", R.Ratio)});
+  RatioTable.print();
   note("resident-churn is DRAM-bound by design (random placement defeats "
-       "locality), so its speedups are memory-limited");
+       "locality), so its ratios are memory-limited");
+  Table KernelTable({"scenario", "scalar vs dispatched kernel"});
+  for (const auto &[Scenario, Speedup] : KernelSpeedups)
+    KernelTable.addRow({Scenario, fmt("%.2fx", Speedup)});
+  KernelTable.print();
 
   const std::vector<MtMeasurement> MtResults = runMtBenches(Opts);
   const std::vector<std::pair<std::string, double>> MtSpeedupRows =
@@ -535,25 +483,17 @@ int main(int Argc, char **Argv) {
        "%.2fx; pattern faults across all runs: %llu",
        MtHeadline, static_cast<unsigned long long>(MtFaults));
 
-  const std::vector<ImageSizeSample> ImageSizes = measureImageSizes();
-  heading("Heap-image footprint: columnar v2 vs legacy v1 (bytes)");
-  Table ImageTable({"workload", "v1 bytes", "v2 bytes", "reduction"});
-  for (const ImageSizeSample &Sample : ImageSizes)
-    ImageTable.addRow({Sample.Workload, fmt("%zu", Sample.V1Bytes),
-                       fmt("%zu", Sample.V2Bytes),
-                       fmt("%.2fx", Sample.reduction())});
-  ImageTable.print();
-
   if (!Opts.JsonPath.empty()) {
     JsonWriter Json;
     Json.beginObject();
     Json.field("bench", "hotpath");
-    Json.field("schema_version", 3);
+    Json.field("schema_version", 4);
     Json.beginObject("config");
     Json.field("scale_divisor", Opts.Scale);
     Json.field("canary_dispatch_auto", canary_dispatch::activeName());
     Json.field("hardware_threads",
                static_cast<uint64_t>(std::thread::hardware_concurrency()));
+    Json.field("cpu_model", cpuModel());
     Json.endObject();
     Json.beginArray("results");
     for (const std::vector<Measurement> *Set : {&Results, &OpResults})
@@ -561,22 +501,22 @@ int main(int Argc, char **Argv) {
         Json.beginObject();
         Json.field("scenario", M.Scenario);
         Json.field("name", M.Name);
-        Json.field("mode", M.Mode);
         Json.field("ns_per_op", M.NsPerOp);
         Json.field("ops_per_sec", M.OpsPerSec);
         Json.endObject();
       }
     Json.endArray();
-    Json.beginArray("speedups");
-    for (const auto &[Scenario, PerHeap] : Speedups)
-      for (const auto &[Name, Speedup] : PerHeap) {
-        Json.beginObject();
-        Json.field("scenario", Scenario);
-        Json.field("name", Name);
-        Json.field("speedup", Speedup);
-        Json.endObject();
-      }
-    for (const auto &[Scenario, Speedup] : OpSpeedups) {
+    Json.beginArray("baseline_ratios");
+    for (const BaselineRatio &R : Ratios) {
+      Json.beginObject();
+      Json.field("scenario", R.Scenario);
+      Json.field("name", R.Name);
+      Json.field("ratio", R.Ratio);
+      Json.endObject();
+    }
+    Json.endArray();
+    Json.beginArray("kernel_speedups");
+    for (const auto &[Scenario, Speedup] : KernelSpeedups) {
       Json.beginObject();
       Json.field("scenario", Scenario);
       Json.field("speedup", Speedup);
@@ -606,24 +546,19 @@ int main(int Argc, char **Argv) {
     Json.endArray();
     Json.field("mt_headline_scenario", "mt-hot-pairs/4t cached vs global-lock");
     Json.field("mt_headline_speedup", MtHeadline);
-    Json.beginArray("image_format");
-    for (const ImageSizeSample &Sample : ImageSizes) {
-      Json.beginObject();
-      Json.field("workload", Sample.Workload);
-      Json.field("v1_bytes", static_cast<uint64_t>(Sample.V1Bytes));
-      Json.field("v2_bytes", static_cast<uint64_t>(Sample.V2Bytes));
-      Json.field("reduction", Sample.reduction());
-      Json.endObject();
-    }
-    Json.endArray();
-    Json.field("headline_scenario", "large-pairs/diefast");
-    Json.field("headline_speedup", Headline);
     Json.endObject();
     if (!Json.writeFile(Opts.JsonPath)) {
       std::fprintf(stderr, "failed to write %s\n", Opts.JsonPath.c_str());
       return 1;
     }
     note("wrote %s", Opts.JsonPath.c_str());
+  }
+  if (MtFaults != 0) {
+    std::fprintf(stderr,
+                 "memory-integrity check failed: %llu pattern fault(s) in "
+                 "the contended runs\n",
+                 static_cast<unsigned long long>(MtFaults));
+    return 1;
   }
   return 0;
 }

@@ -79,13 +79,6 @@ ConcurrentAllocator::ConcurrentAllocator(const ConcurrentAllocatorConfig &Config
       CanaryRng(Config.Heap.Seed ^ 0xca11a7c0ffee1234ULL),
       HeapCanary(Canary::random(CanaryRng)),
       InstanceId(NextInstanceId.fetch_add(1, std::memory_order_relaxed)) {
-  // Lock-free pointer resolution requires that no page be shared by two
-  // slabs: guard regions of at least a page guarantee it (4 KiB pages;
-  // see DieHardHeap::registerRange).
-  assert(Cfg.Heap.GuardBytes >= 4096 &&
-         "concurrent front-end requires page-sized guard regions");
-  assert(!Cfg.Heap.LegacyHotPath &&
-         "the legacy hot path is single-threaded only");
   assert(Cfg.MagazineSize >= 1 && "magazines hold at least one slot");
   std::lock_guard<std::mutex> Lock(liveRegistryLock());
   liveRegistry()[this] = InstanceId;
@@ -167,8 +160,7 @@ void *ConcurrentAllocator::allocateFrom(ThreadCache &Cache, size_t Size,
     if (Cfg.DieFastCanaries &&
         !canary_ops::prepareReusedSlot(HeapCanary, Meta, Ptr,
                                        Mini.objectSize(), Size,
-                                       Cfg.ZeroFillAllocations,
-                                       /*LegacyHotPath=*/false)) {
+                                       Cfg.ZeroFillAllocations)) {
       // Bad-object isolation without the backend lock: the slot stays
       // reserved forever (it is simply never handed out or released), so
       // no bitmap or class counter needs touching.  Its pending-free bit
@@ -232,8 +224,7 @@ void *ConcurrentAllocator::baselineAllocate(size_t Size) {
     if (Cfg.DieFastCanaries &&
         !canary_ops::prepareReusedSlot(HeapCanary, Mini->slot(Ref.SlotIndex),
                                        Ptr, Mini->objectSize(), Size,
-                                       Cfg.ZeroFillAllocations,
-                                       /*LegacyHotPath=*/false)) {
+                                       Cfg.ZeroFillAllocations)) {
       Backend.markBad(Ref);
       signalError(ErrorSignalKind::CanaryCorruptOnAlloc, Ref);
       continue;

@@ -34,13 +34,12 @@
 ///  * **Pointer lookup** is lock-free end to end: the page directory
 ///    republishes epoch-style on growth (support/PageTable.h), and slab
 ///    records are fully written before their directory ids publish.
-///    This requires page-sized guard regions (no ambiguous pages), which
-///    the constructor asserts.
+///    The backend's page-sized guard regions keep every page of the
+///    directory owned by one slab, so a lookup never needs the lock.
 ///
 /// A `GlobalLockBaseline` mode routes every operation through one mutex
 /// around the backend — the pre-PR-7 "just lock it" design — so
-/// bench/micro_allocators can measure the scaling win in one binary, the
-/// same A/B discipline the LegacyHotPath toggle established in PR 1.
+/// bench/micro_allocators can measure the scaling win in one binary.
 ///
 /// Object ids come from a front-end atomic clock; the backend clock is
 /// re-synchronized to it whenever the lock is taken, so FreeTime stamps
@@ -68,9 +67,7 @@ namespace exterminator {
 
 /// Tuning knobs for the concurrent front-end.
 struct ConcurrentAllocatorConfig {
-  /// The shared randomized backend.  GuardBytes must be at least a page
-  /// (4096) so pointer lookups never hit an ambiguous page, and
-  /// LegacyHotPath must be off.
+  /// The shared randomized backend.
   DieHardConfig Heap;
   /// Slots per thread-cache magazine (per size class).  1 degenerates to
   /// the direct backend, lock per operation; larger values amortize the

@@ -110,11 +110,8 @@ bool DieHardHeap::deallocateWithRef(void *Ptr, ObjectRef &RefOut,
   // the bitmap check; random placement makes that line a near-certain
   // miss on DRAM-bound churn, so start pulling it for write now.  The
   // prefetch lives here, not in findObject, so pure lookups
-  // (isLivePointer, diffing) do not pay the read-for-ownership — and
-  // the legacy toggle keeps measuring the pre-PR-1 free path unaided.
-  if (!Config.LegacyHotPath)
-    __builtin_prefetch(&Heap.slot(Found->SlotIndex), /*rw=*/1,
-                       /*locality=*/3);
+  // (isLivePointer, diffing) do not pay the read-for-ownership.
+  __builtin_prefetch(&Heap.slot(Found->SlotIndex), /*rw=*/1, /*locality=*/3);
   if (Ptr != Heap.slotPointer(Found->SlotIndex)) {
     ++Stats.InvalidFrees;
     return false;
@@ -221,16 +218,11 @@ bool DieHardHeap::isPageRetired(uintptr_t Address) const {
 
 std::optional<ObjectRef> DieHardHeap::findObject(const void *Ptr) const {
   const uint8_t *Addr = static_cast<const uint8_t *>(Ptr);
-  if (Config.LegacyHotPath)
-    return findObjectSorted(Addr);
-
   // Page directory: every page an object region overlaps is keyed here,
   // so a miss proves Addr is outside the heap (guard regions included).
   const uint32_t Id = PageDirectory.lookup(pageOf(Addr));
   if (Id == PageTable::NotFound)
     return std::nullopt;
-  if (Id == AmbiguousPage)
-    return findObjectSorted(Addr);
   const Range &Slab = Slabs[Id];
   // The page can hang over the slab's edges into guard space; range-check
   // before trusting it.
@@ -243,54 +235,20 @@ std::optional<ObjectRef> DieHardHeap::findObject(const void *Ptr) const {
 
 std::optional<DieHardHeap::ResolvedObject>
 DieHardHeap::resolvePointer(const void *Ptr) const {
+  // findObject's lookup, reading the owning miniheap from the slab record
+  // (never from Classes, which growth may reallocate under a lock-free
+  // reader).
   const uint8_t *Addr = static_cast<const uint8_t *>(Ptr);
-  std::optional<ObjectRef> Found;
-  Miniheap *Heap = nullptr;
-  if (Config.LegacyHotPath) {
-    Found = findObjectSorted(Addr);
-    if (Found)
-      Heap = Classes[Found->ClassIndex].Heaps[Found->HeapIndex].get();
-  } else {
-    const uint32_t Id = PageDirectory.lookup(pageOf(Addr));
-    if (Id == PageTable::NotFound)
-      return std::nullopt;
-    if (Id == AmbiguousPage) {
-      // Sub-page guards only; the lock-free contract (see header) is off
-      // this path.
-      Found = findObjectSorted(Addr);
-      if (Found)
-        Heap = Classes[Found->ClassIndex].Heaps[Found->HeapIndex].get();
-    } else {
-      const Range &Slab = Slabs[Id];
-      if (Addr < Slab.Base || Addr >= Slab.End)
-        return std::nullopt;
-      std::optional<size_t> Slot = Slab.Heap->slotContaining(Addr);
-      assert(Slot && "in-range address must resolve to a slot");
-      Found = ObjectRef{Slab.ClassIndex, Slab.HeapIndex, *Slot};
-      Heap = Slab.Heap;
-    }
-  }
-  if (!Found)
+  const uint32_t Id = PageDirectory.lookup(pageOf(Addr));
+  if (Id == PageTable::NotFound)
     return std::nullopt;
-  return ResolvedObject{*Found, Heap, Heap->slotPointer(Found->SlotIndex)};
-}
-
-std::optional<ObjectRef>
-DieHardHeap::findObjectSorted(const uint8_t *Addr) const {
-  // Ranges is sorted by base; find the first range whose base is > Addr,
-  // then step back.
-  auto It = std::upper_bound(
-      Ranges.begin(), Ranges.end(), Addr,
-      [](const uint8_t *A, const Range &R) { return A < R.Base; });
-  if (It == Ranges.begin())
+  const Range &Slab = Slabs[Id];
+  if (Addr < Slab.Base || Addr >= Slab.End)
     return std::nullopt;
-  --It;
-  if (Addr >= It->End)
-    return std::nullopt;
-  std::optional<size_t> Slot = It->Heap->slotContaining(Addr);
-  if (!Slot)
-    return std::nullopt;
-  return ObjectRef{It->ClassIndex, It->HeapIndex, *Slot};
+  std::optional<size_t> Slot = Slab.Heap->slotContaining(Addr);
+  assert(Slot && "in-range address must resolve to a slot");
+  return ResolvedObject{ObjectRef{Slab.ClassIndex, Slab.HeapIndex, *Slot},
+                        Slab.Heap, Slab.Heap->slotPointer(*Slot)};
 }
 
 bool DieHardHeap::isLivePointer(const void *Ptr) const {
@@ -323,8 +281,8 @@ void DieHardHeap::ensureCapacity(ClassState &Class, unsigned ClassIndex) {
     size_t NewSlots = Class.Heaps.empty()
                           ? Config.InitialSlots
                           : Class.Heaps.back()->numSlots() * 2;
-    auto Heap = std::make_unique<Miniheap>(ClassIndex, NewSlots, Clock,
-                                           Config.GuardBytes);
+    auto Heap =
+        std::make_unique<Miniheap>(ClassIndex, NewSlots, Clock, GuardBytes);
     registerRange(Heap.get(), ClassIndex,
                   static_cast<unsigned>(Class.Heaps.size()));
     Class.Capacity += NewSlots;
@@ -354,25 +312,6 @@ DieHardHeap::resolveClassSlot(const ClassState &Class, size_t Pick) const {
 
 ObjectRef DieHardHeap::placeRandomly(ClassState &Class, unsigned ClassIndex) {
   assert(Class.Live < Class.Capacity && "class has no free slot");
-
-  if (Config.LegacyHotPath) {
-    // The pre-PR-1 implementation: every probe walks the miniheap list
-    // linearly to resolve the class-global pick.  Kept only for the bench
-    // baseline toggle.
-    for (;;) {
-      size_t Pick = Rng.nextBelow(Class.Capacity);
-      unsigned HeapIndex = 0;
-      for (const auto &Heap : Class.Heaps) {
-        if (Pick < Heap->numSlots()) {
-          if (!Heap->isAllocated(Pick))
-            return ObjectRef{ClassIndex, HeapIndex, Pick};
-          break;
-        }
-        Pick -= Heap->numSlots();
-        ++HeapIndex;
-      }
-    }
-  }
 
   // Uniform random probing over the class's combined slot space; expected
   // O(1) probes at <= 1/M occupancy (§3.1).  Each probe is one draw, one
@@ -405,18 +344,13 @@ ObjectRef DieHardHeap::placeRandomly(ClassState &Class, unsigned ClassIndex) {
 
 void DieHardHeap::registerRange(Miniheap *Heap, unsigned ClassIndex,
                                 unsigned HeapIndex) {
-  Range NewRange{Heap->base(),
-                 Heap->base() + Heap->numSlots() * Heap->objectSize(),
-                 ClassIndex, HeapIndex, Heap};
-  auto It = std::upper_bound(
-      Ranges.begin(), Ranges.end(), NewRange,
-      [](const Range &A, const Range &B) { return A.Base < B.Base; });
-  Ranges.insert(It, NewRange);
+  const Range NewRange{Heap->base(),
+                       Heap->base() + Heap->numSlots() * Heap->objectSize(),
+                       ClassIndex, HeapIndex, Heap};
 
   // Page directory: map every page the object region overlaps to this
-  // slab.  A page already claimed by another slab (only possible when
-  // guard regions are smaller than a page) turns ambiguous and falls back
-  // to the sorted-range search.
+  // slab.  Page-sized guards keep every other slab's object region off
+  // these pages, so each insert is fresh.
   assert(Slabs.size() < MaxSlabs &&
          "slab cap reached; raise MaxSlabs (reserved so concurrent "
          "readers never race a reallocation)");
@@ -428,9 +362,8 @@ void DieHardHeap::registerRange(Miniheap *Heap, unsigned ClassIndex,
   for (uintptr_t Page = pageOf(NewRange.Base),
                  LastPage = pageOf(NewRange.End - 1);
        Page <= LastPage; ++Page) {
-    const auto [Value, Inserted] = PageDirectory.emplace(Page, SlabId);
-    (void)Value;
-    if (!Inserted)
-      PageDirectory.overwrite(Page, AmbiguousPage);
+    [[maybe_unused]] const auto [Value, Inserted] =
+        PageDirectory.emplace(Page, SlabId);
+    assert(Inserted && "two slabs' object regions share a page");
   }
 }

@@ -29,9 +29,9 @@
 ///
 ///  * Pointer lookup (`findObject`) consults a page directory keyed on the
 ///    address's 4 KiB page: every page a slab's object region overlaps
-///    maps to that slab, making free-path resolution one hash probe.  The
-///    sorted-range binary search is kept as the fallback for pages shared
-///    by two slabs (possible only with guard regions smaller than a page).
+///    maps to that slab, making free-path resolution one hash probe.
+///    Slabs carry page-sized guard regions on both sides, so no page is
+///    shared by two slabs and a directory hit names the only candidate.
 ///
 /// The heap also maintains Exterminator's per-object metadata (§3.2):
 /// object ids from a global allocation clock, allocation/deallocation site
@@ -64,14 +64,6 @@ struct DieHardConfig {
   size_t InitialSlots = 64;
   /// Seed for the heap's placement randomness.
   uint64_t Seed = 0;
-  /// Guard region after each slab, absorbing forward overflows off the
-  /// last slot (stands in for the sparse address space between miniheaps).
-  size_t GuardBytes = 4096;
-  /// Routes placement and pointer lookup through the pre-PR-1 O(n) code
-  /// paths (linear miniheap scan, sorted-range-only lookup).  Exists so
-  /// bench/micro_allocators can measure the fast paths against the
-  /// original implementation in one run; never enable it in production.
-  bool LegacyHotPath = false;
 };
 
 /// Identifies one object slot in the heap.
@@ -193,13 +185,10 @@ public:
   };
 
   /// Like findObject, but also reports the owning miniheap and slot
-  /// start.  When guard regions span at least a page (no ambiguous
-  /// pages) this takes the page-directory path only and is safe to call
-  /// lock-free, concurrently with allocations on other threads, for
-  /// pointers whose slab registration happened-before this call — i.e.
-  /// any pointer the allocator previously returned and the program
-  /// handed to this thread.  With sub-page guards it may fall back to
-  /// the sorted-range search, which requires external serialization.
+  /// start.  Safe to call lock-free, concurrently with allocations on
+  /// other threads, for pointers whose slab registration happened-before
+  /// this call — i.e. any pointer the allocator previously returned and
+  /// the program handed to this thread.
   std::optional<ResolvedObject> resolvePointer(const void *Ptr) const;
 
   /// True if \p Ptr points into a currently-allocated (non-bad) slot.
@@ -296,10 +285,6 @@ private:
   std::pair<unsigned, size_t> resolveClassSlot(const ClassState &Class,
                                                size_t Pick) const;
 
-  /// The pre-directory lookup: binary search over the sorted slab ranges.
-  /// Kept as the fallback for ambiguous pages and the legacy toggle.
-  std::optional<ObjectRef> findObjectSorted(const uint8_t *Addr) const;
-
   /// Shared tail of the two deallocation entry points; \p Heap must be
   /// the miniheap \p Ref lives in (resolved exactly once by the caller).
   bool deallocateIn(Miniheap &Heap, const ObjectRef &Ref,
@@ -323,6 +308,12 @@ private:
   /// Slots quarantined because their page was retired.
   size_t RetiredSlots = 0;
 
+  /// Guard region on each side of every slab, absorbing overflows off
+  /// the first and last slots (stands in for the sparse address space
+  /// between miniheaps).  One page wide, so two slabs' object regions
+  /// never share a page of the directory.
+  static constexpr size_t GuardBytes = 4096;
+
   /// One slab's object region (guard regions excluded).
   struct Range {
     const uint8_t *Base;
@@ -333,9 +324,6 @@ private:
     /// chasing Classes[c].Heaps[h].
     Miniheap *Heap;
   };
-  /// Sorted (by base address) index of every slab: the fallback lookup
-  /// path and the legacy toggle's only path.
-  std::vector<Range> Ranges;
   /// Hard cap on slabs per heap.  Doubling miniheaps mean even a class
   /// grown to 2^MaxSlabs-ish slots stays far below it; the cap buys a
   /// never-reallocated Slabs array, which lock-free readers index
@@ -348,15 +336,14 @@ private:
   std::vector<Range> Slabs;
 
   static constexpr unsigned PageShift = 12;
-  /// Sentinel for a page overlapped by more than one slab's object
-  /// region; lookups on such pages take the sorted-range fallback.
-  static constexpr uint32_t AmbiguousPage = PageTable::NotFound - 1;
+  static_assert(GuardBytes >= (size_t(1) << PageShift),
+                "sub-page guards would let two slabs share a page");
   static uintptr_t pageOf(const uint8_t *Addr) {
     return reinterpret_cast<uintptr_t>(Addr) >> PageShift;
   }
-  /// 4 KiB page -> index into Slabs (or AmbiguousPage).  Covers every
-  /// page any object region overlaps, so a missing key proves the address
-  /// is outside the heap.
+  /// 4 KiB page -> index into Slabs.  Covers every page any object
+  /// region overlaps, so a missing key proves the address is outside the
+  /// heap.
   PageTable PageDirectory;
 };
 

@@ -10,8 +10,7 @@ using namespace exterminator;
 
 CorrectingHeap::CorrectingHeap(const DieFastConfig &Config,
                                const CallContext *Context)
-    : Context(Context), Legacy(Config.Heap.LegacyHotPath),
-      Inner(Config, Context) {}
+    : Context(Context), Inner(Config, Context) {}
 
 CorrectingHeap::~CorrectingHeap() = default;
 
@@ -66,8 +65,6 @@ void *CorrectingHeap::allocate(size_t Size) {
     CStats.DefensivePadBytesAdded += AppliedDefensive;
   }
   uint8_t *Ptr = static_cast<uint8_t *>(Inner.allocate(PaddedSize));
-  if (Legacy)
-    Stats = Inner.stats();
   if (!Ptr)
     return Ptr;
   if (AppliedFront > 0) {
@@ -100,8 +97,6 @@ void CorrectingHeap::deallocate(void *Ptr) {
   if (!Resolvable) {
     // Invalid or double free: let DieFast count and ignore it.
     Inner.deallocateWithSite(Ptr, FreeSite);
-    if (Legacy)
-      Stats = Inner.stats();
     return;
   }
 
@@ -123,8 +118,6 @@ void CorrectingHeap::deallocate(void *Ptr) {
   }
   if (Defer == 0) {
     Inner.deallocateResolved(*Ref, FreeSite);
-    if (Legacy)
-      Stats = Inner.stats();
     return;
   }
 

@@ -154,9 +154,6 @@ private:
   void creditClassError(unsigned ClassIndex);
 
   const CallContext *Context;
-  /// Mirrors DieHardConfig::LegacyHotPath: reinstates the pre-PR-1
-  /// per-operation stats copies for the bench baseline.
-  bool Legacy;
   DieFastHeap Inner;
   PatchSet Patches;
   std::priority_queue<Deferred, std::vector<Deferred>, DeferredLater>

@@ -116,15 +116,6 @@ DiagnosisPipeline::indexedViews(const std::vector<HeapImage> &Images) const {
 
 IsolationResult
 DiagnosisPipeline::isolateImages(const ImageEvidence &Evidence) const {
-  if (evidence_path::isLegacy()) {
-    // Pre-PR-4 flow: re-index per attempt, sweep sequentially.
-    IsolationResult Result =
-        isolateErrors(Evidence.Primary, Config.Isolation);
-    if (Result.Patches.empty() && Evidence.Fallback.size() >= 2)
-      Result = isolateErrors(Evidence.Fallback, Config.Isolation);
-    return Result;
-  }
-
   Executor *Pool = &sharedExecutor();
   IsolationResult Result;
   if (auto Primary = indexedViews(Evidence.Primary))

@@ -118,13 +118,13 @@ public:
   /// synchronization — the patch server runs this outside its lock and
   /// serializes only the merge.
   ///
-  /// On the fast evidence path, isolation runs over *cached* views: an
-  /// image set already indexed by an earlier submission (keyed by
-  /// content fingerprint, verified by full equality) reuses its indexes
-  /// instead of rebuilding them, so retried/duplicate submissions and
-  /// the primary→fallback sequence never re-index the same images, and
-  /// the evidence sweeps fan out on the shared executor.  Cached and
-  /// fresh views diagnose identically (pinned by test).
+  /// Isolation runs over *cached* views: an image set already indexed
+  /// by an earlier submission (keyed by content fingerprint, verified by
+  /// full equality) reuses its indexes instead of rebuilding them, so
+  /// retried/duplicate submissions and the primary→fallback sequence
+  /// never re-index the same images, and the evidence sweeps fan out on
+  /// the shared executor.  Cached and fresh views diagnose identically
+  /// (pinned by test).
   IsolationResult isolateImages(const ImageEvidence &Evidence) const;
 
   /// The merge half of submitImages: folds already-derived patches into

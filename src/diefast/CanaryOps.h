@@ -31,8 +31,8 @@ namespace canary_ops {
 /// The alloc-time check on a reserved slot (Figure 4 + §2.1): verifies
 /// the previous tenant's canary when one was laid down, zero-filling the
 /// first \p RequestSize bytes per \p ZeroFill.  When the canary check and
-/// the zeroing can fuse (canaried slot, zero-fill on, fast path), the
-/// slot is traversed once; the slot's tail keeps whatever canary it
+/// the zeroing can fuse (canaried slot, zero-fill on), the slot is
+/// traversed once; the slot's tail keeps whatever canary it
 /// carried, which stays sound because the next free re-fills the whole
 /// slot.  Returns true when the slot is clean and ready to commit; false
 /// when the canary was corrupted — intact-but-zeroed prefix bytes are
@@ -40,9 +40,8 @@ namespace canary_ops {
 /// corruption evidence.
 inline bool prepareReusedSlot(const Canary &C, const SlotMetadata &Meta,
                               uint8_t *Ptr, size_t ObjectSize,
-                              size_t RequestSize, bool ZeroFill,
-                              bool LegacyHotPath) {
-  if (Meta.Canaried && ZeroFill && !LegacyHotPath) {
+                              size_t RequestSize, bool ZeroFill) {
+  if (Meta.Canaried && ZeroFill) {
     const size_t Zeroed = C.verifyAndZeroPrefix(Ptr, ObjectSize, RequestSize);
     if (Zeroed != Canary::AllVerified) {
       // Only intact canary bytes were zeroed; restore them so the

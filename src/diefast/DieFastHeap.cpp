@@ -21,8 +21,6 @@ void *DieFastHeap::allocate(size_t Size) {
     return nullptr;
 
   Heap.tickAllocationClock(Size);
-  if (Config.Heap.LegacyHotPath)
-    Stats = Heap.stats(); // pre-PR-1 per-op copy, kept for the bench toggle
 
   const unsigned ClassIndex = sizeclass::classFor(Size);
   for (;;) {
@@ -37,7 +35,7 @@ void *DieFastHeap::allocate(size_t Size) {
     // pick another slot.
     if (!canary_ops::prepareReusedSlot(
             HeapCanary, Mini.slot(Ref.SlotIndex), Ptr, Mini.objectSize(),
-            Size, Config.ZeroFillAllocations, Config.Heap.LegacyHotPath)) {
+            Size, Config.ZeroFillAllocations)) {
       Heap.markBad(Ref);
       signalError(ErrorSignalKind::CanaryCorruptOnAlloc, Ref);
       continue;
@@ -71,9 +69,6 @@ void DieFastHeap::deallocateImpl(void *Ptr,
 }
 
 void DieFastHeap::afterFree(const ObjectRef &Ref) {
-  if (Config.Heap.LegacyHotPath)
-    Stats = Heap.stats(); // pre-PR-1 per-op copy, kept for the bench toggle
-
   // Check the preceding and following objects (§3.3); neighbors live in
   // the freed slot's own miniheap, so it is resolved exactly once for the
   // neighbor checks and the canary fill.  Quarantine preserves the

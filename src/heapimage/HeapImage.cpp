@@ -7,35 +7,10 @@
 #include "support/Executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <type_traits>
 
 using namespace exterminator;
-
-/// Shortest repeated-word run worth a Pattern entry: two words (16 bytes)
-/// already serialize smaller than their literal bytes.
-static constexpr size_t MinPatternWords = 2;
-
-//===----------------------------------------------------------------------===//
-// evidence_path
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::atomic<evidence_path::Mode> ActiveMode{evidence_path::Mode::Fast};
-
-} // namespace
-
-void evidence_path::force(Mode M) {
-  ActiveMode.store(M, std::memory_order_relaxed);
-}
-
-evidence_path::Mode evidence_path::mode() {
-  return ActiveMode.load(std::memory_order_relaxed);
-}
-
-bool evidence_path::isLegacy() { return mode() == Mode::Legacy; }
 
 //===----------------------------------------------------------------------===//
 // SlotContents
@@ -230,7 +205,8 @@ void HeapImage::addPatternRun(uint64_t Word, uint32_t Length) {
   Runs.push_back(Run);
 }
 
-void HeapImage::addSlotBytesFast(const uint8_t *Data, size_t Size) {
+void HeapImage::addSlotBytes(const uint8_t *Data, size_t Size) {
+  assert(Size >= 8 && Size % 8 == 0 && "slot contents are whole words");
   // Uniform slot (virgin all-zero, canary-filled, or zero-filled
   // fresh allocation — the dominant populations of a DieHard heap):
   // one dispatched SIMD sweep settles the whole slot and emits the
@@ -241,13 +217,11 @@ void HeapImage::addSlotBytesFast(const uint8_t *Data, size_t Size) {
     addPatternRun(First, static_cast<uint32_t>(Size));
     return;
   }
-  // Mixed contents: the same canonical run decomposition as the
-  // scalar encoder — a pattern run starts exactly where two adjacent
-  // words first match — but both scans run at vector width: FindPair
-  // locates the next run start across literal stretches, MatchWords
-  // measures the run.  The whole-slot-single-word special case of the
-  // scalar loop cannot fire here (the sweep above caught it), so the
-  // decompositions are identical (pinned by test).
+  // Mixed contents: a pattern run starts exactly where two adjacent
+  // words first match (two words already serialize smaller than their
+  // literal bytes).  Both scans run at vector width: FindPair locates
+  // the next run start across literal stretches, MatchWords measures
+  // the run.
   size_t LiteralStart = 0;
   const size_t Words = Size / 8;
   size_t W = 0;
@@ -267,45 +241,6 @@ void HeapImage::addSlotBytesFast(const uint8_t *Data, size_t Size) {
     W = RunStart + Repeat;
     LiteralStart = W * 8;
   }
-  if (LiteralStart < Size)
-    addLiteralRun(Data + LiteralStart, Size - LiteralStart);
-}
-
-void HeapImage::addSlotBytes(const uint8_t *Data, size_t Size) {
-  if (!evidence_path::isLegacy() && Size >= 8 && Size % 8 == 0) {
-    addSlotBytesFast(Data, Size);
-    return;
-  }
-
-  // Legacy path (and the odd-size fallback): the scalar word loop.
-  const size_t Words = Size / 8;
-  auto wordAt = [&](size_t W) {
-    uint64_t Value;
-    std::memcpy(&Value, Data + W * 8, 8);
-    return Value;
-  };
-
-  size_t LiteralStart = 0;
-  size_t W = 0;
-  while (W < Words) {
-    const uint64_t Value = wordAt(W);
-    size_t Repeat = 1;
-    while (W + Repeat < Words && wordAt(W + Repeat) == Value)
-      ++Repeat;
-    // A whole-slot single word is also a pattern run, so even 8-byte
-    // virgin slots stay collapsible at serialization time.
-    if (Repeat >= MinPatternWords || (W == 0 && Repeat == Words)) {
-      if (LiteralStart < W * 8)
-        addLiteralRun(Data + LiteralStart, W * 8 - LiteralStart);
-      addPatternRun(Value, static_cast<uint32_t>(Repeat * 8));
-      W += Repeat;
-      LiteralStart = W * 8;
-    } else {
-      W += Repeat;
-    }
-  }
-  // Object sizes are powers of two ≥ 8, so there is normally no tail;
-  // handle one anyway for robustness against odd inputs.
   if (LiteralStart < Size)
     addLiteralRun(Data + LiteralStart, Size - LiteralStart);
 }
@@ -335,7 +270,6 @@ void HeapImage::captureSlotsBulk(const Miniheap &Mini) {
   // Every slot contributes at least one run; pre-sizing keeps growth
   // out of the per-slot loop for the (dominant) uniform-slot case.
   Runs.reserve(Runs.size() + N);
-  const bool WordSized = ObjectSize >= 8 && ObjectSize % 8 == 0;
   for (size_t I = 0; I < N; ++I) {
     const SlotMetadata &Meta = Mini.slot(I);
     FlagsOut[I] =
@@ -347,10 +281,7 @@ void HeapImage::captureSlotsBulk(const Miniheap &Mini) {
     FreeSitesOut[I] = Meta.FreeSite;
     SizesOut[I] = Meta.RequestedSize;
     RunBeginOut[I] = static_cast<uint32_t>(Runs.size());
-    if (WordSized)
-      addSlotBytesFast(Mini.slotPointer(I), ObjectSize);
-    else
-      addSlotBytes(Mini.slotPointer(I), ObjectSize);
+    addSlotBytes(Mini.slotPointer(I), ObjectSize);
   }
 }
 
@@ -396,7 +327,6 @@ void HeapImage::reserveSlots(size_t Slots) {
 }
 
 bool HeapImage::operator==(const HeapImage &Other) const {
-  // SourceFormatVersion is provenance, not content.
   return AllocationTime == Other.AllocationTime &&
          CanaryValue == Other.CanaryValue &&
          CanaryFillProbability == Other.CanaryFillProbability &&
@@ -423,20 +353,7 @@ void captureMiniheapInto(HeapImage &Image, const Miniheap &Mini) {
   Image.beginMiniheap(Mini.sizeClassIndex(), Mini.objectSize(),
                       reinterpret_cast<uint64_t>(Mini.base()),
                       Mini.creationTime());
-  if (!evidence_path::isLegacy()) {
-    Image.captureSlotsBulk(Mini);
-    return;
-  }
-  Image.reserveSlots(Mini.numSlots());
-  for (size_t I = 0; I < Mini.numSlots(); ++I) {
-    const SlotMetadata &Meta = Mini.slot(I);
-    const uint8_t Flags =
-        (Mini.isAllocated(I) ? SlotFlagAllocated : 0) |
-        (Meta.Bad ? SlotFlagBad : 0) | (Meta.Canaried ? SlotFlagCanaried : 0);
-    Image.addSlot(Flags, Meta.ObjectId, Meta.FreeTime, Meta.AllocSite,
-                  Meta.FreeSite, Meta.RequestedSize);
-    Image.addSlotBytes(Mini.slotPointer(I), Mini.objectSize());
-  }
+  Image.captureSlotsBulk(Mini);
 }
 
 } // namespace
@@ -455,8 +372,7 @@ HeapImage exterminator::captureHeapImage(const DieFastHeap &Heap,
   Inner.forEachMiniheap([&](unsigned /*ClassIndex*/, unsigned /*HeapIndex*/,
                             const Miniheap &Mini) { Minis.push_back(&Mini); });
 
-  if (!evidence_path::isLegacy() && Pool && Pool->threadCount() > 1 &&
-      Minis.size() > 1) {
+  if (Pool && Pool->threadCount() > 1 && Minis.size() > 1) {
     // Parallel capture: one fragment per miniheap, stitched in miniheap
     // order.  Fragments are per-index slots, so no locking; the stitch
     // order (not the completion order) fixes the output bytes.
@@ -552,25 +468,18 @@ uint64_t exterminator::heapImageFingerprint(const HeapImage &Image) {
 // HeapImageView
 //===----------------------------------------------------------------------===//
 
-HeapImageView::HeapImageView(const HeapImage &Image)
-    : Image(Image), LegacyIndex(evidence_path::isLegacy()) {
-  if (!LegacyIndex) {
-    // Pre-size the flat table exactly: one sequential pass over the id
-    // column is far cheaper than growth rehashes mid-build.
-    size_t IdCount = 0;
-    for (uint64_t Id : Image.objectIdColumn())
-      IdCount += Id != 0;
-    FlatById.reserve(IdCount);
-  }
+HeapImageView::HeapImageView(const HeapImage &Image) : Image(Image) {
+  // Pre-size the flat table exactly: one sequential pass over the id
+  // column is far cheaper than growth rehashes mid-build.
+  size_t IdCount = 0;
+  for (uint64_t Id : Image.objectIdColumn())
+    IdCount += Id != 0;
+  ById.reserve(IdCount);
   for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
     const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
     for (uint32_t S = 0; S < Mini.NumSlots; ++S)
-      if (uint64_t Id = Image.objectIdAt(Mini.FirstSlot + S)) {
-        if (LegacyIndex)
-          ById.emplace(Id, ImageLocation{M, S});
-        else
-          FlatById.emplace(Id, ImageLocation{M, S});
-      }
+      if (uint64_t Id = Image.objectIdAt(Mini.FirstSlot + S))
+        ById.emplace(Id, ImageLocation{M, S});
     ByAddress.push_back(M);
   }
   std::sort(ByAddress.begin(), ByAddress.end(), [&](uint32_t A, uint32_t B) {
@@ -581,15 +490,9 @@ HeapImageView::HeapImageView(const HeapImage &Image)
 
 std::optional<ImageLocation>
 HeapImageView::findById(uint64_t ObjectId) const {
-  if (!LegacyIndex) {
-    if (const ImageLocation *Loc = FlatById.lookup(ObjectId))
-      return *Loc;
-    return std::nullopt;
-  }
-  auto It = ById.find(ObjectId);
-  if (It == ById.end())
-    return std::nullopt;
-  return It->second;
+  if (const ImageLocation *Loc = ById.lookup(ObjectId))
+    return *Loc;
+  return std::nullopt;
 }
 
 std::optional<std::pair<ImageLocation, uint64_t>>

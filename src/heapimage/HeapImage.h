@@ -38,7 +38,6 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace exterminator {
@@ -48,44 +47,6 @@ class Canary;
 class Executor;
 class Miniheap;
 struct CorruptionExtent;
-
-/// Selects between the PR-4 fast evidence path and the pre-PR-4
-/// implementation kept in the same binary for A/B benchmarking (the
-/// evidence-side sibling of DieHardConfig::LegacyHotPath).  The toggle
-/// governs slot-contents run encoding (SIMD uniform-slot detection and
-/// repeat scans vs the scalar word loop), capture parallelism, the
-/// HeapImageView object-id index (flat open-addressing vs
-/// std::unordered_map), the columnar evidence sweeps, and the
-/// DiagnosisPipeline view cache.  Both paths are pinned bit-identical
-/// (same serialized images, same derived patch sets) by
-/// tests/evidence_test.cpp; never enable Legacy in production.
-namespace evidence_path {
-
-enum class Mode {
-  /// SIMD encoding, flat indexes, parallel sweeps, cached views.
-  Fast,
-  /// The pre-PR-4 implementation (bench baseline toggle).
-  Legacy,
-};
-
-void force(Mode M);
-Mode mode();
-bool isLegacy();
-
-/// RAII: forces \p M for a scope, restoring the previous mode (tests
-/// and the fast-vs-legacy bench sections).
-class Scoped {
-public:
-  explicit Scoped(Mode M) : Previous(mode()) { force(M); }
-  ~Scoped() { force(Previous); }
-  Scoped(const Scoped &) = delete;
-  Scoped &operator=(const Scoped &) = delete;
-
-private:
-  Mode Previous;
-};
-
-} // namespace evidence_path
 
 /// Per-slot state bits (the Flags column).
 enum : uint8_t {
@@ -192,8 +153,6 @@ public:
   double Multiplier = 2.0;
   /// Seed of the dumping heap, recorded for reproducibility reports.
   uint64_t HeapSeed = 0;
-  /// Serialization format the image was loaded from (2 for captures).
-  uint32_t SourceFormatVersion = 2;
 
   //===--------------------------------------------------------------------===//
   // Shape
@@ -270,7 +229,7 @@ public:
   uint64_t objectIdAt(uint64_t G) const { return ObjectIds[G]; }
   SlotContents contentsAt(uint64_t G) const { return SlotContents(*this, G); }
 
-  // Raw column access for the fast evidence sweeps: isolators iterate
+  // Raw column access for the evidence sweeps: isolators iterate
   // these directly instead of taking the per-slot accessor chain
   // (ImageLocation -> globalSlot -> column) for every slot.
   const std::vector<uint8_t> &flagsColumn() const { return Flags; }
@@ -303,8 +262,12 @@ public:
   /// (\p Length must be a multiple of 8).
   void addPatternRun(uint64_t Word, uint32_t Length);
 
-  /// Encodes \p Size raw bytes into runs for the current slot (the
-  /// canonical encoder used by capture and v1 conversion).
+  /// Encodes \p Size raw bytes into runs for the current slot: the
+  /// canonical encoder capture uses.  A pattern run starts wherever two
+  /// adjacent words first match and runs while they repeat; a slot that
+  /// is one repeated word is a single pattern run.  \p Size must be a
+  /// nonzero multiple of 8 (object sizes are powers of two >= 8, and both
+  /// image decoders require it).
   void addSlotBytes(const uint8_t *Data, size_t Size);
 
   /// Reserves column capacity for \p Slots upcoming slots.
@@ -341,12 +304,6 @@ public:
 private:
   friend class SlotContents;
 
-  /// The fast-path half of addSlotBytes (SIMD uniform sweep + vector
-  /// run scans); requires Size >= 8 and Size % 8 == 0.  captureSlotsBulk
-  /// calls it directly so the per-slot mode dispatch disappears from
-  /// the capture inner loop.
-  void addSlotBytesFast(const uint8_t *Data, size_t Size);
-
   std::vector<ImageMiniheapInfo> Miniheaps;
 
   // One entry per slot, all miniheaps concatenated.
@@ -363,10 +320,10 @@ private:
   std::vector<uint8_t> Pool;
 };
 
-/// Captures a heap image from a live DieFast heap.  With a \p Pool, the
-/// fast path captures miniheaps concurrently and stitches the fragments
-/// in deterministic miniheap order — bit-identical to the sequential
-/// capture (pinned by test); the legacy path ignores the pool.
+/// Captures a heap image from a live DieFast heap.  With a \p Pool of
+/// more than one thread, miniheaps are captured concurrently and the
+/// fragments stitched in deterministic miniheap order — bit-identical to
+/// the sequential capture (pinned by test).
 HeapImage captureHeapImage(const DieFastHeap &Heap, Executor *Pool = nullptr);
 
 /// A 64-bit content fingerprint over everything operator== compares.
@@ -396,14 +353,8 @@ public:
 
 private:
   const HeapImage &Image;
-  /// Which index the constructor populated (the evidence_path mode at
-  /// construction time, so a view stays self-consistent even if the
-  /// global toggle flips while it is alive).
-  bool LegacyIndex;
-  /// Fast path: flat open-addressing id index (one probe per lookup).
-  FlatU64Map<ImageLocation> FlatById;
-  /// Legacy path: the pre-PR-4 node-based index.
-  std::unordered_map<uint64_t, ImageLocation> ById;
+  /// Flat open-addressing id index (one probe per lookup).
+  FlatU64Map<ImageLocation> ById;
   /// Miniheap index sorted by base address for binary search.
   std::vector<uint32_t> ByAddress;
 };

@@ -7,8 +7,7 @@
 using namespace exterminator;
 using namespace exterminator::imagedetail;
 
-// Format magics: "XHI1" (legacy array-of-structs) and "XHI2" (columnar).
-static constexpr uint32_t ImageMagicV1 = 0x58484931;
+// Format magic: "XHI2" (columnar).
 static constexpr uint32_t ImageMagicV2 = 0x58484932;
 
 // The slot-record tag constants (VirginRunTag, HasMetaBit, FlagsMask)
@@ -288,106 +287,12 @@ static bool deserializeV2(StreamReader &Reader, HeapImage &Image) {
   if (Reader.readU32() != HeapImageFormatV2)
     return false;
   readImageHeader(Reader, Image);
-  Image.SourceFormatVersion = HeapImageFormatV2;
 
   std::vector<SiteId> SiteTable;
   if (!readSiteTable(Reader, SiteTable))
     return false;
   uint64_t SlotBudget = MaxTotalSlots;
   return readImageBody(Reader, Image, SiteTable, SlotBudget);
-}
-
-//===----------------------------------------------------------------------===//
-// v1 compatibility
-//===----------------------------------------------------------------------===//
-
-std::vector<uint8_t>
-exterminator::serializeHeapImageV1(const HeapImage &Image) {
-  ByteWriter Writer;
-  Writer.writeU32(ImageMagicV1);
-  Writer.writeU64(Image.AllocationTime);
-  Writer.writeU32(Image.CanaryValue);
-  Writer.writeF64(Image.CanaryFillProbability);
-  Writer.writeF64(Image.Multiplier);
-  Writer.writeU64(Image.HeapSeed);
-  Writer.writeU64(Image.miniheapCount());
-  for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
-    const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
-    Writer.writeU32(Mini.SizeClassIndex);
-    Writer.writeU64(Mini.ObjectSize);
-    Writer.writeU64(Mini.BaseAddress);
-    Writer.writeU64(Mini.CreationTime);
-    Writer.writeU64(Mini.NumSlots);
-    for (uint32_t S = 0; S < Mini.NumSlots; ++S) {
-      const ImageLocation Loc{M, S};
-      const uint8_t Flags = Image.slotFlags(Loc);
-      uint8_t V1Flags = (Flags & SlotFlagAllocated ? 1 : 0) |
-                        (Flags & SlotFlagBad ? 2 : 0) |
-                        (Flags & SlotFlagCanaried ? 4 : 0);
-      Writer.writeU8(V1Flags);
-      Writer.writeU64(Image.objectId(Loc));
-      Writer.writeU64(Image.allocTime(Loc)); // v1 stored the pair
-      Writer.writeU64(Image.freeTime(Loc));
-      Writer.writeU32(Image.allocSite(Loc));
-      Writer.writeU32(Image.freeSite(Loc));
-      Writer.writeU32(Image.requestedSize(Loc));
-      Writer.writeBlob(Image.contents(Loc).decode());
-    }
-  }
-  return Writer.buffer();
-}
-
-static bool deserializeV1(StreamReader &Reader, HeapImage &Image) {
-  Image.AllocationTime = Reader.readU64();
-  Image.CanaryValue = Reader.readU32();
-  Image.CanaryFillProbability = Reader.readF64();
-  Image.Multiplier = Reader.readF64();
-  Image.HeapSeed = Reader.readU64();
-  Image.SourceFormatVersion = HeapImageFormatV1;
-  const uint64_t NumMiniheaps = Reader.readU64();
-  if (Reader.failed() || NumMiniheaps > MaxMiniheaps)
-    return false;
-
-  std::vector<uint8_t> Contents;
-  for (uint64_t M = 0; M < NumMiniheaps; ++M) {
-    const uint32_t SizeClassIndex = Reader.readU32();
-    const uint64_t ObjectSize = Reader.readU64();
-    const uint64_t BaseAddress = Reader.readU64();
-    const uint64_t CreationTime = Reader.readU64();
-    const uint64_t NumSlots = Reader.readU64();
-    // Same shape rules as v2 (including ObjectSize % 8: real captures
-    // are power-of-two sized), so a loaded v1 image always re-saves as
-    // a loadable v2 file.
-    if (Reader.failed() || NumSlots > MaxSlotsPerMiniheap ||
-        Image.totalSlots() + NumSlots > MaxTotalSlots || ObjectSize == 0 ||
-        ObjectSize > MaxObjectSizeBound || ObjectSize % 8 != 0)
-      return false;
-    Image.beginMiniheap(SizeClassIndex, ObjectSize, BaseAddress,
-                        CreationTime);
-    Image.reserveSlots(std::min(NumSlots, ReserveCap));
-    for (uint64_t S = 0; S < NumSlots; ++S) {
-      const uint8_t V1Flags = Reader.readU8();
-      const uint8_t Flags = (V1Flags & 1 ? SlotFlagAllocated : 0) |
-                            (V1Flags & 2 ? SlotFlagBad : 0) |
-                            (V1Flags & 4 ? SlotFlagCanaried : 0);
-      const uint64_t ObjectId = Reader.readU64();
-      Reader.readU64(); // AllocTime: redundant with ObjectId, dropped.
-      const uint64_t FreeTime = Reader.readU64();
-      const SiteId AllocSite = Reader.readU32();
-      const SiteId FreeSite = Reader.readU32();
-      const uint32_t RequestedSize = Reader.readU32();
-      const uint64_t ContentsSize = Reader.readU64();
-      if (Reader.failed() || ContentsSize != ObjectSize)
-        return false;
-      Contents.resize(ContentsSize);
-      if (!Reader.readBytes(Contents.data(), ContentsSize))
-        return false;
-      Image.addSlot(Flags, ObjectId, FreeTime, AllocSite, FreeSite,
-                    RequestedSize);
-      Image.addSlotBytes(Contents.data(), Contents.size());
-    }
-  }
-  return !Reader.failed();
 }
 
 //===----------------------------------------------------------------------===//
@@ -401,11 +306,9 @@ bool exterminator::deserializeHeapImage(ByteSource &Source,
   if (Reader.failed())
     return false;
   ImageOut = HeapImage();
-  if (Magic == ImageMagicV2)
-    return deserializeV2(Reader, ImageOut);
-  if (Magic == ImageMagicV1)
-    return deserializeV1(Reader, ImageOut);
-  return false;
+  if (Magic != ImageMagicV2)
+    return false;
+  return deserializeV2(Reader, ImageOut);
 }
 
 bool exterminator::deserializeHeapImage(const std::vector<uint8_t> &Buffer,

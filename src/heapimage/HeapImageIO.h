@@ -9,18 +9,12 @@
 /// image per run on disk and post-processes them; this module is that disk
 /// format.
 ///
-/// Two wire formats exist:
-///
-///  * v1 ("XHI1") — the original eager array-of-structs layout: full
-///    per-slot metadata plus a length-prefixed blob of every slot's raw
-///    contents.  Still *loaded* for compatibility; serializeHeapImageV1
-///    is retained so tests and benchmarks can measure against it.
-///  * v2 ("XHI2") — the columnar layout: an explicit version header,
-///    varint-packed metadata (virgin slots collapse to region runs), and
-///    run-length-encoded contents.  Writes stream through a ByteSink, so
-///    saving never materializes a second copy of the image.
-///
-/// deserializeHeapImage dispatches on the magic, so readers accept both.
+/// The format ("XHI2", version 2) is columnar: an explicit version
+/// header, varint-packed metadata (virgin slots collapse to region runs),
+/// and run-length-encoded contents.  Writes stream through a ByteSink, so
+/// saving never materializes a second copy of the image.  Readers refuse
+/// any other magic or version, the array-of-structs "XHI1" layout
+/// included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +30,8 @@
 
 namespace exterminator {
 
-/// Wire format versions (HeapImage::SourceFormatVersion after a load).
-inline constexpr uint32_t HeapImageFormatV1 = 1;
+/// The image format version written after the magic (and the only one
+/// read).
 inline constexpr uint32_t HeapImageFormatV2 = 2;
 
 /// Encodes \p Image into a self-describing v2 byte buffer.
@@ -47,25 +41,21 @@ std::vector<uint8_t> serializeHeapImage(const HeapImage &Image);
 /// failure.
 bool serializeHeapImage(const HeapImage &Image, ByteSink &Sink);
 
-/// Encodes \p Image in the legacy v1 format (compat tests, size
-/// comparisons).
-std::vector<uint8_t> serializeHeapImageV1(const HeapImage &Image);
-
-/// Decodes an image of either format version; returns false (leaving
-/// \p ImageOut unspecified) on a malformed buffer.
+/// Decodes a v2 image; returns false (leaving \p ImageOut unspecified)
+/// on a malformed buffer or any other format.
 bool deserializeHeapImage(const std::vector<uint8_t> &Buffer,
                           HeapImage &ImageOut);
 
-/// Streaming decode of either format version.  Does not check for
-/// trailing bytes — callers owning the stream decide what follows.
+/// Streaming decode of a v2 image.  Does not check for trailing bytes —
+/// callers owning the stream decide what follows.
 bool deserializeHeapImage(ByteSource &Source, HeapImage &ImageOut);
 
 /// Saves \p Image (v2, streamed) to \p Path; returns false on I/O
 /// failure.
 bool saveHeapImage(const HeapImage &Image, const std::string &Path);
 
-/// Loads an image of either format from \p Path; returns false on I/O or
-/// format failure (including trailing garbage).
+/// Loads a v2 image from \p Path; returns false on I/O or format failure
+/// (including trailing garbage).
 bool loadHeapImage(const std::string &Path, HeapImage &ImageOut);
 
 } // namespace exterminator

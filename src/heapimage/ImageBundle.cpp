@@ -72,7 +72,6 @@ static bool deserializeBundleBody(StreamReader &Reader,
   for (uint64_t I = 0; I < NumImages; ++I) {
     HeapImage Image;
     readImageHeader(Reader, Image);
-    Image.SourceFormatVersion = HeapImageFormatV2;
     if (Reader.failed())
       return false;
     // One budget across all images: N forged maximal images cannot

@@ -25,60 +25,31 @@ std::vector<CorruptionRegion> EvidenceCollector::collectCanaryEvidence(
   std::vector<CorruptionRegion> Evidence;
   std::vector<uint8_t> Scratch;
 
-  if (!evidence_path::isLegacy()) {
-    // Fast path: iterate the flag and id columns directly — one byte
-    // load per slot decides inspectability, with none of the per-slot
-    // ImageLocation -> globalSlot accessor chain.
-    const uint8_t *Flags = Image.flagsColumn().data();
-    const uint64_t *Ids = Image.objectIdColumn().data();
-    for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
-      const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
-      for (uint64_t G = Mini.FirstSlot, S = 0; S < Mini.NumSlots; ++G, ++S) {
-        const uint8_t F = Flags[G];
-        if (!(F & SlotFlagCanaried) ||
-            ((F & SlotFlagAllocated) && !(F & SlotFlagBad)))
-          continue;
-        if (!Excluded.empty() && Excluded.count(Ids[G]))
-          continue;
-        const SlotContents Contents = Image.contentsAt(G);
-        std::optional<CorruptionExtent> Extent =
-            Contents.findCorruption(HeapCanary);
-        if (!Extent)
-          continue;
-        CorruptionRegion Region;
-        Region.ImageIndex = ImageIndex;
-        Region.Victim = ImageLocation{M, static_cast<uint32_t>(S)};
-        Region.BeginAddress = Mini.slotAddress(S) + Extent->Begin;
-        Region.EndAddress = Mini.slotAddress(S) + Extent->End;
-        const uint8_t *Bytes = Contents.bytes(Scratch);
-        Region.Bytes.assign(Bytes + Extent->Begin, Bytes + Extent->End);
-        Evidence.push_back(std::move(Region));
-      }
-    }
-    return Evidence;
-  }
-
+  // Iterate the flag and id columns directly: one byte load per slot
+  // decides inspectability, with none of the per-slot ImageLocation ->
+  // globalSlot accessor chain.
+  const uint8_t *Flags = Image.flagsColumn().data();
+  const uint64_t *Ids = Image.objectIdColumn().data();
   for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
     const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
-    for (uint32_t S = 0; S < Mini.NumSlots; ++S) {
-      const ImageLocation Loc{M, S};
-      const uint8_t Flags = Image.slotFlags(Loc);
+    for (uint64_t G = Mini.FirstSlot, S = 0; S < Mini.NumSlots; ++G, ++S) {
       // Canary checks apply to canaried slots that are free, or that
       // DieFast quarantined after finding them corrupted (still holding
       // their canary-era contents).
-      if (!(Flags & SlotFlagCanaried) ||
-          ((Flags & SlotFlagAllocated) && !(Flags & SlotFlagBad)))
+      const uint8_t F = Flags[G];
+      if (!(F & SlotFlagCanaried) ||
+          ((F & SlotFlagAllocated) && !(F & SlotFlagBad)))
         continue;
-      if (Excluded.count(Image.objectId(Loc)))
+      if (!Excluded.empty() && Excluded.count(Ids[G]))
         continue;
-      const SlotContents Contents = Image.contents(Loc);
+      const SlotContents Contents = Image.contentsAt(G);
       std::optional<CorruptionExtent> Extent =
           Contents.findCorruption(HeapCanary);
       if (!Extent)
         continue;
       CorruptionRegion Region;
       Region.ImageIndex = ImageIndex;
-      Region.Victim = Loc;
+      Region.Victim = ImageLocation{M, static_cast<uint32_t>(S)};
       Region.BeginAddress = Mini.slotAddress(S) + Extent->Begin;
       Region.EndAddress = Mini.slotAddress(S) + Extent->End;
       const uint8_t *Bytes = Contents.bytes(Scratch);
@@ -250,8 +221,7 @@ void EvidenceCollector::diffLiveObject(
 
 std::vector<std::vector<CorruptionRegion>> EvidenceCollector::collectAllEvidence(
     const std::vector<uint64_t> &ExcludeIds) const {
-  const bool Parallel =
-      Pool && Pool->threadCount() > 1 && !evidence_path::isLegacy();
+  const bool Parallel = Pool && Pool->threadCount() > 1;
 
   // Canary sweeps are independent per image (per-index result slots).
   std::vector<std::vector<CorruptionRegion>> ByImage(Views.size());

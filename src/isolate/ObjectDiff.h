@@ -79,9 +79,9 @@ class Executor;
 /// program execution (iterative or replicated mode).
 class EvidenceCollector {
 public:
-  /// \p Views must outlive the collector.  With a \p Pool (and the fast
-  /// evidence path active), collectAllEvidence fans the per-image canary
-  /// sweeps and the per-miniheap live-object diffs across the pool;
+  /// \p Views must outlive the collector.  With a \p Pool,
+  /// collectAllEvidence fans the per-image canary sweeps and the
+  /// per-miniheap live-object diffs across the pool;
   /// results land in per-index slots and merge in deterministic order,
   /// so the evidence is identical to a sequential collection.
   explicit EvidenceCollector(const std::vector<HeapImageView> &Views,

@@ -3,8 +3,6 @@
 #include "isolate/OverflowIsolator.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
 using namespace exterminator;
 
@@ -26,7 +24,7 @@ struct RelativeRegion {
 };
 
 /// One observed byte at one culprit-relative offset in one image — a
-/// row of the fast path's flat agreement table.
+/// row of the flat agreement table.
 struct Observation {
   int64_t Offset;
   uint32_t ImageIndex;
@@ -35,45 +33,13 @@ struct Observation {
 
 } // namespace
 
-std::vector<uint64_t> OverflowIsolator::candidatesLegacy(
+std::vector<uint64_t> OverflowIsolator::candidates(
     const std::vector<std::vector<CorruptionRegion>> &ByImage) const {
-  // Enumerate candidate culprits: for each victim region, every object at
-  // a lower address in the same miniheap could be a forward-overflow
-  // source; with the backward extension, objects at higher addresses are
-  // candidates too.
-  std::unordered_map<uint64_t, bool> CandidateIds;
-  for (uint32_t I = 0; I < ByImage.size(); ++I) {
-    const HeapImage &Image = Views[I].image();
-    for (const CorruptionRegion &Region : ByImage[I]) {
-      const ImageMiniheapInfo &Mini =
-          Image.miniheapInfo(Region.Victim.MiniheapIndex);
-      const uint32_t Limit = Config.DetectBackwardOverflows
-                                 ? static_cast<uint32_t>(Mini.NumSlots)
-                                 : Region.Victim.SlotIndex;
-      for (uint32_t C = 0; C < Limit; ++C) {
-        if (C == Region.Victim.SlotIndex)
-          continue;
-        const uint64_t Id =
-            Image.objectId(ImageLocation{Region.Victim.MiniheapIndex, C});
-        if (Id != 0)
-          CandidateIds.emplace(Id, true);
-      }
-    }
-  }
-  std::vector<uint64_t> Candidates;
-  Candidates.reserve(CandidateIds.size());
-  for (const auto &[Id, Unused] : CandidateIds) {
-    (void)Unused;
-    Candidates.push_back(Id);
-  }
-  return Candidates;
-}
-
-std::vector<uint64_t> OverflowIsolator::candidatesFast(
-    const std::vector<std::vector<CorruptionRegion>> &ByImage) const {
-  // Same candidate set as the legacy enumeration, but victim regions
-  // are first grouped by (image, miniheap) so each miniheap's id column
-  // is swept exactly once instead of once per region.
+  // For each victim region, every object at a lower address in the same
+  // miniheap could be a forward-overflow source; with the backward
+  // extension, objects at higher addresses are candidates too.  Victim
+  // regions are grouped by (image, miniheap) so each miniheap's id
+  // column is swept once, not once per region.
   struct VictimGroup {
     uint32_t Image;
     uint32_t Mini;
@@ -106,9 +72,9 @@ std::vector<uint64_t> OverflowIsolator::candidatesFast(
         std::unique(Group.Victims.begin(), Group.Victims.end()),
         Group.Victims.end());
     if (Config.DetectBackwardOverflows) {
-      // Per region, legacy admits every slot but that region's victim;
-      // the union over a group therefore excludes a slot only when it
-      // is the group's sole victim.
+      // Each region admits every slot but its own victim; the union over
+      // a group therefore excludes a slot only when it is the group's
+      // sole victim.
       const bool SingleVictim = Group.Victims.size() == 1;
       for (uint32_t C = 0; C < Mini.NumSlots; ++C) {
         if (SingleVictim && C == Group.Victims.front())
@@ -117,8 +83,8 @@ std::vector<uint64_t> OverflowIsolator::candidatesFast(
           Candidates.push_back(Ids[C]);
       }
     } else {
-      // Forward-only legacy admits C < victim slot; the union over the
-      // group is C < its highest victim slot.
+      // Forward-only, each region admits C < its victim slot; the union
+      // over the group is C < its highest victim slot.
       const uint32_t Limit = Group.Victims.back();
       for (uint32_t C = 0; C < Limit; ++C)
         if (Ids[C] != 0)
@@ -159,13 +125,10 @@ std::vector<OverflowCandidate> OverflowIsolator::isolateFromEvidence(
     const std::vector<std::vector<CorruptionRegion>> &ByImage) const {
   std::vector<OverflowCandidate> Result;
 
-  const std::vector<uint64_t> CandidateIds =
-      evidence_path::isLegacy() ? candidatesLegacy(ByImage)
-                                : candidatesFast(ByImage);
+  const std::vector<uint64_t> CandidateIds = candidates(ByImage);
 
   // Hoisted scratch: the candidate loop reuses these instead of paying
-  // an allocation per candidate (the fast path's flat offset table
-  // replaces the per-offset node-and-vector std::map as well).
+  // an allocation per candidate.
   std::vector<ImageLocation> Locations(Views.size());
   std::vector<Observation> Observations;
   std::vector<RelativeRegion> Relative;
@@ -249,60 +212,28 @@ std::vector<OverflowCandidate> OverflowIsolator::isolateFromEvidence(
       }
     };
 
-    if (evidence_path::isLegacy()) {
-      // Pre-PR-4 structure, verbatim: one red-black-tree node (and one
-      // vector) per distinct offset, scored in place.
-      std::map<int64_t, std::vector<std::pair<uint32_t, uint8_t>>> ByOffset;
-      for (const RelativeRegion &Rel : Relative)
-        for (int64_t Offset = Rel.BeginOffset; Offset < Rel.EndOffset;
-             ++Offset)
-          ByOffset[Offset].emplace_back(
-              Rel.ImageIndex,
-              (*Rel.Bytes)[static_cast<size_t>(Offset - Rel.BeginOffset)]);
-      for (const auto &[Offset, Entries] : ByOffset) {
-        for (size_t A = 0; A < Entries.size(); ++A) {
-          bool Agrees = false;
-          for (size_t B = 0; B < Entries.size(); ++B)
-            if (B != A && Entries[B].first != Entries[A].first &&
-                Entries[B].second == Entries[A].second) {
-              Agrees = true;
-              break;
-            }
-          if (Agrees) {
-            ++EvidenceBytes;
-            ImageConfirmed[Entries[A].first] = 1;
-            if (Offset >= 0)
-              MaxEndOffset = std::max(MaxEndOffset, Offset + 1);
-            else
-              MinBeginOffset = std::min(MinBeginOffset, Offset);
-          }
-        }
-      }
-    } else {
-      // Fast path: one flat, reused observation table, sorted by offset
-      // and scored per group — no per-offset allocations.  Agreement is
-      // order-independent within a group, so the sort only needs the
-      // offset key.
-      Observations.clear();
-      for (const RelativeRegion &Rel : Relative)
-        for (int64_t Offset = Rel.BeginOffset; Offset < Rel.EndOffset;
-             ++Offset)
-          Observations.push_back(Observation{
-              Offset, Rel.ImageIndex,
-              (*Rel.Bytes)[static_cast<size_t>(Offset - Rel.BeginOffset)]});
-      std::sort(Observations.begin(), Observations.end(),
-                [](const Observation &A, const Observation &B) {
-                  return A.Offset < B.Offset;
-                });
-      for (size_t Begin = 0; Begin < Observations.size();) {
-        size_t End = Begin + 1;
-        while (End < Observations.size() &&
-               Observations[End].Offset == Observations[Begin].Offset)
-          ++End;
-        ScoreGroup(Observations.data() + Begin, End - Begin,
-                   Observations[Begin].Offset);
-        Begin = End;
-      }
+    // One flat, reused observation table, sorted by offset and scored
+    // per group — no per-offset allocations.  Agreement is
+    // order-independent within a group, so the sort only needs the
+    // offset key.
+    Observations.clear();
+    for (const RelativeRegion &Rel : Relative)
+      for (int64_t Offset = Rel.BeginOffset; Offset < Rel.EndOffset; ++Offset)
+        Observations.push_back(Observation{
+            Offset, Rel.ImageIndex,
+            (*Rel.Bytes)[static_cast<size_t>(Offset - Rel.BeginOffset)]});
+    std::sort(Observations.begin(), Observations.end(),
+              [](const Observation &A, const Observation &B) {
+                return A.Offset < B.Offset;
+              });
+    for (size_t Begin = 0; Begin < Observations.size();) {
+      size_t End = Begin + 1;
+      while (End < Observations.size() &&
+             Observations[End].Offset == Observations[Begin].Offset)
+        ++End;
+      ScoreGroup(Observations.data() + Begin, End - Begin,
+                 Observations[Begin].Offset);
+      Begin = End;
     }
 
     uint32_t Confirmations = 0;

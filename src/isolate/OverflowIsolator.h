@@ -103,15 +103,10 @@ private:
   std::vector<OverflowCandidate> isolateFromEvidence(
       const std::vector<std::vector<CorruptionRegion>> &ByImage) const;
 
-  /// Candidate-culprit enumeration, pre-PR-4 shape: every region
-  /// re-scans its victim's whole miniheap into a node-based dedup map.
-  std::vector<uint64_t> candidatesLegacy(
-      const std::vector<std::vector<CorruptionRegion>> &ByImage) const;
-
-  /// Fast enumeration: victim regions grouped by (image, miniheap) so
-  /// each miniheap's id column is scanned exactly once; produces the
-  /// same candidate *set* (pinned by the fast/legacy equivalence test).
-  std::vector<uint64_t> candidatesFast(
+  /// Candidate-culprit enumeration: the sorted ids of every object that
+  /// shares a miniheap with some victim region.  Victim regions are
+  /// grouped by (image, miniheap) so each id column is scanned once.
+  std::vector<uint64_t> candidates(
       const std::vector<std::vector<CorruptionRegion>> &ByImage) const;
 
   const std::vector<HeapImageView> &Views;

@@ -23,9 +23,8 @@
 ///  * Entries are published value-then-page: the writer stores Value
 ///    first, then Page with release.  A reader that acquire-loads a
 ///    matching Page therefore always reads the entry's final Value.
-///    Entries are never deleted and a page's value is overwritten only to
-///    widen it to a sentinel, so a reader can never observe a key that
-///    later means something narrower.
+///    Entries are never deleted or rewritten, so a key means the same
+///    thing for as long as the table lives.
 ///
 ///  * Growth republishes instead of rehashing in place: a doubled table
 ///    is filled privately, then swung in with one release store of the
@@ -78,7 +77,7 @@ public:
   size_t size() const { return Count; }
 
   /// Returns the id stored for \p Page, or NotFound.  Lock-free: safe
-  /// concurrently with emplace/overwrite on another thread, for pages
+  /// concurrently with emplace on another thread, for pages
   /// whose registration happened-before this call (see file comment).
   /// Page 0 (null and near-null addresses) is never stored, so it misses
   /// immediately.
@@ -99,9 +98,8 @@ public:
   }
 
   /// Inserts \p Page -> \p Value if absent.  Returns the stored value
-  /// (existing or fresh) plus whether an insert happened, so callers can
-  /// detect and widen an existing mapping (overwrite).  Writer-side:
-  /// callers serialize all emplace/overwrite calls externally.
+  /// (existing or fresh) plus whether an insert happened.  Writer-side:
+  /// callers serialize all emplace calls externally.
   std::pair<uint32_t, bool> emplace(uintptr_t Page, uint32_t Value) {
     assert(Page != 0 && "page 0 is the empty sentinel");
     Table *T = Current.load(std::memory_order_relaxed);
@@ -120,25 +118,6 @@ public:
         E.Page.store(Page, std::memory_order_release);
         ++Count;
         return {Value, true};
-      }
-      Index = (Index + 1) & (T->Capacity - 1);
-    }
-  }
-
-  /// Replaces the value stored for \p Page, which must be present.
-  /// Intended for widening a mapping to a sentinel (e.g. marking a page
-  /// ambiguous); concurrent readers observe either the old or the new
-  /// value.
-  void overwrite(uintptr_t Page, uint32_t Value) {
-    Table *T = Current.load(std::memory_order_relaxed);
-    size_t Index = T->indexFor(Page);
-    for (;;) {
-      Entry &E = T->Slots[Index];
-      const uintptr_t Key = E.Page.load(std::memory_order_relaxed);
-      assert(Key != 0 && "overwrite of a page that was never inserted");
-      if (Key == Page) {
-        E.Value.store(Value, std::memory_order_release);
-        return;
       }
       Index = (Index + 1) & (T->Capacity - 1);
     }

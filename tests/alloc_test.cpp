@@ -9,6 +9,8 @@
 #include "runtime/ConcurrentStress.h"
 #include "support/RandomGenerator.h"
 
+#include "GoldenDigest.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -244,32 +246,40 @@ TEST(DieHardHeap, FindObjectRejectsGuardRegionAddresses) {
   EXPECT_TRUE(Heap.findObject(End - 1).has_value());
 }
 
-TEST(DieHardHeap, FastAndLegacyLookupAgree) {
-  // The page directory and the sorted-range fallback are two indexes of
-  // the same slabs; they must agree on every probe, hits and misses.
-  DieHardConfig Fast = testConfig();
-  DieHardConfig Legacy = testConfig();
-  Legacy.LegacyHotPath = true;
-  DieHardHeap A(Fast), B(Legacy);
-  std::vector<void *> FromA, FromB;
-  for (int I = 0; I < 300; ++I) {
-    const size_t Size = 8u << (I % 5);
-    FromA.push_back(A.allocate(Size));
-    FromB.push_back(B.allocate(Size));
-  }
-  for (size_t I = 0; I < FromA.size(); ++I) {
-    // Same seed, same stream: the two heaps place identically, so slots
-    // found by each lookup must match ref-for-ref.
-    auto Ra = A.findObject(FromA[I]);
-    auto Rb = B.findObject(FromB[I]);
-    ASSERT_TRUE(Ra.has_value());
-    ASSERT_TRUE(Rb.has_value());
-    EXPECT_EQ(*Ra, *Rb);
-    // Interior and guard probes agree between the two index structures.
-    auto Ia = A.findObject(static_cast<uint8_t *>(FromA[I]) + 3);
-    ASSERT_TRUE(Ia.has_value());
-    EXPECT_EQ(*Ia, *Ra);
-  }
+TEST(DieHardHeap, LookupResolvesEverySlotAcrossSlabs) {
+  // Grow several size classes over many miniheaps (including slots that
+  // span pages), then probe every slot: its first, an interior and its
+  // last byte resolve to that slot through both lookups, and the guard
+  // bytes flanking every slab resolve to nothing.
+  DieHardHeap Heap(testConfig(3));
+  for (int I = 0; I < 3000; ++I)
+    ASSERT_NE(Heap.allocate(I % 50 == 0 ? 8192 : 8u << (I % 5)), nullptr);
+  size_t Slabs = 0;
+  Heap.forEachMiniheap([&](unsigned C, unsigned H, const Miniheap &Mini) {
+    ++Slabs;
+    const size_t Size = Mini.objectSize();
+    for (size_t S = 0; S < Mini.numSlots(); ++S) {
+      const uint8_t *Slot = Mini.slotPointer(S);
+      const ObjectRef Want{C, H, S};
+      for (const uint8_t *Probe : {Slot, Slot + Size / 2 + 1, Slot + Size - 1}) {
+        const std::optional<ObjectRef> Found = Heap.findObject(Probe);
+        ASSERT_TRUE(Found.has_value()) << "class " << C << " heap " << H;
+        EXPECT_EQ(*Found, Want);
+        const auto Resolved = Heap.resolvePointer(Probe);
+        ASSERT_TRUE(Resolved.has_value());
+        EXPECT_EQ(Resolved->Ref, Want);
+        EXPECT_EQ(Resolved->Heap, &Mini);
+        EXPECT_EQ(Resolved->SlotStart, Slot);
+      }
+    }
+    const uint8_t *Begin = Mini.base();
+    const uint8_t *End = Begin + Mini.numSlots() * Size;
+    for (const uint8_t *Guard : {Begin - 4096, Begin - 1, End, End + 4095}) {
+      EXPECT_FALSE(Heap.findObject(Guard).has_value());
+      EXPECT_FALSE(Heap.resolvePointer(Guard).has_value());
+    }
+  });
+  EXPECT_GE(Slabs, 30u);
 }
 
 TEST(DieHardHeap, PlacementIsUniformAcrossSlots) {
@@ -344,20 +354,21 @@ TEST(DieHardHeap, PlacementIsUniformAcrossMiniheaps) {
   EXPECT_LT(Chi2, Df + 6.0 * std::sqrt(2.0 * Df));
 }
 
-TEST(DieHardHeap, FastAndLegacyPlacementSequencesMatch) {
-  // Same seed, same draw stream: the offset-table resolve must pick the
-  // exact slot the legacy linear walk picked, allocation for allocation.
-  DieHardConfig Fast = testConfig(7);
-  DieHardConfig Legacy = testConfig(7);
-  Legacy.LegacyHotPath = true;
-  DieHardHeap A(Fast), B(Legacy);
+TEST(DieHardHeap, PlacementSequenceMatchesGoldenDigest) {
+  // The (class, miniheap, slot) sequence of 2,000 seeded allocations,
+  // hashed: any change to the draw stream, the offset-table resolve, or
+  // growth shows up here.
+  DieHardHeap Heap(testConfig(7));
+  testing_support::Fnv1a Digest;
   for (int I = 0; I < 2000; ++I) {
-    ObjectRef Ra, Rb;
+    ObjectRef Ref;
     const size_t Size = 8u << (I % 4);
-    ASSERT_NE(A.allocateWithRef(Size, Ra), nullptr);
-    ASSERT_NE(B.allocateWithRef(Size, Rb), nullptr);
-    ASSERT_EQ(Ra, Rb) << "placement diverged at allocation " << I;
+    ASSERT_NE(Heap.allocateWithRef(Size, Ref), nullptr);
+    Digest.u64(Ref.ClassIndex);
+    Digest.u64(Ref.HeapIndex);
+    Digest.u64(Ref.SlotIndex);
   }
+  EXPECT_EQ(Digest.value(), 0xa83fdf224ce96686ull);
 }
 
 TEST(DieHardHeap, MultiplierKeepsHeapUnderOccupied) {

@@ -3,15 +3,12 @@
 // The pipeline is the single ingestion point for diagnosis evidence:
 // image sets (§4 isolation) and run summaries (§5 classification) both
 // land in one active patch set.  These tests pin the ingestion flow,
-// the fallback-image behavior, the §6.2 deferral doubling, and the
-// acceptance criterion that v1- and v2-loaded images diagnose
-// identically through the pipeline.
+// the fallback-image behavior, and the §6.2 deferral doubling.
 //
 //===----------------------------------------------------------------------===//
 
 #include "diagnose/DiagnosisPipeline.h"
 
-#include "heapimage/HeapImageIO.h"
 #include "TestHelpers.h"
 #include "workload/ScriptedBugs.h"
 
@@ -109,58 +106,6 @@ TEST(DiagnosisPipeline, FewerThanTwoImagesYieldNothing) {
   const auto One = imagesFromTrace(overflowTrace(6), 1);
   EXPECT_TRUE(Pipeline.submitImages({One, {}}).Patches.empty());
   EXPECT_TRUE(Pipeline.patches().empty());
-}
-
-//===----------------------------------------------------------------------===//
-// v1/v2 equivalence through the pipeline (acceptance pin)
-//===----------------------------------------------------------------------===//
-
-TEST(DiagnosisPipeline, V1AndV2ImagesDiagnoseIdentically) {
-  for (uint32_t OverflowBytes : {6u, 20u}) {
-    const auto Captured = imagesFromTrace(overflowTrace(OverflowBytes), 3);
-
-    std::vector<HeapImage> FromV1, FromV2;
-    for (const HeapImage &Image : Captured) {
-      HeapImage V1, V2;
-      ASSERT_TRUE(deserializeHeapImage(serializeHeapImageV1(Image), V1));
-      ASSERT_TRUE(deserializeHeapImage(serializeHeapImage(Image), V2));
-      FromV1.push_back(std::move(V1));
-      FromV2.push_back(std::move(V2));
-    }
-
-    DiagnosisPipeline PipeV1, PipeV2;
-    const IsolationResult A = PipeV1.submitImages({FromV1, {}});
-    const IsolationResult B = PipeV2.submitImages({FromV2, {}});
-
-    ASSERT_FALSE(A.Overflows.empty());
-    ASSERT_EQ(A.Overflows.size(), B.Overflows.size());
-    for (size_t I = 0; I < A.Overflows.size(); ++I) {
-      EXPECT_EQ(A.Overflows[I].CulpritObjectId,
-                B.Overflows[I].CulpritObjectId);
-      EXPECT_EQ(A.Overflows[I].PadBytes, B.Overflows[I].PadBytes);
-      EXPECT_EQ(A.Overflows[I].EvidenceBytes, B.Overflows[I].EvidenceBytes);
-      EXPECT_DOUBLE_EQ(A.Overflows[I].Score, B.Overflows[I].Score);
-    }
-    EXPECT_TRUE(PipeV1.patches() == PipeV2.patches());
-  }
-}
-
-TEST(DiagnosisPipeline, SummariesFromV1AndV2ImagesAgree) {
-  // Cumulative isolation consumes summaries; a summary computed from a
-  // v1-loaded image must equal one from the v2 round-trip.
-  const auto Images = imagesFromTrace(danglingTrace(), 2);
-  DiagnosisPipeline Pipeline;
-  for (const HeapImage &Image : Images) {
-    HeapImage V1, V2;
-    ASSERT_TRUE(deserializeHeapImage(serializeHeapImageV1(Image), V1));
-    ASSERT_TRUE(deserializeHeapImage(serializeHeapImage(Image), V2));
-    const RunSummary A = Pipeline.summarize(V1, /*Failed=*/true);
-    const RunSummary B = Pipeline.summarize(V2, /*Failed=*/true);
-    EXPECT_EQ(A.CorruptionObserved, B.CorruptionObserved);
-    EXPECT_EQ(A.EndTime, B.EndTime);
-    EXPECT_EQ(A.OverflowTrials, B.OverflowTrials);
-    EXPECT_EQ(A.DanglingTrials, B.DanglingTrials);
-  }
 }
 
 //===----------------------------------------------------------------------===//

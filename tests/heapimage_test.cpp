@@ -1,9 +1,9 @@
 //===- tests/heapimage_test.cpp - Heap image tests ----------------------------===//
 //
 // Covers the columnar format-v2 heap image: capture, run-encoded
-// contents, the HeapImageView lookups, v2 round-trips, v1 compatibility
-// (load + equivalence with v2), malformed-input rejection, and the
-// image-size reduction the columnar layout exists for.
+// contents, the HeapImageView lookups, v2 round-trips, refusal of the
+// removed v1 layout and of malformed input, and the image-size reduction
+// the columnar layout exists for.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 
 using namespace exterminator;
@@ -83,7 +84,6 @@ TEST(HeapImage, CaptureRecordsClockAndCanary) {
   EXPECT_EQ(Image.CanaryValue, F.Heap.canary().value());
   EXPECT_DOUBLE_EQ(Image.CanaryFillProbability, 1.0);
   EXPECT_DOUBLE_EQ(Image.Multiplier, 2.0);
-  EXPECT_EQ(Image.SourceFormatVersion, HeapImageFormatV2);
 }
 
 TEST(HeapImage, CaptureReflectsSlotStates) {
@@ -254,7 +254,6 @@ TEST(HeapImageIO, V2SerializeDeserializeRoundTrip) {
   const std::vector<uint8_t> Bytes = serializeHeapImage(Image);
   HeapImage Back;
   ASSERT_TRUE(deserializeHeapImage(Bytes, Back));
-  EXPECT_EQ(Back.SourceFormatVersion, HeapImageFormatV2);
   EXPECT_TRUE(Back == Image);
 }
 
@@ -269,31 +268,79 @@ TEST(HeapImageIO, V2RoundTripOnRandomizedImages) {
 }
 
 //===----------------------------------------------------------------------===//
-// v1 compatibility
+// The removed v1 layout
 //===----------------------------------------------------------------------===//
 
-TEST(HeapImageIO, V1ImagesStillLoad) {
-  Fixture F;
-  const HeapImage Image = captureHeapImage(F.Heap);
-  const std::vector<uint8_t> V1Bytes = serializeHeapImageV1(Image);
-  HeapImage Back;
-  ASSERT_TRUE(deserializeHeapImage(V1Bytes, Back));
-  EXPECT_EQ(Back.SourceFormatVersion, HeapImageFormatV1);
-  EXPECT_TRUE(Back == Image);
+namespace {
+
+/// Encodes \p Image in the original array-of-structs "XHI1" layout,
+/// which readers no longer accept: a 48-byte header, 36 bytes per
+/// miniheap, and 45 bytes of metadata plus the raw contents per slot.
+std::vector<uint8_t> v1Layout(const HeapImage &Image) {
+  ByteWriter Writer;
+  Writer.writeU32(0x58484931); // "XHI1"
+  Writer.writeU64(Image.AllocationTime);
+  Writer.writeU32(Image.CanaryValue);
+  Writer.writeF64(Image.CanaryFillProbability);
+  Writer.writeF64(Image.Multiplier);
+  Writer.writeU64(Image.HeapSeed);
+  Writer.writeU64(Image.miniheapCount());
+  for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
+    const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
+    Writer.writeU32(Mini.SizeClassIndex);
+    Writer.writeU64(Mini.ObjectSize);
+    Writer.writeU64(Mini.BaseAddress);
+    Writer.writeU64(Mini.CreationTime);
+    Writer.writeU64(Mini.NumSlots);
+    for (uint32_t S = 0; S < Mini.NumSlots; ++S) {
+      const ImageLocation Loc{M, S};
+      Writer.writeU8(Image.slotFlags(Loc));
+      Writer.writeU64(Image.objectId(Loc));
+      Writer.writeU64(Image.allocTime(Loc));
+      Writer.writeU64(Image.freeTime(Loc));
+      Writer.writeU32(Image.allocSite(Loc));
+      Writer.writeU32(Image.freeSite(Loc));
+      Writer.writeU32(Image.requestedSize(Loc));
+      Writer.writeBlob(Image.contents(Loc).decode());
+    }
+  }
+  return Writer.buffer();
 }
 
-TEST(HeapImageIO, V1V2EquivalenceOnRandomizedImages) {
-  // The acceptance pin: an image round-tripped through v1 and through v2
-  // deserializes to the identical in-memory image, so every downstream
-  // consumer (isolation, estimation) sees identical inputs.
-  for (uint64_t Seed : {3u, 4242u, 777777u}) {
-    const HeapImage Image = randomizedImage(Seed);
-    HeapImage FromV1, FromV2;
-    ASSERT_TRUE(deserializeHeapImage(serializeHeapImageV1(Image), FromV1));
-    ASSERT_TRUE(deserializeHeapImage(serializeHeapImage(Image), FromV2));
-    EXPECT_TRUE(FromV1 == FromV2) << "seed " << Seed;
-    EXPECT_TRUE(FromV1 == Image) << "seed " << Seed;
-  }
+/// The v1 layout's size in closed form (see v1Layout).
+uint64_t v1Bytes(const HeapImage &Image) {
+  uint64_t Bytes = 48 + 36 * Image.miniheapCount();
+  for (const ImageMiniheapInfo &Mini : Image.miniheaps())
+    Bytes += Mini.NumSlots * (45 + Mini.ObjectSize);
+  return Bytes;
+}
+
+} // namespace
+
+TEST(HeapImageIO, RefusesRemovedV1Buffer) {
+  // The same image decodes from its v2 bytes and is refused in the v1
+  // layout, which has its own magic and no version field.
+  Fixture F;
+  const HeapImage Image = captureHeapImage(F.Heap);
+  HeapImage Back;
+  ASSERT_TRUE(deserializeHeapImage(serializeHeapImage(Image), Back));
+  const std::vector<uint8_t> V1 = v1Layout(Image);
+  EXPECT_EQ(V1.size(), v1Bytes(Image));
+  EXPECT_FALSE(deserializeHeapImage(V1, Back));
+  MemorySource Source(V1);
+  EXPECT_FALSE(deserializeHeapImage(Source, Back));
+}
+
+TEST(HeapImageIO, RefusesRemovedV1File) {
+  Fixture F;
+  const HeapImage Image = captureHeapImage(F.Heap);
+  const std::string Path = ::testing::TempDir() + "/image_test_v1.xhi";
+  ASSERT_TRUE(writeFileBytes(Path, v1Layout(Image)));
+  HeapImage Back;
+  EXPECT_FALSE(loadHeapImage(Path, Back));
+  ASSERT_TRUE(saveHeapImage(Image, Path));
+  EXPECT_TRUE(loadHeapImage(Path, Back));
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -316,17 +363,14 @@ TEST(HeapImageIO, RejectsCorruptVersionField) {
 
 TEST(HeapImageIO, RejectsTruncatedBuffers) {
   Fixture F;
-  const HeapImage Image = captureHeapImage(F.Heap);
-  for (const std::vector<uint8_t> &Full :
-       {serializeHeapImage(Image), serializeHeapImageV1(Image)}) {
-    // Every prefix must be rejected, not just the half-way cut.
-    for (size_t Cut = 0; Cut < Full.size();
-         Cut += 1 + Full.size() / 97) {
-      std::vector<uint8_t> Truncated(Full.begin(), Full.begin() + Cut);
-      HeapImage Out;
-      EXPECT_FALSE(deserializeHeapImage(Truncated, Out))
-          << "prefix of " << Cut << " of " << Full.size();
-    }
+  const std::vector<uint8_t> Full =
+      serializeHeapImage(captureHeapImage(F.Heap));
+  // Every prefix must be rejected, not just the half-way cut.
+  for (size_t Cut = 0; Cut < Full.size(); Cut += 1 + Full.size() / 97) {
+    std::vector<uint8_t> Truncated(Full.begin(), Full.begin() + Cut);
+    HeapImage Out;
+    EXPECT_FALSE(deserializeHeapImage(Truncated, Out))
+        << "prefix of " << Cut << " of " << Full.size();
   }
 }
 
@@ -409,17 +453,6 @@ TEST(HeapImageIO, FileRoundTrip) {
   EXPECT_TRUE(Back == Image);
 }
 
-TEST(HeapImageIO, LoadsV1File) {
-  Fixture F;
-  const HeapImage Image = captureHeapImage(F.Heap);
-  const std::string Path = ::testing::TempDir() + "/image_test_v1.xhi";
-  ASSERT_TRUE(writeFileBytes(Path, serializeHeapImageV1(Image)));
-  HeapImage Back;
-  ASSERT_TRUE(loadHeapImage(Path, Back));
-  EXPECT_EQ(Back.SourceFormatVersion, HeapImageFormatV1);
-  EXPECT_TRUE(Back == Image);
-}
-
 TEST(HeapImageIO, LoadMissingFileFails) {
   HeapImage Image;
   EXPECT_FALSE(loadHeapImage("/nonexistent/image.xhi", Image));
@@ -430,6 +463,8 @@ TEST(HeapImageIO, LoadMissingFileFails) {
 //===----------------------------------------------------------------------===//
 
 TEST(HeapImageIO, V2IsFiveTimesSmallerOnExampleWorkloads) {
+  // The yardstick is the removed v1 layout, computed in closed form (its
+  // encoder is pinned to the formula by RefusesRemovedV1Buffer).
   struct Case {
     const char *Name;
     HeapImage Image;
@@ -446,7 +481,7 @@ TEST(HeapImageIO, V2IsFiveTimesSmallerOnExampleWorkloads) {
        runWorkloadOnce(Squid, 1, 13, Config, PatchSet()).FinalImage});
 
   for (const Case &C : Cases) {
-    const size_t V1 = serializeHeapImageV1(C.Image).size();
+    const uint64_t V1 = v1Bytes(C.Image);
     const size_t V2 = serializeHeapImage(C.Image).size();
     EXPECT_GE(static_cast<double>(V1) / static_cast<double>(V2), 5.0)
         << C.Name << ": v1 " << V1 << " bytes, v2 " << V2 << " bytes";

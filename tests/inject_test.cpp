@@ -315,7 +315,6 @@ TEST(HardwareFault, ConcurrentCaptureMatchesSequential) {
   // not of which front-end drives it.
   for (FaultKind Kind : {FaultKind::BitFlip, FaultKind::RowCluster}) {
     DieFastConfig Sequential = testConfig(31);
-    Sequential.Heap.GuardBytes = 4096;
     DieFastHeap Direct(Sequential);
     FaultInjector SeqInjector(Direct, hardwarePlan(Kind, 20, 17));
     SeqInjector.attachHeap(&Direct.heap());

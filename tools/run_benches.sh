@@ -4,17 +4,17 @@
 # Builds the tree and regenerates the machine-readable bench reports:
 #
 #   BENCH_hotpath.json   — micro_allocators: per-op malloc/free costs,
-#                          fast-vs-legacy speedups, the contended mt-*
-#                          scenarios (per-thread caches vs global lock,
-#                          with lock-acquisitions-per-op), and the
-#                          heap-image v1-vs-v2 footprint
+#                          each heap's ratio to the glibc baseline, the
+#                          scalar vs dispatched canary kernels, and the
+#                          contended mt-* scenarios (per-thread caches
+#                          vs global lock, with lock-acquisitions-per-op)
 #                          (schema: ROADMAP.md)
 #   BENCH_exchange.json  — exp_collaborative: patch-exchange ingest
 #                          throughput and ImageBundle size ratio
 #                          (schema: ROADMAP.md)
-#   BENCH_diagnosis.json — exp_diagnosis: evidence-path throughput
-#                          (capture MB/s, view build, §4 isolation,
-#                          server ingest; fast vs legacy — schema:
+#   BENCH_diagnosis.json — exp_diagnosis: evidence-path throughput per
+#                          stage (capture MB/s, view build, §4
+#                          isolation, server ingest — schema:
 #                          ROADMAP.md)
 #   BENCH_fig7.json      — fig7_overhead: normalized whole-program
 #                          overheads vs the baseline allocator (--full;
@@ -25,6 +25,11 @@
 #
 #   --smoke   shrunk iteration counts (CI smoke run)
 #   --full    also run the fig7 whole-program overhead suite (slower)
+#
+# The reports are written into the repository root, replacing the
+# committed captures.  A bench whose own check fails (a contended-run
+# pattern fault, diverging isolation, the Figure 7 shape) exits nonzero
+# and stops the script.
 #
 # Environment:
 #   BUILD_DIR   build directory (default: build)

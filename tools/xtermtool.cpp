@@ -51,8 +51,8 @@
 //       files: scripted-overflow images by default, row-cluster
 //       DRAM-fault images with --hardware
 //
-// The tool is a thin client of the runtime: diagnose feeds images (v1 or
-// v2) straight into the DiagnosisPipeline — the same ingestion point the
+// The tool is a thin client of the runtime: diagnose feeds images
+// straight into the DiagnosisPipeline — the same ingestion point the
 // mode drivers use — and submit ships the same evidence to a PatchServer
 // wrapping that pipeline on another machine.
 //
@@ -169,7 +169,6 @@ static int reportPatches(const std::string &Path) {
 // constant inside its own module; these mirror them for routing only.
 static constexpr uint32_t SniffPatchV2 = 0x58505432;  // "XPT2"
 static constexpr uint32_t SniffPatchV3 = 0x58505433;  // "XPT3"
-static constexpr uint32_t SniffImageV1 = 0x58484931;  // "XHI1"
 static constexpr uint32_t SniffImageV2 = 0x58484932;  // "XHI2"
 static constexpr uint32_t SniffBundle = 0x58494231;   // "XIB1"
 static constexpr uint32_t SniffSnapshot = 0x58535431; // "XST1"
@@ -195,7 +194,7 @@ static int inspectImageSizes(const std::string &Path,
   const std::vector<uint8_t> RawV2 = serializeHeapImage(Image);
   const std::vector<uint8_t> Envelope = encodeCodecBlock(RawV2);
   std::printf("%s: heap image (format v%u, %zu miniheap(s), %zu slot(s))\n",
-              Path.c_str(), Image.SourceFormatVersion, Image.miniheapCount(),
+              Path.c_str(), HeapImageFormatV2, Image.miniheapCount(),
               Image.totalSlots());
   std::printf("  %-22s %10llu B\n", "raw (v2 columnar)",
               static_cast<unsigned long long>(RawV2.size()));
@@ -262,7 +261,6 @@ static int inspectFile(const std::string &Path, bool Report) {
   case SniffPatchV2:
   case SniffPatchV3:
     return Report ? reportPatches(Path) : inspectPatches(Path);
-  case SniffImageV1:
   case SniffImageV2:
     return inspectImageSizes(Path, Bytes);
   case SniffBundle:
@@ -302,7 +300,7 @@ static int summarizeImage(const std::string &Path) {
   }
   std::printf("%s: format v%u, allocation time %llu, canary 0x%08x, "
               "M = %.1f, p = %.2f\n",
-              Path.c_str(), Image.SourceFormatVersion,
+              Path.c_str(), HeapImageFormatV2,
               static_cast<unsigned long long>(Image.AllocationTime),
               Image.CanaryValue, Image.Multiplier,
               Image.CanaryFillProbability);
@@ -374,8 +372,7 @@ static int diagnoseImages(const std::string &Out,
     if (!Json)
       std::printf("loaded %s (format v%u, %zu slots, allocation time "
                   "%llu)\n",
-                  Path.c_str(), Image.SourceFormatVersion,
-                  Image.totalSlots(),
+                  Path.c_str(), HeapImageFormatV2, Image.totalSlots(),
                   static_cast<unsigned long long>(Image.AllocationTime));
     Evidence.Primary.push_back(std::move(Image));
   }
