@@ -27,22 +27,27 @@
 //                     from the CPU at startup.
 //  * mt-hot-pairs   — N threads of immediate malloc/free pairs with
 //  * mt-churn         cross-thread frees, through the PR-7 concurrent
-//                     front-end in both its modes: per-thread caches
-//                     ("cached") and one mutex around the backend
-//                     ("global-lock").  Alongside wall time the run
-//                     records backend lock acquisitions per operation —
-//                     the machine-independent decontention witness,
-//                     since wall-clock scaling saturates at the host's
-//                     core count (recorded in the JSON as
-//                     hardware_threads).
+//                     front-end ("cached": per-thread magazines) and
+//                     through this file's comparator ("global-lock": one
+//                     DieHardHeap behind one mutex, the pre-PR-7
+//                     design).  Each (scenario, threads) point runs as
+//                     alternating cached/global-lock pairs and reports
+//                     each mode's median and quartiles plus the pairs
+//                     cached won, so one noisy run cannot flip the
+//                     comparison.  Alongside wall time the run records
+//                     lock acquisitions per operation — the
+//                     machine-independent decontention witness, since
+//                     wall-clock scaling saturates at the host's core
+//                     count (recorded in the JSON as hardware_threads).
 //
 // Usage:
 //   micro_allocators [--json FILE] [--smoke]
 //
 // --json writes the BENCH_hotpath.json document (schema documented in
-// ROADMAP.md); --smoke shrinks the workload for CI smoke runs.  The
-// contended runs stamp and verify every object, so the exit status is 1
-// when any of them saw a pattern fault (two threads sharing a slot).
+// ROADMAP.md); --smoke shrinks the workload (and runs one contended pair
+// per point) for CI smoke runs.  The contended runs stamp and verify
+// every object, so the exit status is 1 when any of them saw a pattern
+// fault (two threads sharing a slot).
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,10 +58,12 @@
 #include "correct/CorrectingHeap.h"
 #include "runtime/ConcurrentStress.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +75,7 @@ namespace {
 
 struct Options {
   uint64_t Scale = 1; // divides every iteration count (--smoke: 16)
+  unsigned MtPairs = 5; // cached/global-lock pairs per point (--smoke: 1)
   std::string JsonPath;
 };
 
@@ -314,30 +322,117 @@ kernelSpeedups(const std::vector<Measurement> &OpResults) {
 // Contended scenarios (PR 7)
 //===----------------------------------------------------------------------===//
 
+/// The contended runs' comparator: the pre-PR-7 "just lock it"
+/// front-end, one DieHardHeap behind one mutex that every operation
+/// takes.  It counts its acquisitions the way ConcurrentAllocator counts
+/// its backend's, so locks/op reads exactly 1.
+class GlobalLockAllocator : public Allocator {
+public:
+  explicit GlobalLockAllocator(const DieHardConfig &Config) : Heap(Config) {}
+
+  void *allocate(size_t Size) override {
+    std::lock_guard<std::mutex> Guard(Lock);
+    ++LockAcquires;
+    return Heap.allocate(Size);
+  }
+  void deallocate(void *Ptr) override {
+    if (!Ptr)
+      return;
+    std::lock_guard<std::mutex> Guard(Lock);
+    ++LockAcquires;
+    Heap.deallocate(Ptr);
+  }
+  const char *name() const override { return "diehard-global-lock"; }
+
+  /// Read after the workers joined.
+  uint64_t lockAcquires() const { return LockAcquires; }
+
+private:
+  std::mutex Lock;
+  DieHardHeap Heap;
+  uint64_t LockAcquires = 0;
+};
+
+/// One timed contended run of one mode.
+struct MtRun {
+  double NsPerOp = 0;
+  double LockAcquiresPerOp = 0;
+  uint64_t PatternFaults = 0;
+};
+
+/// One mode at one (scenario, threads) point, summarized over its runs.
 struct MtMeasurement {
   std::string Scenario; // "mt-hot-pairs" or "mt-churn"
   unsigned Threads = 1;
   std::string Mode; // "cached" or "global-lock"
+  /// Median and quartiles of ns/op over the runs.
   double NsPerOp = 0;
+  double NsPerOpQ1 = 0;
+  double NsPerOpQ3 = 0;
   double OpsPerSec = 0;
-  /// Backend lock acquisitions per operation during the measured run:
-  /// ~2/MagazineSize for the cached mode, exactly 1 for global-lock.
+  /// Median backend lock acquisitions per operation: ~2/MagazineSize
+  /// for the cached mode, exactly 1 for global-lock.
   double LockAcquiresPerOp = 0;
-  /// Header-stamp mismatches (must be 0: the bench doubles as a
-  /// memory-integrity check).
+  /// Header-stamp mismatches over all runs (must be 0: the bench
+  /// doubles as a memory-integrity check).
   uint64_t PatternFaults = 0;
+  unsigned Runs = 0;
 };
 
-/// One contended run: N workers over one shared ConcurrentAllocator via
-/// runConcurrentStress, best-of-3 wall time (thread startup noise is
-/// larger than single-thread loop noise, but so are the run times).
-MtMeasurement runMtScenario(const std::string &Scenario, unsigned Threads,
-                            bool GlobalLock, const Options &Opts) {
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap.Seed = 1;
-  Cfg.MagazineSize = 32;
-  Cfg.GlobalLockBaseline = GlobalLock;
+/// The cached-vs-global-lock verdict at one (scenario, threads) point.
+struct MtSpeedup {
+  std::string Key; // "<scenario>/<threads>t"
+  /// Median global-lock ns / median cached ns.
+  double Speedup = 0;
+  unsigned Pairs = 0;
+  /// Pairs whose cached run beat its global-lock run.
+  unsigned CachedWins = 0;
+};
 
+/// Linear-interpolated quantile of \p Values (sorted in place).
+double quantile(std::vector<double> &Values, double Q) {
+  std::sort(Values.begin(), Values.end());
+  const double Pos = Q * static_cast<double>(Values.size() - 1);
+  const size_t Lo = static_cast<size_t>(Pos);
+  const size_t Hi = std::min(Lo + 1, Values.size() - 1);
+  const double Frac = Pos - static_cast<double>(Lo);
+  return Values[Lo] + (Values[Hi] - Values[Lo]) * Frac;
+}
+
+/// One contended run: N workers over a fresh ConcurrentAllocator (or,
+/// with \p GlobalLock, a fresh comparator) via runConcurrentStress.
+MtRun runMtOnce(const ConcurrentStressConfig &Stress, bool GlobalLock) {
+  DieHardConfig Heap;
+  Heap.Seed = 1;
+  MtRun Run;
+  auto Record = [&](const ConcurrentStressResult &R, uint64_t Locks) {
+    // Allocate + free for every allocation: 2 ops each.
+    const double Ops = 2.0 * static_cast<double>(R.Allocations);
+    Run.NsPerOp = R.Seconds * 1e9 / Ops;
+    Run.LockAcquiresPerOp = static_cast<double>(Locks) / Ops;
+    Run.PatternFaults = R.PatternFaults;
+  };
+  if (GlobalLock) {
+    GlobalLockAllocator Alloc(Heap);
+    const ConcurrentStressResult R = runConcurrentStress(Alloc, Stress);
+    Record(R, Alloc.lockAcquires());
+  } else {
+    ConcurrentAllocatorConfig Cfg;
+    Cfg.Heap = Heap;
+    Cfg.MagazineSize = 32;
+    ConcurrentAllocator Alloc(Cfg);
+    const ConcurrentStressResult R = runConcurrentStress(Alloc, Stress);
+    Record(R, Alloc.backendLockAcquires()); // before the flush at teardown
+  }
+  return Run;
+}
+
+/// Both modes at one (scenario, threads) point: Opts.MtPairs pairs of
+/// runs, alternating which mode goes first so drift on a shared host
+/// falls on both sides.
+void runMtPoint(const std::string &Scenario, unsigned Threads,
+                const Options &Opts, std::vector<MtMeasurement> &Out,
+                std::vector<MtSpeedup> &Speedups) {
   ConcurrentStressConfig Stress;
   Stress.Threads = Threads;
   Stress.OpsPerThread =
@@ -347,59 +442,41 @@ MtMeasurement runMtScenario(const std::string &Scenario, unsigned Threads,
   Stress.CrossFreeFraction = 0.25;
   Stress.Seed = 1;
 
-  MtMeasurement M;
-  M.Scenario = Scenario;
-  M.Threads = Threads;
-  M.Mode = GlobalLock ? "global-lock" : "cached";
+  std::vector<MtRun> Runs[2]; // [0] cached, [1] global-lock
+  MtSpeedup Verdict;
+  Verdict.Key = fmt("%s/%ut", Scenario.c_str(), Threads);
+  for (unsigned Pair = 0; Pair < Opts.MtPairs; ++Pair) {
+    const bool LockFirst = Pair % 2 == 1;
+    for (const bool GlobalLock : {LockFirst, !LockFirst})
+      Runs[GlobalLock].push_back(runMtOnce(Stress, GlobalLock));
+    ++Verdict.Pairs;
+    if (Runs[0].back().NsPerOp < Runs[1].back().NsPerOp)
+      ++Verdict.CachedWins;
+  }
 
-  double BestSeconds = 1e30;
-  for (int Rep = 0; Rep < 3; ++Rep) {
-    ConcurrentAllocator Alloc(Cfg);
-    const ConcurrentStressResult R = runConcurrentStress(Alloc, Stress);
-    // Allocate + free for every allocation: 2 ops each.
-    const uint64_t Ops = 2 * R.Allocations;
-    const uint64_t Locks = Alloc.backendLockAcquires(); // before flushAll
-    Alloc.flushAll();
-    M.PatternFaults += R.PatternFaults;
-    if (R.Seconds < BestSeconds) {
-      BestSeconds = R.Seconds;
-      M.NsPerOp = R.Seconds * 1e9 / static_cast<double>(Ops);
-      M.OpsPerSec = static_cast<double>(Ops) / R.Seconds;
-      M.LockAcquiresPerOp =
-          static_cast<double>(Locks) / static_cast<double>(Ops);
+  double Median[2] = {0, 0};
+  for (const bool GlobalLock : {false, true}) {
+    std::vector<double> Ns, Locks;
+    MtMeasurement M;
+    M.Scenario = Scenario;
+    M.Threads = Threads;
+    M.Mode = GlobalLock ? "global-lock" : "cached";
+    for (const MtRun &Run : Runs[GlobalLock]) {
+      Ns.push_back(Run.NsPerOp);
+      Locks.push_back(Run.LockAcquiresPerOp);
+      M.PatternFaults += Run.PatternFaults;
     }
+    M.Runs = static_cast<unsigned>(Ns.size());
+    M.NsPerOp = quantile(Ns, 0.5);
+    M.NsPerOpQ1 = quantile(Ns, 0.25);
+    M.NsPerOpQ3 = quantile(Ns, 0.75);
+    M.OpsPerSec = 1e9 / M.NsPerOp;
+    M.LockAcquiresPerOp = quantile(Locks, 0.5);
+    Median[GlobalLock] = M.NsPerOp;
+    Out.push_back(M);
   }
-  return M;
-}
-
-/// Runs both contended scenarios across the thread sweep in both modes.
-std::vector<MtMeasurement> runMtBenches(const Options &Opts) {
-  std::vector<MtMeasurement> Out;
-  for (const char *Scenario : {"mt-hot-pairs", "mt-churn"})
-    for (unsigned Threads : {1u, 2u, 4u, 8u})
-      for (bool GlobalLock : {false, true})
-        Out.push_back(runMtScenario(Scenario, Threads, GlobalLock, Opts));
-  return Out;
-}
-
-/// global-lock ns / cached ns at matching (scenario, threads).
-std::vector<std::pair<std::string, double>>
-mtSpeedups(const std::vector<MtMeasurement> &MtResults) {
-  std::vector<std::pair<std::string, double>> Out;
-  for (const MtMeasurement &Cached : MtResults) {
-    if (Cached.Mode != "cached")
-      continue;
-    for (const MtMeasurement &Locked : MtResults)
-      if (Locked.Mode == "global-lock" &&
-          Locked.Scenario == Cached.Scenario &&
-          Locked.Threads == Cached.Threads) {
-        Out.emplace_back(fmt("%s/%ut", Cached.Scenario.c_str(),
-                             Cached.Threads),
-                         Locked.NsPerOp / Cached.NsPerOp);
-        break;
-      }
-  }
-  return Out;
+  Verdict.Speedup = Median[1] / Median[0];
+  Speedups.push_back(Verdict);
 }
 
 } // namespace
@@ -412,6 +489,7 @@ int main(int Argc, char **Argv) {
       Opts.JsonPath = Argv[++I];
     } else if (Arg == "--smoke") {
       Opts.Scale = 16;
+      Opts.MtPairs = 1;
     } else {
       std::fprintf(stderr, "usage: micro_allocators [--json FILE] [--smoke]\n");
       return 2;
@@ -454,29 +532,35 @@ int main(int Argc, char **Argv) {
     KernelTable.addRow({Scenario, fmt("%.2fx", Speedup)});
   KernelTable.print();
 
-  const std::vector<MtMeasurement> MtResults = runMtBenches(Opts);
-  const std::vector<std::pair<std::string, double>> MtSpeedupRows =
-      mtSpeedups(MtResults);
+  std::vector<MtMeasurement> MtResults;
+  std::vector<MtSpeedup> MtSpeedups;
+  for (const char *Scenario : {"mt-hot-pairs", "mt-churn"})
+    for (unsigned Threads : {1u, 2u, 4u, 8u})
+      runMtPoint(Scenario, Threads, Opts, MtResults, MtSpeedups);
   heading("Contended scenarios: per-thread caches vs global lock");
   note("hardware threads on this host: %u (wall-clock scaling saturates "
-       "here; lock acquisitions per op do not)",
-       std::thread::hardware_concurrency());
-  Table MtTable(
-      {"scenario", "threads", "mode", "ns/op", "Mops/s", "locks/op"});
+       "here; lock acquisitions per op do not); %u alternating "
+       "cached/global-lock pair(s) per point",
+       std::thread::hardware_concurrency(), Opts.MtPairs);
+  Table MtTable({"scenario", "threads", "mode", "ns/op p50", "p25", "p75",
+                 "Mops/s", "locks/op"});
   uint64_t MtFaults = 0;
   for (const MtMeasurement &M : MtResults) {
     MtTable.addRow({M.Scenario, fmt("%u", M.Threads), M.Mode,
-                    fmt("%.1f", M.NsPerOp), fmt("%.2f", M.OpsPerSec / 1e6),
+                    fmt("%.1f", M.NsPerOp), fmt("%.1f", M.NsPerOpQ1),
+                    fmt("%.1f", M.NsPerOpQ3), fmt("%.2f", M.OpsPerSec / 1e6),
                     fmt("%.4f", M.LockAcquiresPerOp)});
     MtFaults += M.PatternFaults;
   }
   MtTable.print();
-  Table MtSpeedupTable({"scenario/threads", "cached vs global-lock"});
+  Table MtSpeedupTable(
+      {"scenario/threads", "cached vs global-lock (p50)", "cached won"});
   double MtHeadline = 0;
-  for (const auto &[Key, Speedup] : MtSpeedupRows) {
-    MtSpeedupTable.addRow({Key, fmt("%.2fx", Speedup)});
-    if (Key == std::string("mt-hot-pairs/4t"))
-      MtHeadline = Speedup;
+  for (const MtSpeedup &S : MtSpeedups) {
+    MtSpeedupTable.addRow({S.Key, fmt("%.2fx", S.Speedup),
+                           fmt("%u/%u", S.CachedWins, S.Pairs)});
+    if (S.Key == "mt-hot-pairs/4t")
+      MtHeadline = S.Speedup;
   }
   MtSpeedupTable.print();
   note("mt headline (mt-hot-pairs, 4 threads, cached vs global-lock): "
@@ -487,9 +571,10 @@ int main(int Argc, char **Argv) {
     JsonWriter Json;
     Json.beginObject();
     Json.field("bench", "hotpath");
-    Json.field("schema_version", 4);
+    Json.field("schema_version", 5);
     Json.beginObject("config");
     Json.field("scale_divisor", Opts.Scale);
+    Json.field("mt_pairs", static_cast<uint64_t>(Opts.MtPairs));
     Json.field("canary_dispatch_auto", canary_dispatch::activeName());
     Json.field("hardware_threads",
                static_cast<uint64_t>(std::thread::hardware_concurrency()));
@@ -529,7 +614,10 @@ int main(int Argc, char **Argv) {
       Json.field("scenario", M.Scenario);
       Json.field("threads", static_cast<uint64_t>(M.Threads));
       Json.field("mode", M.Mode);
+      Json.field("runs", static_cast<uint64_t>(M.Runs));
       Json.field("ns_per_op", M.NsPerOp);
+      Json.field("ns_per_op_p25", M.NsPerOpQ1);
+      Json.field("ns_per_op_p75", M.NsPerOpQ3);
       Json.field("ops_per_sec", M.OpsPerSec);
       Json.field("lock_acquires_per_op", M.LockAcquiresPerOp);
       Json.field("pattern_faults", M.PatternFaults);
@@ -537,10 +625,12 @@ int main(int Argc, char **Argv) {
     }
     Json.endArray();
     Json.beginArray("mt_speedups");
-    for (const auto &[Key, Speedup] : MtSpeedupRows) {
+    for (const MtSpeedup &S : MtSpeedups) {
       Json.beginObject();
-      Json.field("scenario", Key);
-      Json.field("speedup", Speedup);
+      Json.field("scenario", S.Key);
+      Json.field("speedup", S.Speedup);
+      Json.field("pairs", static_cast<uint64_t>(S.Pairs));
+      Json.field("cached_wins", static_cast<uint64_t>(S.CachedWins));
       Json.endObject();
     }
     Json.endArray();

@@ -124,10 +124,6 @@ std::unique_lock<std::mutex> ConcurrentAllocator::lockBackend() {
 //===----------------------------------------------------------------------===//
 
 void *ConcurrentAllocator::allocate(size_t Size) {
-  if (Cfg.GlobalLockBaseline) {
-    auto Lock = lockBackend();
-    return baselineAllocate(Size);
-  }
   return allocateFrom(threadCache(), Size);
 }
 
@@ -135,13 +131,6 @@ void *ConcurrentAllocator::allocateFrom(ThreadCache &Cache, size_t Size,
                                         ObjectRef *RefOut) {
   if (!sizeclass::fits(Size))
     return nullptr;
-  if (Cfg.GlobalLockBaseline) {
-    auto Lock = lockBackend();
-    void *Ptr = baselineAllocate(Size);
-    if (Ptr && RefOut)
-      *RefOut = *Backend.findObject(Ptr);
-    return Ptr;
-  }
 
   const unsigned ClassIndex = sizeclass::classFor(Size);
   auto &Magazine = Cache.Magazines[ClassIndex];
@@ -159,8 +148,7 @@ void *ConcurrentAllocator::allocateFrom(ThreadCache &Cache, size_t Size,
     // its bytes and metadata exclusively.
     if (Cfg.DieFastCanaries &&
         !canary_ops::prepareReusedSlot(HeapCanary, Meta, Ptr,
-                                       Mini.objectSize(), Size,
-                                       Cfg.ZeroFillAllocations)) {
+                                       Mini.objectSize(), Size)) {
       // Bad-object isolation without the backend lock: the slot stays
       // reserved forever (it is simply never handed out or released), so
       // no bitmap or class counter needs touching.  Its pending-free bit
@@ -181,6 +169,7 @@ void *ConcurrentAllocator::allocateFrom(ThreadCache &Cache, size_t Size,
     Meta.FreeSite = 0;
     Meta.RequestedSize = static_cast<uint32_t>(Size);
     Meta.FrontPad = 0;
+    Meta.BackPad = 0;
     Meta.Canaried = false;
     // The slot is live again: re-arm its pending-free bit so the next
     // free can claim it.  Sequenced before the pointer escapes to the
@@ -211,29 +200,6 @@ void ConcurrentAllocator::refill(ThreadCache &Cache, unsigned ClassIndex) {
   }
 }
 
-void *ConcurrentAllocator::baselineAllocate(size_t Size) {
-  if (!sizeclass::fits(Size))
-    return nullptr;
-  Backend.tickAllocationClock(Size);
-  Clock.fetch_add(1, std::memory_order_relaxed);
-  const unsigned ClassIndex = sizeclass::classFor(Size);
-  for (;;) {
-    Miniheap *Mini = nullptr;
-    const ObjectRef Ref = Backend.reserveSlot(ClassIndex, &Mini);
-    uint8_t *Ptr = Mini->slotPointer(Ref.SlotIndex);
-    if (Cfg.DieFastCanaries &&
-        !canary_ops::prepareReusedSlot(HeapCanary, Mini->slot(Ref.SlotIndex),
-                                       Ptr, Mini->objectSize(), Size,
-                                       Cfg.ZeroFillAllocations)) {
-      Backend.markBad(Ref);
-      signalError(ErrorSignalKind::CanaryCorruptOnAlloc, Ref);
-      continue;
-    }
-    Backend.commitAllocation(Ref, Size);
-    return Ptr;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Deallocation
 //===----------------------------------------------------------------------===//
@@ -241,11 +207,6 @@ void *ConcurrentAllocator::baselineAllocate(size_t Size) {
 void ConcurrentAllocator::deallocate(void *Ptr) {
   if (!Ptr)
     return;
-  if (Cfg.GlobalLockBaseline) {
-    auto Lock = lockBackend();
-    baselineDeallocate(Ptr);
-    return;
-  }
 
   // Lock-free: resolve through the page directory, claim, push.
   const auto Resolved = Backend.resolvePointer(Ptr);
@@ -276,22 +237,6 @@ void ConcurrentAllocator::deallocate(void *Ptr) {
   auto *Node = new (Ptr) MpscNode;
   Mini.remoteFreeQueue().push(Node);
   PendingRemote.fetch_add(1, std::memory_order_release);
-}
-
-void ConcurrentAllocator::baselineDeallocate(void *Ptr) {
-  ObjectRef Ref;
-  if (!Backend.deallocateWithRef(Ptr, Ref))
-    return; // Invalid or double free: counted and ignored (Table 1).
-  if (!Cfg.DieFastCanaries)
-    return;
-  Miniheap &Mini = Backend.miniheap(Ref);
-  canary_ops::sweepFreedNeighbors(
-      Mini, HeapCanary, Ref, [&](const ObjectRef &Corrupt) {
-        Backend.quarantine(Corrupt);
-        signalError(ErrorSignalKind::CanaryCorruptOnFree, Corrupt);
-      });
-  canary_ops::canaryFillFreedSlot(Mini, HeapCanary, CanaryRng,
-                                  Cfg.CanaryFillProbability, Ref.SlotIndex);
 }
 
 uint64_t ConcurrentAllocator::drainRemoteFrees() {

@@ -37,9 +37,9 @@
 ///    The backend's page-sized guard regions keep every page of the
 ///    directory owned by one slab, so a lookup never needs the lock.
 ///
-/// A `GlobalLockBaseline` mode routes every operation through one mutex
-/// around the backend — the pre-PR-7 "just lock it" design — so
-/// bench/micro_allocators can measure the scaling win in one binary.
+/// The pre-PR-7 "just lock it" design (one mutex around the backend)
+/// is not a mode of this class: bench/micro_allocators builds it from a
+/// DieHardHeap as the comparator for its contended scenarios.
 ///
 /// Object ids come from a front-end atomic clock; the backend clock is
 /// re-synchronized to it whenever the lock is taken, so FreeTime stamps
@@ -74,17 +74,11 @@ struct ConcurrentAllocatorConfig {
   /// lock over more operations.
   size_t MagazineSize = 32;
   /// Apply DieFast semantics (§3.3) to every slot: canary verify/
-  /// quarantine at hand-out, neighbor sweeps and probabilistic canary
-  /// fill at drain.  Off = plain DieHard semantics.
+  /// quarantine and §2.1 zero-fill at hand-out, neighbor sweeps and
+  /// probabilistic canary fill at drain.  Off = plain DieHard semantics.
   bool DieFastCanaries = false;
   /// Probability p of canary-filling a freed slot (canary mode only).
   double CanaryFillProbability = 1.0;
-  /// Zero-fill allocations (§2.1; canary mode only, mirroring
-  /// DieFastConfig).
-  bool ZeroFillAllocations = true;
-  /// Bench baseline: one mutex around the backend for every operation,
-  /// no caches, no remote-free queues.  Never enable in production.
-  bool GlobalLockBaseline = false;
 };
 
 /// Multithreaded malloc/free over one randomized DieHard backend.
@@ -177,12 +171,11 @@ public:
     return Clock.load(std::memory_order_relaxed);
   }
 
-  /// Times the backend lock was acquired, across all threads and both
-  /// modes.  The bench divides by operations: the cached mode's whole
-  /// point is that this grows by ~2/MagazineSize per alloc/free pair
-  /// where the global-lock baseline pays 2 — a machine-independent
-  /// witness of the decontention that wall-clock numbers on a small host
-  /// can understate.
+  /// Times the backend lock was acquired, across all threads.  The
+  /// bench divides by operations: the magazines' whole point is that
+  /// this grows by ~2/MagazineSize per alloc/free pair where a global
+  /// lock pays 2 — a machine-independent witness of the decontention
+  /// that wall-clock numbers on a small host can understate.
   uint64_t backendLockAcquires() const {
     return LockAcquires.load(std::memory_order_relaxed);
   }
@@ -213,11 +206,6 @@ private:
   /// flushCache body with BackendLock already held.
   void flushCacheLocked(ThreadCache &Cache);
 
-  /// Baseline-mode operations (BackendLock held): the single-threaded
-  /// DieHard/DieFast paths verbatim.
-  void *baselineAllocate(size_t Size);
-  void baselineDeallocate(void *Ptr);
-
   void signalError(ErrorSignalKind Kind, const ObjectRef &Where);
 
   /// Takes the backend lock, counts the acquisition, and re-syncs the
@@ -233,8 +221,7 @@ private:
   Canary HeapCanary;
   ErrorSignalHandler OnError;
 
-  /// Serializes every backend mutation: refills, drains, flushes,
-  /// baseline-mode operations.
+  /// Serializes every backend mutation: refills, drains, flushes.
   mutable std::mutex BackendLock;
   /// Guards AllCaches (creation + stats aggregation).  Lock order:
   /// CacheLock before BackendLock; never the reverse.

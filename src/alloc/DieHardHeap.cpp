@@ -78,6 +78,7 @@ void DieHardHeap::commitAllocation(const ObjectRef &Ref, size_t Size) {
   Meta.FreeSite = 0;
   Meta.RequestedSize = static_cast<uint32_t>(Size);
   Meta.FrontPad = 0;
+  Meta.BackPad = 0;
   Meta.Canaried = false;
 }
 

@@ -255,8 +255,6 @@ public:
         Callback(C, H, *Classes[C].Heaps[H]);
   }
 
-  const CallContext *callContext() const { return Context; }
-
 private:
   struct ClassState {
     std::vector<std::unique_ptr<Miniheap>> Heaps;

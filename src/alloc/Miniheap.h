@@ -56,6 +56,10 @@ struct SlotMetadata {
   /// Bytes of front padding before the pointer the program holds
   /// (backward-overflow correction; 0 normally).
   uint32_t FrontPad = 0;
+  /// Bytes of back padding past the program's request (overflow
+  /// correction, §6.1; 0 normally).  With FrontPad, exactly what the
+  /// correcting allocator's live-pad count gets back at free (§7.3).
+  uint32_t BackPad = 0;
   /// Canary bitset entry: the slot was filled with canaries when freed.
   bool Canaried = false;
   /// Bad-object isolation (§3.3): the slot was found corrupted and is

@@ -5,6 +5,7 @@
 #include "patch/PatchIO.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace exterminator;
 
@@ -21,61 +22,36 @@ void *CorrectingHeap::allocate(size_t Size) {
   drainDeferrals();
 
   const SiteId AllocSite = Context ? Context->currentSite() : 0;
-  const uint32_t Pad = Patches.padFor(AllocSite);
+  uint32_t Pad = Patches.padFor(AllocSite);
   // Backward-overflow extension: front padding shifts the returned
   // pointer so underruns land in the object's own slot.  Rounded to 8 so
   // the program's pointer stays maximally aligned.
-  const uint32_t FrontPad = (Patches.frontPadFor(AllocSite) + 7u) & ~7u;
-  // Criticality tiering: hardened classes get a defensive pad on every
-  // allocation, patched site or not; clean classes pay nothing.
-  uint32_t Defensive = 0;
-  if (Criticality.Enabled && sizeclass::fits(Size) &&
-      isClassHardened(sizeclass::classFor(Size)))
-    Defensive = Criticality.DefensivePadBytes;
-  size_t PaddedSize = Size + Pad + FrontPad + Defensive;
-  uint32_t AppliedPad = Pad;
-  uint32_t AppliedFront = FrontPad;
-  uint32_t AppliedDefensive = Defensive;
+  uint32_t FrontPad = (Patches.frontPadFor(AllocSite) + 7u) & ~7u;
+  size_t PaddedSize = Size + Pad + FrontPad;
   if (!sizeclass::fits(PaddedSize)) {
     PaddedSize = Size; // A pad must never turn a servable request invalid.
-    AppliedPad = 0;
-    AppliedFront = 0;
-    AppliedDefensive = 0;
-  }
-  if (AppliedPad + AppliedFront > 0) {
-    ++CStats.PaddedAllocations;
-    CStats.PadBytesAdded += AppliedPad + AppliedFront;
-    CStats.LivePadBytes += AppliedPad + AppliedFront;
-    CStats.MaxLivePadBytes =
-        std::max(CStats.MaxLivePadBytes, CStats.LivePadBytes);
-    // A patched site's allocations are error-history sightings for their
-    // size class — the signal tiering concentrates on.  Both classes are
-    // implicated: the requested class (future requests this size get the
-    // defensive pad) and the class the padded object lands in (its slots
-    // are where the overflow struck, so its frees get the defensive
-    // quarantine).
-    if (AppliedPad > 0) {
-      creditClassError(sizeclass::classFor(Size));
-      if (sizeclass::classFor(PaddedSize) != sizeclass::classFor(Size))
-        creditClassError(sizeclass::classFor(PaddedSize));
-    }
-  }
-  if (AppliedDefensive > 0) {
-    ++CStats.DefensivePadAllocations;
-    CStats.DefensivePadBytesAdded += AppliedDefensive;
+    Pad = 0;
+    FrontPad = 0;
   }
   uint8_t *Ptr = static_cast<uint8_t *>(Inner.allocate(PaddedSize));
-  if (!Ptr)
+  if (!Ptr || Pad + FrontPad == 0)
     return Ptr;
-  if (AppliedFront > 0) {
-    // Remember the shift so the eventual free recognizes the interior
-    // pointer the program holds.
-    std::optional<ObjectRef> Ref = Inner.heap().findObject(Ptr);
-    assert(Ref && "fresh allocation must resolve");
-    Inner.heap().miniheap(*Ref).slot(Ref->SlotIndex).FrontPad =
-        AppliedFront;
-  }
-  return Ptr + AppliedFront;
+
+  ++CStats.PaddedAllocations;
+  CStats.PadBytesAdded += Pad + FrontPad;
+  CStats.LivePadBytes += Pad + FrontPad;
+  CStats.MaxLivePadBytes =
+      std::max(CStats.MaxLivePadBytes, CStats.LivePadBytes);
+  // Remember the pads in the slot: the front shift lets the eventual
+  // free recognize the interior pointer the program holds, and both let
+  // it return exactly these bytes to the live-pad count, whatever patch
+  // set is loaded by then.
+  std::optional<ObjectRef> Ref = Inner.heap().findObject(Ptr);
+  assert(Ref && "fresh allocation must resolve");
+  SlotMetadata &Meta = Inner.heap().miniheap(*Ref).slot(Ref->SlotIndex);
+  Meta.FrontPad = FrontPad;
+  Meta.BackPad = Pad;
+  return Ptr + FrontPad;
 }
 
 void CorrectingHeap::deallocate(void *Ptr) {
@@ -101,21 +77,9 @@ void CorrectingHeap::deallocate(void *Ptr) {
   }
 
   const SlotMetadata &Meta = Inner.heap().objectMetadata(*Ref);
-  // Live-pad accounting: the dying object's site tells whether its
-  // allocation carried a pad.
-  const uint32_t DyingPad = Patches.padFor(Meta.AllocSite);
-  if (DyingPad > 0 && CStats.LivePadBytes >= DyingPad)
-    CStats.LivePadBytes -= DyingPad;
+  CStats.LivePadBytes -= Meta.FrontPad + Meta.BackPad;
 
-  uint64_t Defer = Patches.deferralFor(Meta.AllocSite, FreeSite);
-  // Criticality tiering: hardened classes hold every freed object in the
-  // deferral queue briefly (a short quarantine), so a latent dangling
-  // use or a flaky cell under the slot surfaces as canary evidence
-  // instead of silent reuse.
-  if (Defer == 0 && Criticality.Enabled && isClassHardened(Ref->ClassIndex)) {
-    Defer = Criticality.DefensiveDeferTicks;
-    ++CStats.DefensiveDeferrals;
-  }
+  const uint64_t Defer = Patches.deferralFor(Meta.AllocSite, FreeSite);
   if (Defer == 0) {
     Inner.deallocateResolved(*Ref, FreeSite);
     return;
@@ -136,11 +100,10 @@ void CorrectingHeap::deallocate(void *Ptr) {
 
 void CorrectingHeap::setPatches(const PatchSet &NewPatches) {
   Patches = NewPatches;
-  applyHardwareReports();
-}
-
-void CorrectingHeap::setCriticality(const CriticalityConfig &NewCriticality) {
-  Criticality = NewCriticality;
+  // Retirement is idempotent; reports merged in repeatedly (patch
+  // reloads ship supersets) retire nothing new.
+  for (const HardwareFaultReport &Report : Patches.hardwareReports())
+    Inner.heap().retirePage(static_cast<uintptr_t>(Report.PageAddress));
 }
 
 bool CorrectingHeap::loadPatches(const std::string &Path) {
@@ -149,43 +112,6 @@ bool CorrectingHeap::loadPatches(const std::string &Path) {
     return false;
   setPatches(Loaded);
   return true;
-}
-
-void CorrectingHeap::creditClassError(unsigned ClassIndex) {
-  if (ClassIndex >= ClassErrors.size())
-    ClassErrors.resize(ClassIndex + 1, 0);
-  ++ClassErrors[ClassIndex];
-}
-
-void CorrectingHeap::applyHardwareReports() {
-  if (Patches.hardwareReportCount() == 0)
-    return;
-  for (const HardwareFaultReport &Report : Patches.hardwareReports()) {
-    const uintptr_t Page = static_cast<uintptr_t>(Report.PageAddress);
-    // Retirement is idempotent; reports merged in repeatedly (patch
-    // reloads ship supersets) retire nothing new.
-    Inner.heap().retirePage(Page);
-
-    // Credit the error history of every size class with a slab on the
-    // page — once per page, enough sightings to harden the class
-    // outright (a failing cell under a slab is not a statistical hint).
-    auto It = std::lower_bound(CreditedPages.begin(), CreditedPages.end(),
-                               Report.PageAddress);
-    if (It != CreditedPages.end() && *It == Report.PageAddress)
-      continue;
-    CreditedPages.insert(It, Report.PageAddress);
-    Inner.heap().forEachMiniheap(
-        [&](unsigned C, unsigned H, const Miniheap &Heap) {
-          (void)H;
-          const uintptr_t Begin = reinterpret_cast<uintptr_t>(Heap.base());
-          const uintptr_t End =
-              Begin + Heap.numSlots() * Heap.objectSize();
-          if (End <= Page || Begin >= Page + 4096)
-            return;
-          for (uint32_t I = 0; I < Criticality.HardenThreshold; ++I)
-            creditClassError(C);
-        });
-  }
 }
 
 void CorrectingHeap::drainDeferrals() {

@@ -16,7 +16,11 @@
 /// allocation-clock due time.
 ///
 /// Patches can be reloaded at any time without interrupting execution
-/// (§3.4: replicated mode patches running replicas on-the-fly).
+/// (§3.4: replicated mode patches running replicas on-the-fly).  Each
+/// object remembers the pads it was allocated with, so its free returns
+/// exactly those bytes to the §7.3 live-pad count whatever patch set is
+/// loaded by then.  Hardware reports in a patch set retire their pages
+/// from the slot lottery (PR 9).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,28 +53,6 @@ struct CorrectionStats {
   uint64_t MaxDeferredBytes = 0;
   /// Σ object-size × allocations-deferred: the added *drag* (§6.2).
   uint64_t DragByteTicks = 0;
-  /// Criticality tiering (PR 9): defensive pads and deferrals applied to
-  /// hardened size classes beyond what site patches demanded.
-  uint64_t DefensivePadAllocations = 0;
-  uint64_t DefensivePadBytesAdded = 0;
-  uint64_t DefensiveDeferrals = 0;
-};
-
-/// Criticality tiering (PR 9): the HRM idea inverted.  Instead of
-/// protecting critical data by replication, the allocator *degrades*
-/// service where errors concentrate: size classes with an error history
-/// (padded-site allocations, hardware-implicated slabs) get a defensive
-/// pad on every allocation and a defensive deferral on every free, while
-/// clean classes keep the lean fast path.  Off by default — tiering is a
-/// policy the deployment opts into.
-struct CriticalityConfig {
-  bool Enabled = false;
-  /// Error-history sightings at one size class before it is hardened.
-  uint32_t HardenThreshold = 2;
-  /// Defensive pad added to every allocation of a hardened class.
-  uint32_t DefensivePadBytes = 16;
-  /// Defensive free deferral (allocation ticks) for hardened classes.
-  uint64_t DefensiveDeferTicks = 32;
 };
 
 /// DieFast plus runtime patches: pads overflows away, defers premature
@@ -90,25 +72,8 @@ public:
   const AllocatorStats &stats() const override { return Inner.stats(); }
 
   /// Replaces the live patch set ("reload signal", §6.3).  Hardware
-  /// reports in the set retire their pages from the slot lottery and
-  /// credit the error history of the implicated size classes (PR 9).
+  /// reports in the set retire their pages from the slot lottery (PR 9).
   void setPatches(const PatchSet &NewPatches);
-
-  /// Enables/configures criticality tiering (PR 9).
-  void setCriticality(const CriticalityConfig &NewCriticality);
-
-  const CriticalityConfig &criticality() const { return Criticality; }
-
-  /// Error-history sightings recorded against \p ClassIndex.
-  uint32_t classErrorCount(unsigned ClassIndex) const {
-    return ClassIndex < ClassErrors.size() ? ClassErrors[ClassIndex] : 0;
-  }
-
-  /// True when tiering is on and the class crossed the harden threshold.
-  bool isClassHardened(unsigned ClassIndex) const {
-    return Criticality.Enabled &&
-           classErrorCount(ClassIndex) >= Criticality.HardenThreshold;
-  }
 
   /// Loads patches from a runtime patch file; returns false on failure.
   bool loadPatches(const std::string &Path);
@@ -146,13 +111,6 @@ private:
 
   void reallyFree(const Deferred &Entry);
 
-  /// Retires pages named by the patch set's hardware reports and credits
-  /// the implicated size classes' error history.
-  void applyHardwareReports();
-
-  /// Adds one error-history sighting to \p ClassIndex.
-  void creditClassError(unsigned ClassIndex);
-
   const CallContext *Context;
   DieFastHeap Inner;
   PatchSet Patches;
@@ -160,14 +118,6 @@ private:
       Deferrals;
   uint64_t Clock = 0;
   CorrectionStats CStats;
-
-  // Criticality tiering (PR 9).
-  CriticalityConfig Criticality;
-  /// Error-history sightings per size class; grown on demand.
-  std::vector<uint32_t> ClassErrors;
-  /// Pages already credited to class error history (setPatches is called
-  /// repeatedly with supersets; each page must count once).
-  std::vector<uint64_t> CreditedPages;
 };
 
 } // namespace exterminator

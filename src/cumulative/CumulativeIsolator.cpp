@@ -74,11 +74,8 @@ CumulativeIsolator::classifyOverflows() const {
   std::vector<CumulativeOverflowFinding> Findings;
   if (OverflowSites.empty())
     return Findings;
-  const size_t NumSites = Config.TotalSitesHint
-                              ? Config.TotalSitesHint
-                              : OverflowSites.size();
   const BayesClassifier Classifier(Config.PriorC);
-  const double Threshold = Classifier.logThreshold(NumSites);
+  const double Threshold = Classifier.logThreshold(OverflowSites.size());
 
   for (const auto &[Site, State] : OverflowSites) {
     // One compare per tracked site: the accumulator scored itself when
@@ -110,10 +107,8 @@ CumulativeIsolator::classifyDanglings() const {
   std::vector<CumulativeDanglingFinding> Findings;
   if (DanglingPairs.empty())
     return Findings;
-  const size_t NumPairs = Config.TotalSitesHint ? Config.TotalSitesHint
-                                                : DanglingPairs.size();
   const BayesClassifier Classifier(Config.PriorC);
-  const double Threshold = Classifier.logThreshold(NumPairs);
+  const double Threshold = Classifier.logThreshold(DanglingPairs.size());
 
   for (const auto &[Key, State] : DanglingPairs) {
     const double LogBF = State.Accum.logBayesFactor();
@@ -142,9 +137,7 @@ CumulativeIsolator::sitePosteriors(size_t MaxSites) const {
   std::vector<SitePosterior> Out;
   const BayesClassifier Classifier(Config.PriorC);
   if (!OverflowSites.empty()) {
-    const size_t NumSites = Config.TotalSitesHint ? Config.TotalSitesHint
-                                                  : OverflowSites.size();
-    const double Threshold = Classifier.logThreshold(NumSites);
+    const double Threshold = Classifier.logThreshold(OverflowSites.size());
     for (const auto &[Site, State] : OverflowSites) {
       SitePosterior P;
       P.AllocSite = Site;
@@ -156,9 +149,7 @@ CumulativeIsolator::sitePosteriors(size_t MaxSites) const {
     }
   }
   if (!DanglingPairs.empty()) {
-    const size_t NumPairs = Config.TotalSitesHint ? Config.TotalSitesHint
-                                                  : DanglingPairs.size();
-    const double Threshold = Classifier.logThreshold(NumPairs);
+    const double Threshold = Classifier.logThreshold(DanglingPairs.size());
     for (const auto &[Key, State] : DanglingPairs) {
       SitePosterior P;
       P.Dangling = true;

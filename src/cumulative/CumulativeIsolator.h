@@ -10,8 +10,10 @@
 /// deterministic behavior required — and flags allocation sites (for
 /// overflows) or site pairs (for dangling pointers) whose observed
 /// corruption criteria fire more often than chance, using the §5.1
-/// Bayesian classifier.  Produces the same runtime patches as the
-/// iterative pipeline.
+/// Bayesian classifier.  The prior's N is the number of sites (or site
+/// pairs) tracked so far, so the bar rises as evidence names more
+/// candidates.  Produces the same runtime patches as the iterative
+/// pipeline.
 ///
 /// The accumulated state is serializable; the paper stores it in the
 /// patch file between runs ("a few kilobytes per execution, compared to
@@ -34,11 +36,9 @@ namespace exterminator {
 
 /// Tuning for cumulative isolation.
 struct CumulativeConfig {
-  /// The constant c in the prior P(H1) = 1/(cN); the paper uses 4.
+  /// The constant c in the prior P(H1) = 1/(cN); the paper uses 4.  N
+  /// is the number of tracked sites (or site pairs) with trials.
   double PriorC = 4.0;
-  /// If nonzero, overrides N (the number of candidate sites) in the
-  /// decision threshold; by default the number of sites with trials.
-  size_t TotalSitesHint = 0;
 };
 
 /// An allocation site flagged as an overflow source.

@@ -8,10 +8,10 @@
 /// The per-slot halves of the DieFast protocol (§3.3, Figure 4, §2.1),
 /// factored out of DieFastHeap so the concurrent allocator front-end
 /// (PR 7) applies byte-for-byte the same semantics to slots that pass
-/// through thread-cache magazines: verify-or-quarantine on reuse,
-/// neighbor sweeps and probabilistic canary fill on free.  Only the slot
-/// mechanics live here; quarantining, error signalling, and retry policy
-/// stay with the calling heap.
+/// through thread-cache magazines: verify-or-quarantine plus the §2.1
+/// zero-fill on reuse, neighbor sweeps and probabilistic canary fill on
+/// free.  Only the slot mechanics live here; quarantining, error
+/// signalling, and retry policy stay with the calling heap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,32 +29,28 @@ namespace exterminator {
 namespace canary_ops {
 
 /// The alloc-time check on a reserved slot (Figure 4 + §2.1): verifies
-/// the previous tenant's canary when one was laid down, zero-filling the
-/// first \p RequestSize bytes per \p ZeroFill.  When the canary check and
-/// the zeroing can fuse (canaried slot, zero-fill on), the slot is
-/// traversed once; the slot's tail keeps whatever canary it
-/// carried, which stays sound because the next free re-fills the whole
-/// slot.  Returns true when the slot is clean and ready to commit; false
-/// when the canary was corrupted — intact-but-zeroed prefix bytes are
-/// restored first, so the caller quarantines a slot carrying its exact
-/// corruption evidence.
+/// the previous tenant's canary when one was laid down and zero-fills
+/// the first \p RequestSize bytes.  A canaried slot is traversed once,
+/// the check and the zeroing fused; the slot's tail keeps whatever
+/// canary it carried, which stays sound because the next free re-fills
+/// the whole slot.  Returns true when the slot is clean and ready to
+/// commit; false when the canary was corrupted — intact-but-zeroed
+/// prefix bytes are restored first, so the caller quarantines a slot
+/// carrying its exact corruption evidence.
 inline bool prepareReusedSlot(const Canary &C, const SlotMetadata &Meta,
                               uint8_t *Ptr, size_t ObjectSize,
-                              size_t RequestSize, bool ZeroFill) {
-  if (Meta.Canaried && ZeroFill) {
-    const size_t Zeroed = C.verifyAndZeroPrefix(Ptr, ObjectSize, RequestSize);
-    if (Zeroed != Canary::AllVerified) {
-      // Only intact canary bytes were zeroed; restore them so the
-      // quarantined slot carries its exact corruption evidence.
-      C.fill(Ptr, Zeroed);
-      return false;
-    }
+                              size_t RequestSize) {
+  if (!Meta.Canaried) {
+    std::memset(Ptr, 0, RequestSize);
     return true;
   }
-  if (Meta.Canaried && !C.verify(Ptr, ObjectSize))
+  const size_t Zeroed = C.verifyAndZeroPrefix(Ptr, ObjectSize, RequestSize);
+  if (Zeroed != Canary::AllVerified) {
+    // Only intact canary bytes were zeroed; restore them so the
+    // quarantined slot carries its exact corruption evidence.
+    C.fill(Ptr, Zeroed);
     return false;
-  if (ZeroFill)
-    std::memset(Ptr, 0, RequestSize);
+  }
   return true;
 }
 

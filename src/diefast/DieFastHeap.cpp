@@ -33,9 +33,8 @@ void *DieFastHeap::allocate(size_t Size) {
     // (see canary_ops::prepareReusedSlot).  A corrupt slot is never
     // reused ("bad object isolation"): mark it allocated-for-good and
     // pick another slot.
-    if (!canary_ops::prepareReusedSlot(
-            HeapCanary, Mini.slot(Ref.SlotIndex), Ptr, Mini.objectSize(),
-            Size, Config.ZeroFillAllocations)) {
+    if (!canary_ops::prepareReusedSlot(HeapCanary, Mini.slot(Ref.SlotIndex),
+                                       Ptr, Mini.objectSize(), Size)) {
       Heap.markBad(Ref);
       signalError(ErrorSignalKind::CanaryCorruptOnAlloc, Ref);
       continue;

@@ -18,8 +18,9 @@
 /// replicated modes, with probability p in cumulative mode (needed to
 /// isolate read-only dangling pointers, §5.2).
 ///
-/// Allocated objects are zero-filled: Exterminator cannot repair
+/// Allocated objects are always zero-filled: Exterminator cannot repair
 /// uninitialized reads, so it makes them deterministic instead (§2.1).
+/// The zeroing fuses into the canary check (canary_ops).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +44,6 @@ struct DieFastConfig {
   /// objects with canaries when not running in cumulative mode"); the
   /// cumulative mode uses p = 1/2 (§5.2).
   double CanaryFillProbability = 1.0;
-  /// Zero-fill allocated objects (§2.1); on by default.
-  bool ZeroFillAllocations = true;
 };
 
 /// The DieFast probabilistic debugging allocator.

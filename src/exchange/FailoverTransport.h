@@ -96,8 +96,6 @@ public:
     return LastBackoffsMs;
   }
 
-  size_t endpointCount() const { return Slots.size(); }
-
 private:
   struct Slot {
     std::string Label;

@@ -61,8 +61,6 @@ public:
     Script.push_back({Kind, DelayMs});
   }
 
-  size_t scriptRemaining() const { return Script.size(); }
-
   bool exchange(const std::vector<std::vector<uint8_t>> &Requests,
                 std::vector<std::vector<uint8_t>> &ResponsesOut) override;
 

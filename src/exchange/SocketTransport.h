@@ -85,8 +85,6 @@ public:
   /// "<endpoint>: <what failed>: <strerror>" for the last failure.
   std::string lastError() const override { return LastError; }
 
-  const Endpoint &serverEndpoint() const { return Server; }
-
 private:
   int connectToServer();
   /// Records "<endpoint>: <Context>[: strerror(Errno)]"; returns false

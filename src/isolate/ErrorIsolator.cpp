@@ -22,33 +22,29 @@ exterminator::isolateErrors(const std::vector<HeapImageView> &Views,
   for (const DanglingFinding &Finding : Result.Danglings)
     ExcludeIds.push_back(Finding.ObjectId);
 
-  OverflowIsolator Overflow(Views, Config.Overflow, Pool);
+  OverflowIsolator Overflow(Views, Pool);
   OverflowIsolator::Isolation Isolation =
-      Overflow.isolateWithOrigins(ExcludeIds, Config.Origin);
+      Overflow.isolateWithOrigins(ExcludeIds);
   Result.Overflows = std::move(Isolation.Candidates);
   Result.HardwareFaults = std::move(Isolation.Hardware);
 
   // Patches: every dangling finding defers its site pair; overflows pad
-  // the most highly-ranked culprit (§6.1) unless configured otherwise.
-  // Hardware findings implicate no site at all — they become page
-  // reports, and the correcting allocator retires the pages.
+  // the most highly-ranked culprit (§6.1).  Hardware findings implicate
+  // no site at all — they become page reports, and the correcting
+  // allocator retires the pages.
   for (const DanglingFinding &Finding : Result.Danglings)
     Result.Patches.addDeferral(Finding.AllocSite, Finding.FreeSite,
                                Finding.DeferralTicks);
   for (const HardwareFinding &Finding : Result.HardwareFaults)
     Result.Patches.addHardwareReport(Finding.PageAddress, Finding.KindMask,
                                      Finding.EvidenceRegions);
-  for (const OverflowCandidate &Candidate : Result.Overflows) {
-    if (Candidate.Score < Config.MinPatchScore)
-      break; // Ranked: everything after is below threshold too.
-    if (Candidate.PadBytes > 0)
-      Result.Patches.addPad(Candidate.CulpritAllocSite,
-                            Candidate.PadBytes);
-    if (Candidate.FrontPadBytes > 0)
-      Result.Patches.addFrontPad(Candidate.CulpritAllocSite,
-                                 Candidate.FrontPadBytes);
-    if (!Config.PatchAllCandidates)
-      break;
+  if (!Result.Overflows.empty() &&
+      Result.Overflows.front().Score >= Config.MinPatchScore) {
+    const OverflowCandidate &Top = Result.Overflows.front();
+    if (Top.PadBytes > 0)
+      Result.Patches.addPad(Top.CulpritAllocSite, Top.PadBytes);
+    if (Top.FrontPadBytes > 0)
+      Result.Patches.addFrontPad(Top.CulpritAllocSite, Top.FrontPadBytes);
   }
   return Result;
 }

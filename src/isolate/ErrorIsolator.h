@@ -9,9 +9,11 @@
 /// execution (iterative mode) or of replicas over the same input
 /// (replicated mode), classify dangling-pointer overwrites first (their
 /// corruption is identical across images, Theorem 1), exclude them from
-/// overflow evidence, isolate overflow culprits, and emit runtime patches:
-/// a pad for the most highly-ranked overflow culprit (§6.1) and a deferral
-/// for every dangling finding (§6.2).
+/// overflow evidence, divert hardware-shaped evidence to page findings
+/// (PR 9's origin classifier), isolate overflow culprits, and emit
+/// runtime patches: a pad for the most highly-ranked overflow culprit
+/// when it scores at least MinPatchScore (§6.1), a deferral for every
+/// dangling finding (§6.2), and a report per suspected page.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,15 +30,8 @@ namespace exterminator {
 
 /// Tuning for the full isolation pipeline.
 struct IsolationConfig {
-  OverflowIsolatorConfig Overflow;
-  /// Origin classification (PR 9): hardware-shaped evidence is diverted
-  /// into page findings instead of feeding site patches.
-  OriginClassifierConfig Origin;
-  /// Patch every overflow candidate at or above this score rather than
-  /// only the top-ranked one (off by default; the paper patches "the most
-  /// highly-ranked culprit").
-  bool PatchAllCandidates = false;
-  /// Candidates below this score never generate patches.
+  /// The top-ranked overflow culprit is patched only at or above this
+  /// score.
   double MinPatchScore = 0.5;
 };
 

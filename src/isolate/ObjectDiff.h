@@ -110,8 +110,6 @@ public:
   WordClassKind classifyWord(uint64_t ObjectId, uint64_t WordOffset,
                              const std::vector<uint64_t> &Values) const;
 
-  size_t imageCount() const { return Views.size(); }
-
 private:
   const std::vector<HeapImageView> &Views;
   Executor *Pool;

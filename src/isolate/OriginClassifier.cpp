@@ -14,6 +14,19 @@ using namespace exterminator;
 
 namespace {
 
+/// Hardware damage is at most this many contiguous bytes; longer regions
+/// are overflow strings.
+constexpr uint64_t MaxRegionBytes = 2;
+/// Each corrupted byte may have at most this many flipped bits versus its
+/// expected (canary) value.
+constexpr int MaxFlippedBitsPerByte = 2;
+/// Window for spatial clustering: candidate regions within one aligned
+/// window of this size count toward a row-cluster signature.
+constexpr uint64_t RowWindowBytes = 1024;
+/// Distinct corrupted slots within one window needed to call the damage
+/// a row cluster.
+constexpr size_t MinClusterSlots = 2;
+
 /// One region that passed the bit-level hardware tests, with the context
 /// the correlation / clustering passes need.
 struct HardwareCandidate {
@@ -56,10 +69,9 @@ std::string cellKey(const HardwareCandidate &Candidate) {
 
 OriginPartition exterminator::classifyOrigins(
     const std::vector<HeapImageView> &Views,
-    const std::vector<std::vector<CorruptionRegion>> &ByImage,
-    const OriginClassifierConfig &Config) {
+    const std::vector<std::vector<CorruptionRegion>> &ByImage) {
   OriginPartition Out;
-  if (!Config.Enabled || Views.size() != ByImage.size()) {
+  if (Views.size() != ByImage.size()) {
     Out.Software = ByImage;
     return Out;
   }
@@ -75,7 +87,7 @@ OriginPartition exterminator::classifyOrigins(
     for (uint32_t R = 0; R < ByImage[I].size(); ++R) {
       const CorruptionRegion &Region = ByImage[I][R];
       const uint64_t Length = Region.length();
-      if (Length == 0 || Length > Config.MaxRegionBytes ||
+      if (Length == 0 || Length > MaxRegionBytes ||
           Region.Bytes.size() < Length)
         continue;
       const ImageLocation Loc = Region.Victim;
@@ -93,9 +105,7 @@ OriginPartition exterminator::classifyOrigins(
         const uint8_t Diff =
             Region.Bytes[static_cast<size_t>(B)] ^
             Pattern.byteAt(static_cast<size_t>(SlotOffset));
-        if (Diff == 0 ||
-            std::popcount(unsigned(Diff)) >
-                static_cast<int>(Config.MaxFlippedBitsPerByte))
+        if (Diff == 0 || std::popcount(unsigned(Diff)) > MaxFlippedBitsPerByte)
           Shaped = false;
         XorBytes.push_back(static_cast<char>(Diff));
       }
@@ -139,11 +149,10 @@ OriginPartition exterminator::classifyOrigins(
   // Pass 4 — spatial clustering: several distinct corrupted slots inside
   // one aligned row window of one image mark the window as a row
   // cluster; lone cells are bit flips.
-  const uint64_t Window = std::max<uint64_t>(Config.RowWindowBytes, 8);
   std::map<std::pair<uint32_t, uint64_t>, std::vector<size_t>> Windows;
   for (size_t C = 0; C < Candidates.size(); ++C)
     Windows[{Candidates[C].ImageIndex,
-             Candidates[C].Region->BeginAddress / Window}]
+             Candidates[C].Region->BeginAddress / RowWindowBytes}]
         .push_back(C);
   for (const auto &[Key, Members] : Windows) {
     std::vector<std::pair<uint32_t, uint32_t>> Slots;
@@ -152,7 +161,7 @@ OriginPartition exterminator::classifyOrigins(
                          Candidates[C].Region->Victim.SlotIndex);
     std::sort(Slots.begin(), Slots.end());
     Slots.erase(std::unique(Slots.begin(), Slots.end()), Slots.end());
-    const uint32_t Mask = Slots.size() >= Config.MinClusterSlots
+    const uint32_t Mask = Slots.size() >= MinClusterSlots
                               ? HardwareFaultRowCluster
                               : HardwareFaultBitFlip;
     for (size_t C : Members)

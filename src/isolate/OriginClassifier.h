@@ -33,7 +33,9 @@
 ///
 /// Diversion is deliberately conservative: anything failing the bit-level
 /// tests stays software, so pure-software runs produce evidence — and
-/// hence patches — bit-identical to a classifier-free pipeline.
+/// hence patches — bit-identical to a classifier-free pipeline (a golden
+/// digest of a software-only diagnosis pins this).  The thresholds are
+/// constants in OriginClassifier.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,25 +48,6 @@
 #include <vector>
 
 namespace exterminator {
-
-/// Tuning for origin classification.
-struct OriginClassifierConfig {
-  /// Classification on/off; when off, every region is software and no
-  /// hardware findings are produced (the pre-PR-9 pipeline).
-  bool Enabled = true;
-  /// Hardware damage is at most this many contiguous bytes; longer
-  /// regions are overflow strings.
-  uint32_t MaxRegionBytes = 2;
-  /// Each corrupted byte may have at most this many flipped bits versus
-  /// its expected (canary) value.
-  uint32_t MaxFlippedBitsPerByte = 2;
-  /// Window for spatial clustering: candidate regions within one aligned
-  /// window of this size count toward a row-cluster signature.
-  uint64_t RowWindowBytes = 1024;
-  /// Distinct corrupted slots within one window needed to call the
-  /// damage a row cluster.
-  uint32_t MinClusterSlots = 2;
-};
 
 /// One suspected failing page, aggregated over all images' diverted
 /// evidence.  Feeds PatchSet::addHardwareReport.
@@ -90,8 +73,7 @@ struct OriginPartition {
 /// software-origin evidence and hardware-fault findings.
 OriginPartition
 classifyOrigins(const std::vector<HeapImageView> &Views,
-                const std::vector<std::vector<CorruptionRegion>> &ByImage,
-                const OriginClassifierConfig &Config = {});
+                const std::vector<std::vector<CorruptionRegion>> &ByImage);
 
 } // namespace exterminator
 

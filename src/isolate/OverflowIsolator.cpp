@@ -7,11 +7,15 @@
 using namespace exterminator;
 
 OverflowIsolator::OverflowIsolator(const std::vector<HeapImageView> &Views,
-                                   const OverflowIsolatorConfig &Config,
                                    Executor *Pool)
-    : Views(Views), Config(Config), Pool(Pool) {}
+    : Views(Views), Pool(Pool) {}
 
 namespace {
+
+/// A culprit-victim pair needs corroboration from at least two
+/// differently-randomized heaps (§4.1, "Culprit Identification"); each
+/// extra image divides the expected spurious-culprit count by H−1.
+constexpr uint32_t MinConfirmations = 2;
 
 /// A corruption region re-expressed as byte offsets relative to a culprit
 /// candidate's object start within one image.  Offsets are signed:
@@ -36,10 +40,10 @@ struct Observation {
 std::vector<uint64_t> OverflowIsolator::candidates(
     const std::vector<std::vector<CorruptionRegion>> &ByImage) const {
   // For each victim region, every object at a lower address in the same
-  // miniheap could be a forward-overflow source; with the backward
-  // extension, objects at higher addresses are candidates too.  Victim
-  // regions are grouped by (image, miniheap) so each miniheap's id
-  // column is swept once, not once per region.
+  // miniheap could be a forward-overflow source, and with the backward
+  // extension every object at a higher address too.  Victim regions are
+  // grouped by (image, miniheap) so each miniheap's id column is swept
+  // once, not once per region.
   struct VictimGroup {
     uint32_t Image;
     uint32_t Mini;
@@ -71,24 +75,15 @@ std::vector<uint64_t> OverflowIsolator::candidates(
     Group.Victims.erase(
         std::unique(Group.Victims.begin(), Group.Victims.end()),
         Group.Victims.end());
-    if (Config.DetectBackwardOverflows) {
-      // Each region admits every slot but its own victim; the union over
-      // a group therefore excludes a slot only when it is the group's
-      // sole victim.
-      const bool SingleVictim = Group.Victims.size() == 1;
-      for (uint32_t C = 0; C < Mini.NumSlots; ++C) {
-        if (SingleVictim && C == Group.Victims.front())
-          continue;
-        if (Ids[C] != 0)
-          Candidates.push_back(Ids[C]);
-      }
-    } else {
-      // Forward-only, each region admits C < its victim slot; the union
-      // over the group is C < its highest victim slot.
-      const uint32_t Limit = Group.Victims.back();
-      for (uint32_t C = 0; C < Limit; ++C)
-        if (Ids[C] != 0)
-          Candidates.push_back(Ids[C]);
+    // Each region admits every slot but its own victim; the union over a
+    // group therefore excludes a slot only when it is the group's sole
+    // victim.
+    const bool SingleVictim = Group.Victims.size() == 1;
+    for (uint32_t C = 0; C < Mini.NumSlots; ++C) {
+      if (SingleVictim && C == Group.Victims.front())
+        continue;
+      if (Ids[C] != 0)
+        Candidates.push_back(Ids[C]);
     }
   }
   std::sort(Candidates.begin(), Candidates.end());
@@ -97,25 +92,15 @@ std::vector<uint64_t> OverflowIsolator::candidates(
   return Candidates;
 }
 
-std::vector<OverflowCandidate>
-OverflowIsolator::isolate(const std::vector<uint64_t> &ExcludeIds) const {
-  if (Views.size() < 2)
-    return {}; // Theorem 3: one image leaves H−1 candidates per victim.
-
-  const EvidenceCollector Collector(Views, Pool);
-  return isolateFromEvidence(Collector.collectAllEvidence(ExcludeIds));
-}
-
-OverflowIsolator::Isolation
-OverflowIsolator::isolateWithOrigins(const std::vector<uint64_t> &ExcludeIds,
-                                     const OriginClassifierConfig &Origin) const {
+OverflowIsolator::Isolation OverflowIsolator::isolateWithOrigins(
+    const std::vector<uint64_t> &ExcludeIds) const {
   Isolation Result;
   if (Views.size() < 2)
-    return Result;
+    return Result; // Theorem 3: one image leaves H−1 candidates per victim.
 
   const EvidenceCollector Collector(Views, Pool);
   OriginPartition Partition =
-      classifyOrigins(Views, Collector.collectAllEvidence(ExcludeIds), Origin);
+      classifyOrigins(Views, Collector.collectAllEvidence(ExcludeIds));
   Result.Hardware = std::move(Partition.Hardware);
   Result.Candidates = isolateFromEvidence(Partition.Software);
   return Result;
@@ -170,11 +155,9 @@ std::vector<OverflowCandidate> OverflowIsolator::isolateFromEvidence(
         const int64_t End = static_cast<int64_t>(Region.EndAddress) -
                             static_cast<int64_t>(CulpritStart);
         // Corruption confined to the culprit's own requested bytes is not
-        // overflow evidence against it; backward evidence (negative
-        // offsets) only counts when the extension is enabled.
-        const bool Forward = End > static_cast<int64_t>(RequestedSize);
-        const bool Backward = Config.DetectBackwardOverflows && Begin < 0;
-        if (!Forward && !Backward)
+        // overflow evidence against it; corruption past its end (forward)
+        // or before its start (backward, negative offsets) is.
+        if (End <= static_cast<int64_t>(RequestedSize) && Begin >= 0)
           continue;
         Relative.push_back(RelativeRegion{I, Begin, End, &Region.Bytes});
       }
@@ -240,9 +223,7 @@ std::vector<OverflowCandidate> OverflowIsolator::isolateFromEvidence(
     for (bool Confirmed : ImageConfirmed)
       if (Confirmed)
         ++Confirmations;
-    // A culprit-victim pair requires corroboration from at least two
-    // differently-randomized heaps (§4.1, "Culprit Identification").
-    if (Confirmations < Config.MinConfirmations || EvidenceBytes == 0)
+    if (Confirmations < MinConfirmations || EvidenceBytes == 0)
       continue;
 
     OverflowCandidate Candidate;

@@ -20,6 +20,12 @@
 /// the lengths of matching overflow strings; the patch pads the culprit's
 /// allocation site enough to contain the farthest observed corruption.
 ///
+/// Enumeration runs both directions: objects above a victim are
+/// candidates too, for the backward (under-run) overflows that §2.1 names
+/// as an extension, and a culprit needs corroboration from two images.
+/// Evidence passes the origin classifier first (PR 9), so hardware-shaped
+/// damage becomes page findings, not site patches.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXTERMINATOR_ISOLATE_OVERFLOWISOLATOR_H
@@ -55,47 +61,29 @@ struct OverflowCandidate {
   uint32_t Confirmations = 0;
 };
 
-/// Tuning for overflow isolation.
-struct OverflowIsolatorConfig {
-  /// Minimum number of images in which a culprit's corruption must be
-  /// corroborated.  Two is the paper's baseline (each extra image divides
-  /// the expected spurious-culprit count by H−1).
-  uint32_t MinConfirmations = 2;
-  /// Also search for backward (under-run) overflows — the extension the
-  /// paper names in §2.1 but does not implement.
-  bool DetectBackwardOverflows = true;
-};
-
 /// Searches heap images for buffer overflows.
 class OverflowIsolator {
 public:
   /// \p Pool, when given, fans the evidence-collection sweeps across the
   /// executor (see EvidenceCollector; the findings are unaffected).
   explicit OverflowIsolator(const std::vector<HeapImageView> &Views,
-                            const OverflowIsolatorConfig &Config = {},
                             Executor *Pool = nullptr);
-
-  /// Returns culprits ranked by score (ties broken toward more evidence
-  /// bytes).  \p ExcludeIds lists objects already classified as dangling
-  /// overwrites, whose corruption must not be treated as overflow
-  /// evidence.
-  std::vector<OverflowCandidate>
-  isolate(const std::vector<uint64_t> &ExcludeIds = {}) const;
 
   /// Overflow candidates plus the hardware findings diverted before
   /// candidate scoring (PR 9).
   struct Isolation {
+    /// Culprits ranked by score (ties broken toward more evidence bytes).
     std::vector<OverflowCandidate> Candidates;
     std::vector<HardwareFinding> Hardware;
   };
 
-  /// Like isolate(), but runs the origin classifier over the collected
-  /// evidence first: hardware-origin regions never become site-patch
-  /// evidence and are returned as page findings instead.  With the
-  /// classifier disabled (or no hardware-shaped evidence present) the
-  /// candidates are bit-identical to isolate()'s.
-  Isolation isolateWithOrigins(const std::vector<uint64_t> &ExcludeIds,
-                               const OriginClassifierConfig &Origin) const;
+  /// Collects the corruption evidence, runs the origin classifier over
+  /// it — hardware-origin regions never become site-patch evidence and
+  /// are returned as page findings instead — and ranks the culprits of
+  /// the rest.  \p ExcludeIds lists objects already classified as
+  /// dangling overwrites, whose corruption must not be treated as
+  /// overflow evidence.
+  Isolation isolateWithOrigins(const std::vector<uint64_t> &ExcludeIds) const;
 
 private:
   /// The §4.1 candidate enumeration + δ-agreement scoring over an
@@ -110,7 +98,6 @@ private:
       const std::vector<std::vector<CorruptionRegion>> &ByImage) const;
 
   const std::vector<HeapImageView> &Views;
-  OverflowIsolatorConfig Config;
   Executor *Pool;
 };
 

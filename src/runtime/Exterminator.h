@@ -33,8 +33,8 @@ namespace exterminator {
 
 /// Configuration for the Exterminator runtime, shared by every mode.
 struct ExterminatorConfig {
-  /// The DieHard substrate (multiplier M, initial size, guard bytes).
-  /// The per-run seed is filled in by the drivers.
+  /// The DieHard substrate (multiplier M, initial slab size).  The
+  /// per-run seed is filled in by the drivers.
   DieHardConfig Heap;
   /// Canary fill probability p: 1.0 for iterative/replicated, 1/2 for
   /// cumulative (§3.3, §5.2).

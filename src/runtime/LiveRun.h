@@ -9,9 +9,9 @@
 /// workload finishes, for callers that need to operate on the *live*
 /// heap state rather than on captured images: the capture-throughput
 /// bench (which times captureHeapImage against a real post-run heap)
-/// and the capture-determinism tests (which capture the same heap
-/// repeatedly under different evidence-path modes and pin the bytes
-/// identical).
+/// and the capture golden-digest tests (which capture the same heap
+/// under every canary kernel, sequentially and in parallel, and pin the
+/// bytes to committed digests).
 ///
 //===----------------------------------------------------------------------===//
 

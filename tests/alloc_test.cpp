@@ -627,14 +627,12 @@ TEST(ConcurrentAllocator, MagazineOfOneWithCanariesMatchesDieFast) {
   Cfg.MagazineSize = 1;
   Cfg.DieFastCanaries = true;
   Cfg.CanaryFillProbability = 1.0;
-  Cfg.ZeroFillAllocations = true;
   ConcurrentAllocator Front(Cfg);
   ConcurrentAllocator::ThreadCache &Cache = Front.createCache();
 
   DieFastConfig Reference;
   Reference.Heap = testConfig(22);
   Reference.CanaryFillProbability = 1.0;
-  Reference.ZeroFillAllocations = true;
   DieFastHeap Direct(Reference);
 
   EXPECT_EQ(Front.canary().value(), Direct.canary().value());
@@ -840,9 +838,9 @@ TEST(ConcurrentAllocator, DoubleAndInvalidFreesAreCountedLockFree) {
 
 TEST(ConcurrentAllocator, LockAcquisitionsAreAmortizedByMagazines) {
   // The machine-independent decontention witness: the cached mode takes
-  // the backend lock ~2/MagazineSize times per alloc/free pair where the
-  // global-lock baseline pays exactly 2.  Wall-clock scaling depends on
-  // core count; this ratio does not.
+  // the backend lock ~2/MagazineSize times per alloc/free pair where a
+  // global lock pays exactly 2.  Wall-clock scaling depends on core
+  // count; this ratio does not.
   constexpr uint64_t N = 6400;
   constexpr size_t Magazine = 64;
 
@@ -865,17 +863,6 @@ TEST(ConcurrentAllocator, LockAcquisitionsAreAmortizedByMagazines) {
   // flush drains them all in one acquisition).  Allow slack for growth.
   EXPECT_LT(Fast.backendLockAcquires(), 2 * N / Magazine + 16);
   EXPECT_EQ(Fast.backend().liveObjectCount(), 0u);
-
-  ConcurrentAllocatorConfig Locked = Cached;
-  Locked.GlobalLockBaseline = true;
-  ConcurrentAllocator Slow(Locked);
-  Ptrs.clear();
-  for (uint64_t I = 0; I < N; ++I)
-    Ptrs.push_back(Slow.allocate(16));
-  for (void *Ptr : Ptrs)
-    Slow.deallocate(Ptr);
-  // One acquisition per operation, exactly.
-  EXPECT_EQ(Slow.backendLockAcquires(), 2 * N);
 }
 
 TEST(ConcurrentAllocator, ThreadExitFlushesItsCache) {

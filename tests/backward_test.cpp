@@ -59,14 +59,6 @@ TEST(BackwardOverflow, IsolatorFindsNegativeOffsetCulprit) {
             Top.FrontPadBytes);
 }
 
-TEST(BackwardOverflow, DisabledExtensionFindsNothing) {
-  const auto Images = imagesFromTrace(underflowTrace(8), 4);
-  IsolationConfig Config;
-  Config.Overflow.DetectBackwardOverflows = false;
-  const IsolationResult Result = isolateErrors(Images, Config);
-  EXPECT_TRUE(Result.Patches.empty());
-}
-
 TEST(BackwardOverflow, FrontPadShiftsPointerAndFreeStillWorks) {
   CallContext Context;
   CorrectingHeap Heap(DieFastConfig(), &Context);

@@ -277,11 +277,47 @@ TEST(CorrectingHeap, DeferredObjectNotReusedWhileDeferred) {
     EXPECT_EQ(Ptr[I], 0x42);
 }
 
-//===----------------------------------------------------------------------===//
-// Hardware reports + criticality tiering (PR 9)
-//===----------------------------------------------------------------------===//
+TEST(CorrectingHeap, LivePadBytesReturnExactlyWhatAllocationAdded) {
+  // §7.3 live-pad accounting: a free gives back the pads its object was
+  // allocated with, not what the current patch set would give it.
+  {
+    // Front pads count like back pads: 100 alloc/free pairs at an 8-byte
+    // front-padded site never hold more than one pad live.
+    Fixture F;
+    PatchSet Patches;
+    Patches.addFrontPad(F.AllocSite, 8);
+    F.Heap.setPatches(Patches);
+    for (int I = 0; I < 100; ++I)
+      F.freeAtSite(F.allocateAtSite(40));
+    EXPECT_EQ(F.Heap.correctionStats().PadBytesAdded, 800u);
+    EXPECT_EQ(F.Heap.correctionStats().LivePadBytes, 0u);
+    EXPECT_EQ(F.Heap.correctionStats().MaxLivePadBytes, 8u);
+  }
+  {
+    // A reload between allocation and free (§3.4's on-the-fly
+    // patching) does not change what the object's free returns.
+    Fixture F;
+    PatchSet Small;
+    Small.addPad(F.AllocSite, 16);
+    F.Heap.setPatches(Small);
+    void *UnderSmall = F.allocateAtSite(40);
+    EXPECT_EQ(F.Heap.correctionStats().LivePadBytes, 16u);
+    PatchSet Large;
+    Large.addPad(F.AllocSite, 64);
+    F.Heap.setPatches(Large);
+    void *UnderLarge = F.allocateAtSite(40);
+    EXPECT_EQ(F.Heap.correctionStats().LivePadBytes, 80u);
+    F.freeAtSite(UnderSmall);
+    EXPECT_EQ(F.Heap.correctionStats().LivePadBytes, 64u);
+    F.freeAtSite(UnderLarge);
+    EXPECT_EQ(F.Heap.correctionStats().LivePadBytes, 0u);
+    EXPECT_EQ(F.Heap.correctionStats().MaxLivePadBytes, 80u);
+  }
+}
 
-#include "alloc/SizeClass.h"
+//===----------------------------------------------------------------------===//
+// Hardware reports (PR 9)
+//===----------------------------------------------------------------------===//
 
 TEST(CorrectingHeap, HardwareReportRetiresItsPage) {
   Fixture F;
@@ -296,93 +332,18 @@ TEST(CorrectingHeap, HardwareReportRetiresItsPage) {
 
   DieHardHeap &Backend = F.Heap.diefast().heap();
   EXPECT_TRUE(Backend.isPageRetired(Page));
-  EXPECT_GT(Backend.retiredSlotCount(), 0u);
+  const size_t Retired = Backend.retiredSlotCount();
+  EXPECT_GT(Retired, 0u);
+
+  // Patch reloads ship supersets: re-applying the same page with more
+  // evidence retires nothing new.
+  Patches.addHardwareReport(Page, HardwareFaultBitFlip, 4);
+  F.Heap.setPatches(Patches);
+  EXPECT_EQ(Backend.retiredSlotCount(), Retired);
+
   for (int I = 0; I < 500; ++I) {
     void *Fresh = F.allocateAtSite(64);
     ASSERT_NE(Fresh, nullptr);
     EXPECT_FALSE(Backend.isPageRetired(reinterpret_cast<uintptr_t>(Fresh)));
   }
-}
-
-TEST(CorrectingHeap, TieringHardensErrorConcentratedClasses) {
-  Fixture F;
-  CriticalityConfig Crit;
-  Crit.Enabled = true;
-  Crit.HardenThreshold = 2;
-  Crit.DefensivePadBytes = 16;
-  Crit.DefensiveDeferTicks = 8;
-  F.Heap.setCriticality(Crit);
-
-  // Two padded-site allocations at the 64-byte class cross the harden
-  // threshold.
-  PatchSet Patches;
-  Patches.addPad(F.AllocSite, 6);
-  F.Heap.setPatches(Patches);
-  const unsigned Class = sizeclass::classFor(64);
-  void *A = F.allocateAtSite(64);
-  void *B = F.allocateAtSite(64);
-  EXPECT_TRUE(F.Heap.isClassHardened(Class));
-
-  // Hardened-class allocations now carry the defensive pad: 64 + 6 + 16
-  // still lands in the 128-byte class, and the defensive counters move.
-  void *C = F.allocateAtSite(64);
-  EXPECT_GE(F.Heap.correctionStats().DefensivePadAllocations, 1u);
-  EXPECT_GE(F.Heap.correctionStats().DefensivePadBytesAdded, 16u);
-
-  // Frees of the hardened class defer defensively even with no deferral
-  // patch installed.
-  const size_t DeferredBefore = F.Heap.deferredCount();
-  F.freeAtSite(C);
-  EXPECT_EQ(F.Heap.deferredCount(), DeferredBefore + 1);
-  EXPECT_GE(F.Heap.correctionStats().DefensiveDeferrals, 1u);
-  F.freeAtSite(A);
-  F.freeAtSite(B);
-  F.Heap.flushDeferrals();
-}
-
-TEST(CorrectingHeap, TieringOffByDefaultKeepsLeanPath) {
-  Fixture F;
-  EXPECT_FALSE(F.Heap.criticality().Enabled);
-  PatchSet Patches;
-  Patches.addPad(F.AllocSite, 6);
-  F.Heap.setPatches(Patches);
-  void *A = F.allocateAtSite(64);
-  void *B = F.allocateAtSite(64);
-  void *C = F.allocateAtSite(64);
-  // Error history accrues, but with tiering off nothing is hardened and
-  // no defensive machinery engages.
-  EXPECT_GE(F.Heap.classErrorCount(sizeclass::classFor(64)), 2u);
-  EXPECT_FALSE(F.Heap.isClassHardened(sizeclass::classFor(64)));
-  EXPECT_EQ(F.Heap.correctionStats().DefensivePadAllocations, 0u);
-  F.freeAtSite(A);
-  F.freeAtSite(B);
-  F.freeAtSite(C);
-  EXPECT_EQ(F.Heap.correctionStats().DefensiveDeferrals, 0u);
-  EXPECT_EQ(F.Heap.deferredCount(), 0u);
-}
-
-TEST(CorrectingHeap, HardwarePageCreditsOverlappingClasses) {
-  Fixture F;
-  CriticalityConfig Crit;
-  Crit.Enabled = true;
-  Crit.HardenThreshold = 2;
-  F.Heap.setCriticality(Crit);
-
-  void *Ptr = F.allocateAtSite(64);
-  const uintptr_t Page =
-      reinterpret_cast<uintptr_t>(Ptr) & ~uintptr_t(0xfff);
-  F.freeAtSite(Ptr);
-
-  PatchSet Patches;
-  Patches.addHardwareReport(Page, HardwareFaultRowCluster, 3);
-  F.Heap.setPatches(Patches);
-  // One hardware page is decisive: it credits HardenThreshold sightings,
-  // hardening the class outright.
-  const unsigned Class = sizeclass::classFor(64);
-  EXPECT_TRUE(F.Heap.isClassHardened(Class));
-  // Re-applying the same (or a superset) patch set must not double-credit.
-  const uint32_t Count = F.Heap.classErrorCount(Class);
-  Patches.addHardwareReport(Page, HardwareFaultRowCluster, 4);
-  F.Heap.setPatches(Patches);
-  EXPECT_EQ(F.Heap.classErrorCount(Class), Count);
 }

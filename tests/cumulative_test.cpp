@@ -432,26 +432,6 @@ TEST(CumulativeIsolator, RefusesTrialsOnlyV1State) {
   EXPECT_EQ(Victim.serialize(), Before);
 }
 
-TEST(CumulativeIsolator, TotalSitesHintRaisesThreshold) {
-  // The same evidence flags with a small N but not with a huge one.
-  RunSummary Summary;
-  Summary.CorruptionObserved = true;
-  Summary.OverflowTrials.push_back(OverflowTrial{0xaaaa, 0.5, true, 4});
-
-  CumulativeConfig SmallN;
-  SmallN.TotalSitesHint = 2;
-  CumulativeIsolator Small(SmallN);
-  CumulativeConfig HugeN;
-  HugeN.TotalSitesHint = 1000000000;
-  CumulativeIsolator Huge(HugeN);
-  for (int I = 0; I < 8; ++I) {
-    Small.addRun(Summary);
-    Huge.addRun(Summary);
-  }
-  EXPECT_FALSE(Small.classifyOverflows().empty());
-  EXPECT_TRUE(Huge.classifyOverflows().empty());
-}
-
 TEST(BayesAccumulator, BitIdenticalToBatchRecompute) {
   // The incremental accumulator (what the patch server classifies with
   // after every ingested summary) must produce exactly the batch

@@ -325,7 +325,6 @@ TEST(HardwareFault, ConcurrentCaptureMatchesSequential) {
     Cfg.MagazineSize = 1;
     Cfg.DieFastCanaries = true;
     Cfg.CanaryFillProbability = Sequential.CanaryFillProbability;
-    Cfg.ZeroFillAllocations = Sequential.ZeroFillAllocations;
     ConcurrentAllocator Front(Cfg);
     FaultInjector ConcInjector(Front, hardwarePlan(Kind, 20, 17));
     ConcInjector.attachHeap(&Front.backend());

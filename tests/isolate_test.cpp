@@ -2,7 +2,9 @@
 
 #include "isolate/ErrorIsolator.h"
 
+#include "GoldenDigest.h"
 #include "TestHelpers.h"
+#include "patch/PatchIO.h"
 #include "workload/ScriptedBugs.h"
 #include "workload/TraceWorkload.h"
 
@@ -356,24 +358,18 @@ TEST(OriginClassifier, RowClusterYieldsClusteredHardwareReport) {
   EXPECT_GE(MaxRegions, 2u);
 }
 
-TEST(OriginClassifier, OverflowDiagnosisIsBitIdenticalWithClassifier) {
+TEST(OriginClassifier, SoftwareOverflowDiagnosisMatchesGoldenDigest) {
   // A pure-software evidence set must flow through the classifier
-  // untouched: the diagnosis with classification enabled is identical to
-  // the pre-PR-9 path (classifier off).
+  // untouched.  The constant was recorded when the classifier could still
+  // be switched off, and both settings derived exactly these bytes, so
+  // the diagnosis stays the classifier-free (pre-PR-9) one.
   const auto Images = imagesFromTrace(overflowTrace(6), 3);
-  IsolationConfig Disabled;
-  Disabled.Origin.Enabled = false;
-  const IsolationResult Before = isolateErrors(Images, Disabled);
-  const IsolationResult After = isolateErrors(Images);
-  EXPECT_GT(Before.Patches.padCount(), 0u);
-  EXPECT_TRUE(Before.Patches == After.Patches);
-  EXPECT_TRUE(After.HardwareFaults.empty());
-  ASSERT_EQ(Before.Overflows.size(), After.Overflows.size());
-  for (size_t I = 0; I < Before.Overflows.size(); ++I) {
-    EXPECT_EQ(Before.Overflows[I].CulpritAllocSite,
-              After.Overflows[I].CulpritAllocSite);
-    EXPECT_EQ(Before.Overflows[I].PadBytes, After.Overflows[I].PadBytes);
-  }
+  const IsolationResult Result = isolateErrors(Images);
+  EXPECT_GT(Result.Patches.padCount(), 0u);
+  EXPECT_TRUE(Result.HardwareFaults.empty());
+  const std::vector<uint8_t> Bytes = serializePatchSet(Result.Patches);
+  EXPECT_EQ(fnv1a64(Bytes), 0x2bb6000717743a07ull);
+  EXPECT_EQ(Bytes.size(), 36u);
 }
 
 TEST(OriginClassifier, MixedRunPatchesSoftwareAndReportsHardware) {
