@@ -13,15 +13,13 @@
 //   view-build  ns/image to index a HeapImageView (flat id index).
 //   isolate     §4 isolation throughput (images/s) over the canonical
 //               scripted-overflow evidence, views rebuilt per episode
-//               the way a server sees fresh submissions, evidence
-//               sweeps fanned out on the shared executor.
+//               the way a server sees fresh submissions.
 //   ingest      patch-server image submissions/s over loopback (full
 //               frame encode → decode → diagnose), which also exercises
 //               the DiagnosisPipeline view cache.
 //
-// Before timing isolation the bench checks that executor-driven and
-// sequential isolation derive the same non-empty patch set, and exits 1
-// when they do not.
+// Before timing isolation the bench checks that isolation derives a
+// non-empty patch set, and exits 1 when it does not.
 //
 // --json FILE writes BENCH_diagnosis.json (schema in ROADMAP.md).
 //
@@ -35,7 +33,6 @@
 #include "exchange/PatchServer.h"
 #include "heapimage/HeapImageIO.h"
 #include "runtime/LiveRun.h"
-#include "support/Executor.h"
 #include "support/RandomGenerator.h"
 #include "workload/EspressoWorkload.h"
 #include "workload/ScriptedBugs.h"
@@ -233,23 +230,18 @@ int main(int Argc, char **Argv) {
     const std::vector<HeapImage> Evidence =
         scriptedEvidenceImages(ImagesPerSet, /*OverflowBytes=*/9);
 
-    // Sanity: executor-driven and sequential sweeps must diagnose, and
-    // identically.
-    const PatchSet Sequential = isolateErrors(Evidence).Patches;
-    const PatchSet Parallel =
-        isolateErrors(Evidence, {}, &sharedExecutor()).Patches;
-    if (Sequential.empty() || !(Parallel == Sequential)) {
-      std::fprintf(stderr, "executor-driven and sequential isolation "
-                           "disagree (or found nothing); refusing to "
-                           "report bogus throughput\n");
+    // Sanity: the evidence must diagnose.
+    if (isolateErrors(Evidence).Patches.empty()) {
+      std::fprintf(stderr, "isolation found nothing; refusing to report "
+                           "bogus throughput\n");
       return 1;
     }
 
     Measurement M = measure("isolate", "scripted-overflow",
                             uint64_t(IsolateRounds) * ImagesPerSet, [&] {
                               for (unsigned I = 0; I < IsolateRounds; ++I) {
-                                const IsolationResult Result = isolateErrors(
-                                    Evidence, {}, &sharedExecutor());
+                                const IsolationResult Result =
+                                    isolateErrors(Evidence);
                                 if (Result.Patches.empty())
                                   std::abort();
                               }
@@ -261,9 +253,7 @@ int main(int Argc, char **Argv) {
     Results.push_back(std::move(M));
     IsolateTable.print();
     note("views are rebuilt per episode, as a server sees fresh "
-         "submissions; evidence sweeps fan out across %u executor "
-         "thread(s)",
-         sharedExecutor().threadCount());
+         "submissions");
   }
 
   //===--------------------------------------------------------------------===//
@@ -300,14 +290,13 @@ int main(int Argc, char **Argv) {
   if (!JsonPath.empty()) {
     JsonWriter Json;
     Json.beginObject();
-    Json.field("schema_version", 2);
+    Json.field("schema_version", 3);
     Json.beginObject("config");
     Json.field("smoke", Smoke);
     Json.field("canary_dispatch", canary_dispatch::activeName());
     Json.field("hardware_threads",
                static_cast<uint64_t>(std::thread::hardware_concurrency()));
     Json.field("cpu_model", cpuModel());
-    Json.field("executor_threads", uint64_t(sharedExecutor().threadCount()));
     Json.field("view_rounds", int(ViewRounds));
     Json.field("isolate_rounds", int(IsolateRounds));
     Json.field("ingest_rounds", int(IngestRounds));

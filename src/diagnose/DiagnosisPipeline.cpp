@@ -4,7 +4,6 @@
 
 #include "cumulative/SiteEstimator.h"
 #include "patch/PatchIO.h"
-#include "support/Executor.h"
 #include "support/Serializer.h"
 
 #include <algorithm>
@@ -116,13 +115,12 @@ DiagnosisPipeline::indexedViews(const std::vector<HeapImage> &Images) const {
 
 IsolationResult
 DiagnosisPipeline::isolateImages(const ImageEvidence &Evidence) const {
-  Executor *Pool = &sharedExecutor();
   IsolationResult Result;
   if (auto Primary = indexedViews(Evidence.Primary))
-    Result = isolateErrors(Primary->Views, Config.Isolation, Pool);
+    Result = isolateErrors(Primary->Views, Config.Isolation);
   if (Result.Patches.empty())
     if (auto Fallback = indexedViews(Evidence.Fallback))
-      Result = isolateErrors(Fallback->Views, Config.Isolation, Pool);
+      Result = isolateErrors(Fallback->Views, Config.Isolation);
   return Result;
 }
 

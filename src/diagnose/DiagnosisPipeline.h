@@ -122,9 +122,9 @@ public:
   /// by an earlier submission (keyed by content fingerprint, verified by
   /// full equality) reuses its indexes instead of rebuilding them, so
   /// retried/duplicate submissions and the primary→fallback sequence
-  /// never re-index the same images, and the evidence sweeps fan out on
-  /// the shared executor.  Cached and fresh views diagnose identically
-  /// (pinned by test).
+  /// never re-index the same images.  Isolation runs on the calling
+  /// thread.  Cached and fresh views diagnose identically (pinned by
+  /// test).
   IsolationResult isolateImages(const ImageEvidence &Evidence) const;
 
   /// The merge half of submitImages: folds already-derived patches into

@@ -4,7 +4,6 @@
 
 #include "diefast/Canary.h"
 #include "diefast/DieFastHeap.h"
-#include "support/Executor.h"
 
 #include <algorithm>
 #include <cstring>
@@ -285,37 +284,6 @@ void HeapImage::captureSlotsBulk(const Miniheap &Mini) {
   }
 }
 
-void HeapImage::appendFragment(const HeapImage &Fragment) {
-  const uint64_t SlotBase = Flags.size();
-  const uint32_t RunBase = static_cast<uint32_t>(Runs.size());
-  const uint32_t PoolBase = static_cast<uint32_t>(Pool.size());
-
-  for (ImageMiniheapInfo Info : Fragment.Miniheaps) {
-    Info.FirstSlot += SlotBase;
-    Miniheaps.push_back(Info);
-  }
-  Flags.insert(Flags.end(), Fragment.Flags.begin(), Fragment.Flags.end());
-  ObjectIds.insert(ObjectIds.end(), Fragment.ObjectIds.begin(),
-                   Fragment.ObjectIds.end());
-  FreeTimes.insert(FreeTimes.end(), Fragment.FreeTimes.begin(),
-                   Fragment.FreeTimes.end());
-  AllocSites.insert(AllocSites.end(), Fragment.AllocSites.begin(),
-                    Fragment.AllocSites.end());
-  FreeSites.insert(FreeSites.end(), Fragment.FreeSites.begin(),
-                   Fragment.FreeSites.end());
-  RequestedSizes.insert(RequestedSizes.end(),
-                        Fragment.RequestedSizes.begin(),
-                        Fragment.RequestedSizes.end());
-  for (uint32_t Begin : Fragment.RunBegin)
-    RunBegin.push_back(Begin + RunBase);
-  for (ContentsRun Run : Fragment.Runs) {
-    if (Run.RunKind == ContentsRun::Literal)
-      Run.PoolOffset += PoolBase;
-    Runs.push_back(Run);
-  }
-  Pool.insert(Pool.end(), Fragment.Pool.begin(), Fragment.Pool.end());
-}
-
 void HeapImage::reserveSlots(size_t Slots) {
   Flags.reserve(Flags.size() + Slots);
   ObjectIds.reserve(ObjectIds.size() + Slots);
@@ -343,23 +311,7 @@ bool HeapImage::operator==(const HeapImage &Other) const {
 // Capture
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Captures one miniheap (descriptor, slot columns, contents runs) into
-/// \p Image.  The per-slot encoding is slot-local, so the same function
-/// serves sequential capture and the per-fragment half of parallel
-/// capture — which is what makes the stitched result bit-identical.
-void captureMiniheapInto(HeapImage &Image, const Miniheap &Mini) {
-  Image.beginMiniheap(Mini.sizeClassIndex(), Mini.objectSize(),
-                      reinterpret_cast<uint64_t>(Mini.base()),
-                      Mini.creationTime());
-  Image.captureSlotsBulk(Mini);
-}
-
-} // namespace
-
-HeapImage exterminator::captureHeapImage(const DieFastHeap &Heap,
-                                         Executor *Pool) {
+HeapImage exterminator::captureHeapImage(const DieFastHeap &Heap) {
   HeapImage Image;
   const DieHardHeap &Inner = Heap.heap();
   Image.AllocationTime = Inner.allocationClock();
@@ -368,25 +320,13 @@ HeapImage exterminator::captureHeapImage(const DieFastHeap &Heap,
   Image.Multiplier = Inner.multiplier();
   Image.HeapSeed = Inner.config().Seed;
 
-  std::vector<const Miniheap *> Minis;
   Inner.forEachMiniheap([&](unsigned /*ClassIndex*/, unsigned /*HeapIndex*/,
-                            const Miniheap &Mini) { Minis.push_back(&Mini); });
-
-  if (Pool && Pool->threadCount() > 1 && Minis.size() > 1) {
-    // Parallel capture: one fragment per miniheap, stitched in miniheap
-    // order.  Fragments are per-index slots, so no locking; the stitch
-    // order (not the completion order) fixes the output bytes.
-    std::vector<HeapImage> Fragments(Minis.size());
-    Pool->parallelFor(Minis.size(), [&](size_t I) {
-      captureMiniheapInto(Fragments[I], *Minis[I]);
-    });
-    for (const HeapImage &Fragment : Fragments)
-      Image.appendFragment(Fragment);
-    return Image;
-  }
-
-  for (const Miniheap *Mini : Minis)
-    captureMiniheapInto(Image, *Mini);
+                            const Miniheap &Mini) {
+    Image.beginMiniheap(Mini.sizeClassIndex(), Mini.objectSize(),
+                        reinterpret_cast<uint64_t>(Mini.base()),
+                        Mini.creationTime());
+    Image.captureSlotsBulk(Mini);
+  });
   return Image;
 }
 

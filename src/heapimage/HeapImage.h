@@ -44,7 +44,6 @@ namespace exterminator {
 
 class DieFastHeap;
 class Canary;
-class Executor;
 class Miniheap;
 struct CorruptionExtent;
 
@@ -280,13 +279,6 @@ public:
   /// exactly what addSlot + addSlotBytes per slot produce.
   void captureSlotsBulk(const Miniheap &Mini);
 
-  /// Appends every miniheap of \p Fragment (columns, runs, pool) after
-  /// this image's own, rebasing slot, run, and pool offsets — the
-  /// deterministic stitch step of parallel capture.  The result is
-  /// byte-identical to having captured the fragment's miniheaps into
-  /// this image directly.
-  void appendFragment(const HeapImage &Fragment);
-
   //===--------------------------------------------------------------------===//
   // Raw access for serialization
   //===--------------------------------------------------------------------===//
@@ -320,11 +312,10 @@ private:
   std::vector<uint8_t> Pool;
 };
 
-/// Captures a heap image from a live DieFast heap.  With a \p Pool of
-/// more than one thread, miniheaps are captured concurrently and the
-/// fragments stitched in deterministic miniheap order — bit-identical to
-/// the sequential capture (pinned by test).
-HeapImage captureHeapImage(const DieFastHeap &Heap, Executor *Pool = nullptr);
+/// Captures a heap image from a live DieFast heap, miniheap by miniheap
+/// on the calling thread.  The capture is pinned to golden digests by
+/// tests/evidence_test.cpp.
+HeapImage captureHeapImage(const DieFastHeap &Heap);
 
 /// A 64-bit content fingerprint over everything operator== compares.
 /// Equal images always fingerprint equal; the DiagnosisPipeline view

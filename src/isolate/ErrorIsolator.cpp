@@ -6,7 +6,7 @@ using namespace exterminator;
 
 IsolationResult
 exterminator::isolateErrors(const std::vector<HeapImageView> &Views,
-                            const IsolationConfig &Config, Executor *Pool) {
+                            const IsolationConfig &Config) {
   IsolationResult Result;
   if (Views.size() < 2)
     return Result;
@@ -22,7 +22,7 @@ exterminator::isolateErrors(const std::vector<HeapImageView> &Views,
   for (const DanglingFinding &Finding : Result.Danglings)
     ExcludeIds.push_back(Finding.ObjectId);
 
-  OverflowIsolator Overflow(Views, Pool);
+  OverflowIsolator Overflow(Views);
   OverflowIsolator::Isolation Isolation =
       Overflow.isolateWithOrigins(ExcludeIds);
   Result.Overflows = std::move(Isolation.Candidates);
@@ -51,8 +51,8 @@ exterminator::isolateErrors(const std::vector<HeapImageView> &Views,
 
 IsolationResult
 exterminator::isolateErrors(const std::vector<HeapImage> &Images,
-                            const IsolationConfig &Config, Executor *Pool) {
+                            const IsolationConfig &Config) {
   if (Images.size() < 2)
     return IsolationResult();
-  return isolateErrors(makeViews(Images), Config, Pool);
+  return isolateErrors(makeViews(Images), Config);
 }

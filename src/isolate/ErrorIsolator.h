@@ -53,20 +53,15 @@ struct IsolationResult {
   }
 };
 
-class Executor;
-
-/// Runs the complete §4 isolation pipeline over a set of heap images.
-/// \p Pool, when given, fans the evidence sweeps across the executor
-/// (deterministic: findings are identical to a sequential run).
+/// Runs the complete §4 isolation pipeline over a set of heap images, on
+/// the calling thread.
 IsolationResult isolateErrors(const std::vector<HeapImage> &Images,
-                              const IsolationConfig &Config = {},
-                              Executor *Pool = nullptr);
+                              const IsolationConfig &Config = {});
 
 /// Same pipeline over pre-built views (avoids re-indexing when the
 /// caller — e.g. DiagnosisPipeline — already holds them).
 IsolationResult isolateErrors(const std::vector<HeapImageView> &Views,
-                              const IsolationConfig &Config = {},
-                              Executor *Pool = nullptr);
+                              const IsolationConfig &Config = {});
 
 } // namespace exterminator
 

@@ -3,7 +3,6 @@
 #include "isolate/ObjectDiff.h"
 
 #include "diefast/Canary.h"
-#include "support/Executor.h"
 
 #include <algorithm>
 #include <cstring>
@@ -11,9 +10,8 @@
 
 using namespace exterminator;
 
-EvidenceCollector::EvidenceCollector(const std::vector<HeapImageView> &Views,
-                                     Executor *Pool)
-    : Views(Views), Pool(Pool) {}
+EvidenceCollector::EvidenceCollector(const std::vector<HeapImageView> &Views)
+    : Views(Views) {}
 
 std::vector<CorruptionRegion> EvidenceCollector::collectCanaryEvidence(
     uint32_t ImageIndex, const std::vector<uint64_t> &ExcludeIds) const {
@@ -221,47 +219,24 @@ void EvidenceCollector::diffLiveObject(
 
 std::vector<std::vector<CorruptionRegion>> EvidenceCollector::collectAllEvidence(
     const std::vector<uint64_t> &ExcludeIds) const {
-  const bool Parallel = Pool && Pool->threadCount() > 1;
-
-  // Canary sweeps are independent per image (per-index result slots).
   std::vector<std::vector<CorruptionRegion>> ByImage(Views.size());
-  if (Parallel && Views.size() > 1) {
-    Pool->parallelFor(Views.size(), [&](size_t I) {
-      ByImage[I] =
-          collectCanaryEvidence(static_cast<uint32_t>(I), ExcludeIds);
-    });
-  } else {
-    for (uint32_t I = 0; I < Views.size(); ++I)
-      ByImage[I] = collectCanaryEvidence(I, ExcludeIds);
-  }
+  for (uint32_t I = 0; I < Views.size(); ++I)
+    ByImage[I] = collectCanaryEvidence(I, ExcludeIds);
 
   // Diff every object that is live in image 0 (liveness elsewhere is
-  // checked inside diffLiveObject).  The sweep fans out per miniheap of
-  // the first image; per-miniheap evidence merges in miniheap order, so
-  // the result is the exact sequential-order evidence list.
+  // checked inside diffLiveObject), in slot order, then append each
+  // region to its image's canary evidence.
   const HeapImage &FirstImage = Views.front().image();
-  std::vector<std::vector<CorruptionRegion>> PerMini(
-      FirstImage.miniheapCount());
-  auto DiffMiniheap = [&](size_t M) {
-    const ImageMiniheapInfo &Mini =
-        FirstImage.miniheapInfo(static_cast<uint32_t>(M));
-    const uint8_t *Flags = FirstImage.flagsColumn().data();
-    const uint64_t *Ids = FirstImage.objectIdColumn().data();
-    for (uint64_t G = Mini.FirstSlot, S = 0; S < Mini.NumSlots; ++G, ++S) {
-      const uint8_t F = Flags[G];
-      if ((F & SlotFlagAllocated) && !(F & SlotFlagBad) && Ids[G] != 0)
-        diffLiveObject(Ids[G], PerMini[M]);
-    }
-  };
-  if (Parallel && PerMini.size() > 1)
-    Pool->parallelFor(PerMini.size(), DiffMiniheap);
-  else
-    for (size_t M = 0; M < PerMini.size(); ++M)
-      DiffMiniheap(M);
-
-  for (std::vector<CorruptionRegion> &Regions : PerMini)
-    for (CorruptionRegion &Region : Regions)
-      ByImage[Region.ImageIndex].push_back(std::move(Region));
+  const uint8_t *Flags = FirstImage.flagsColumn().data();
+  const uint64_t *Ids = FirstImage.objectIdColumn().data();
+  std::vector<CorruptionRegion> Diffs;
+  for (uint64_t G = 0; G < FirstImage.totalSlots(); ++G) {
+    const uint8_t F = Flags[G];
+    if ((F & SlotFlagAllocated) && !(F & SlotFlagBad) && Ids[G] != 0)
+      diffLiveObject(Ids[G], Diffs);
+  }
+  for (CorruptionRegion &Region : Diffs)
+    ByImage[Region.ImageIndex].push_back(std::move(Region));
 
   for (auto &Regions : ByImage)
     coalesceRegions(Regions);

@@ -73,19 +73,13 @@ struct CorruptionRegion {
   uint64_t length() const { return EndAddress - BeginAddress; }
 };
 
-class Executor;
-
 /// Gathers corruption evidence from a set of heap images of the same
-/// program execution (iterative or replicated mode).
+/// program execution (iterative or replicated mode), on the calling
+/// thread.
 class EvidenceCollector {
 public:
-  /// \p Views must outlive the collector.  With a \p Pool,
-  /// collectAllEvidence fans the per-image canary sweeps and the
-  /// per-miniheap live-object diffs across the pool;
-  /// results land in per-index slots and merge in deterministic order,
-  /// so the evidence is identical to a sequential collection.
-  explicit EvidenceCollector(const std::vector<HeapImageView> &Views,
-                             Executor *Pool = nullptr);
+  /// \p Views must outlive the collector.
+  explicit EvidenceCollector(const std::vector<HeapImageView> &Views);
 
   /// Broken-canary evidence in image \p ImageIndex, optionally skipping
   /// the object ids in \p ExcludeIds (objects already classified as
@@ -112,7 +106,6 @@ public:
 
 private:
   const std::vector<HeapImageView> &Views;
-  Executor *Pool;
 };
 
 /// Merges regions in place: regions of the same image whose address

@@ -6,9 +6,8 @@
 
 using namespace exterminator;
 
-OverflowIsolator::OverflowIsolator(const std::vector<HeapImageView> &Views,
-                                   Executor *Pool)
-    : Views(Views), Pool(Pool) {}
+OverflowIsolator::OverflowIsolator(const std::vector<HeapImageView> &Views)
+    : Views(Views) {}
 
 namespace {
 
@@ -98,7 +97,7 @@ OverflowIsolator::Isolation OverflowIsolator::isolateWithOrigins(
   if (Views.size() < 2)
     return Result; // Theorem 3: one image leaves H−1 candidates per victim.
 
-  const EvidenceCollector Collector(Views, Pool);
+  const EvidenceCollector Collector(Views);
   OriginPartition Partition =
       classifyOrigins(Views, Collector.collectAllEvidence(ExcludeIds));
   Result.Hardware = std::move(Partition.Hardware);

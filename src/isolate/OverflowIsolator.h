@@ -64,10 +64,7 @@ struct OverflowCandidate {
 /// Searches heap images for buffer overflows.
 class OverflowIsolator {
 public:
-  /// \p Pool, when given, fans the evidence-collection sweeps across the
-  /// executor (see EvidenceCollector; the findings are unaffected).
-  explicit OverflowIsolator(const std::vector<HeapImageView> &Views,
-                            Executor *Pool = nullptr);
+  explicit OverflowIsolator(const std::vector<HeapImageView> &Views);
 
   /// Overflow candidates plus the hardware findings diverted before
   /// candidate scoring (PR 9).
@@ -98,7 +95,6 @@ private:
       const std::vector<std::vector<CorruptionRegion>> &ByImage) const;
 
   const std::vector<HeapImageView> &Views;
-  Executor *Pool;
 };
 
 } // namespace exterminator

@@ -3,7 +3,6 @@
 #include "runtime/Exterminator.h"
 
 #include "inject/FaultInjector.h"
-#include "support/Executor.h"
 
 #include <memory>
 
@@ -28,7 +27,7 @@ public:
   void *allocate(size_t Size) override {
     if (!Captured &&
         Inner.diefast().heap().allocationClock() >= BreakAt) {
-      Image = captureHeapImage(Inner.diefast(), &sharedExecutor());
+      Image = captureHeapImage(Inner.diefast());
       Captured = true;
     }
     return Inner.allocate(Size);
@@ -68,14 +67,14 @@ SingleRunResult exterminator::runWorkloadOnce(
   Heap.setPatches(Patches);
 
   // Replay runs ignore DieFast signals before the breakpoint (§3.4); a
-  // discovery run dumps an image at the first signal.
+  // discovery run records the allocation time of the first signal, which
+  // its replays use as their malloc breakpoint.
   if (!BreakpointAt) {
     Heap.diefast().setErrorHandler([&](const ErrorSignal &Signal) {
       if (Run.ErrorSignalled)
         return;
       Run.ErrorSignalled = true;
       Run.FirstSignalTime = Signal.DetectionTime;
-      Run.SignalImage = captureHeapImage(Heap.diefast(), &sharedExecutor());
     });
   }
 
@@ -100,7 +99,7 @@ SingleRunResult exterminator::runWorkloadOnce(
   Run.Result = Work.run(Handle, InputSeed);
 
   Run.EndTime = Heap.diefast().heap().allocationClock();
-  Run.FinalImage = captureHeapImage(Heap.diefast(), &sharedExecutor());
+  Run.FinalImage = captureHeapImage(Heap.diefast());
   if (Watcher && Watcher->captured())
     Run.BreakpointImage = Watcher->takeImage();
   Run.Alloc = Heap.stats();

@@ -10,9 +10,9 @@
 ///
 /// One *run* executes a workload over the full heap stack —
 /// workload → (fault injector) → correcting allocator → DieFast →
-/// DieHard — with a fresh heap seed, capturing heap images at DieFast
-/// error signals, at an optional *malloc breakpoint* (replay runs), and
-/// at the end of the run.
+/// DieHard — with a fresh heap seed, recording the allocation time of the
+/// first DieFast error signal and capturing heap images at an optional
+/// *malloc breakpoint* (replay runs) and at the end of the run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,8 +69,6 @@ struct SingleRunResult {
   bool ErrorSignalled = false;
   /// Allocation clock at the first signal.
   uint64_t FirstSignalTime = 0;
-  /// Image captured at the first signal (iterative/replicated anchor).
-  std::optional<HeapImage> SignalImage;
   /// Image captured at the malloc breakpoint, when one was requested.
   std::optional<HeapImage> BreakpointImage;
   /// Image captured when the run ended (success, crash, or abort).

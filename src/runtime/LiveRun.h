@@ -10,8 +10,7 @@
 /// heap state rather than on captured images: the capture-throughput
 /// bench (which times captureHeapImage against a real post-run heap)
 /// and the capture golden-digest tests (which capture the same heap
-/// under every canary kernel, sequentially and in parallel, and pin the
-/// bytes to committed digests).
+/// under every canary kernel and pin the bytes to committed digests).
 ///
 //===----------------------------------------------------------------------===//
 

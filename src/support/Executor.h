@@ -11,7 +11,12 @@
 /// independent heap, so the only synchronization the paper's design needs
 /// is the join barrier, which doubles as the lockstep heap-image dump
 /// barrier: no isolation starts until every replica has produced its
-/// image.
+/// image.  Its other users park threads in long-running bodies: the
+/// socket patch server's accept/worker loop and the concurrent-allocator
+/// stress run's workers.  Each user owns its pool.  Heap-image
+/// capture and §4 evidence collection use none: their heaps are a few
+/// miniheaps of a few hundred slots, where a fork-join costs more than
+/// the work it splits.
 ///
 /// The calling thread participates in the work, so an Executor with
 /// threadCount() == 1 still makes progress (and degenerates to a plain
@@ -157,20 +162,6 @@ private:
   bool ShuttingDown = false;
   std::shared_ptr<JobState> Current;
 };
-
-/// The process-wide executor the evidence path fans out on (parallel
-/// heap-image capture, §4 evidence sweeps).  Lazily constructed on first
-/// use with one worker per hardware thread; concurrent parallelFor calls
-/// from different threads are safe — every caller drains its own job to
-/// completion, so a job whose Current slot was overtaken still finishes.
-/// Dedicated pools (replicated-mode replicas, the socket server's
-/// accept/worker loop) stay separate: a parallelFor body must never
-/// re-enter its own executor, and those pools park threads in
-/// long-running bodies.
-inline Executor &sharedExecutor() {
-  static Executor Pool;
-  return Pool;
-}
 
 } // namespace exterminator
 

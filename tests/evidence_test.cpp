@@ -1,12 +1,10 @@
 //===- tests/evidence_test.cpp - Evidence-path golden pins --------------------===//
 //
-// Pins the evidence path (SIMD slot encoding, parallel capture, flat
-// view indexes, cached views, parallel evidence sweeps) to golden
-// digests: the captured images of real-workload and scripted-bug heaps,
-// the run decomposition of the slot encoder, and the patch sets §4
-// isolation derives, each hashed and compared with a committed
-// constant under every canary kernel the host supports.  Parallel and
-// sequential capture and isolation must both reproduce the constants.
+// Pins the evidence path (SIMD slot encoding, flat view indexes, cached
+// views) to golden digests: the captured images of real-workload and
+// scripted-bug heaps, the run decomposition of the slot encoder, and the
+// patch sets §4 isolation derives, each hashed and compared with a
+// committed constant under every canary kernel the host supports.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +14,6 @@
 #include "diefast/Canary.h"
 #include "patch/PatchIO.h"
 #include "runtime/LiveRun.h"
-#include "support/Executor.h"
 #include "support/RandomGenerator.h"
 #include "workload/EspressoWorkload.h"
 #include "workload/ScriptedBugs.h"
@@ -86,11 +83,10 @@ std::vector<CaptureFixture> captureFixtures() {
   return Fixtures;
 }
 
-std::vector<HeapImage> captureAll(std::vector<LiveHeapRun> &Runs,
-                                  Executor *Pool) {
+std::vector<HeapImage> captureAll(std::vector<LiveHeapRun> &Runs) {
   std::vector<HeapImage> Images;
   for (LiveHeapRun &Run : Runs)
-    Images.push_back(captureHeapImage(Run.diefast(), Pool));
+    Images.push_back(captureHeapImage(Run.diefast()));
   return Images;
 }
 
@@ -101,43 +97,26 @@ std::vector<HeapImage> captureAll(std::vector<LiveHeapRun> &Runs,
 //===----------------------------------------------------------------------===//
 
 TEST(EvidencePath, CapturesMatchGoldenDigestsUnderEveryKernel) {
-  // A forced 4-thread pool exercises real cross-thread stitching even on
-  // a single-core host.
-  Executor Pool(4);
   const std::vector<canary_dispatch::Mode> Kernels = hostKernels();
   for (CaptureFixture &Fixture : captureFixtures()) {
     for (canary_dispatch::Mode Kernel : Kernels) {
       canary_dispatch::force(Kernel);
-      const char *KernelName = canary_dispatch::activeName();
-      EXPECT_EQ(imagesDigest(captureAll(Fixture.Runs, nullptr)),
-                Fixture.Golden)
-          << Fixture.Name << ", sequential, " << KernelName;
-      EXPECT_EQ(imagesDigest(captureAll(Fixture.Runs, &Pool)), Fixture.Golden)
-          << Fixture.Name << ", parallel, " << KernelName;
+      EXPECT_EQ(imagesDigest(captureAll(Fixture.Runs)), Fixture.Golden)
+          << Fixture.Name << ", " << canary_dispatch::activeName();
     }
     canary_dispatch::force(canary_dispatch::Mode::Auto);
   }
 }
 
 TEST(EvidencePath, RunCapturesMatchLiveHeapCaptures) {
-  // imagesFromTrace captures through runWorkloadOnce (shared executor);
-  // the keep-heap harness above must see the same heaps.
+  // imagesFromTrace captures through runWorkloadOnce; the keep-heap
+  // harness above must see the same heaps.
   for (const std::vector<TraceOp> &Trace :
        {scriptedOverflowTrace(9), scriptedDanglingTrace()}) {
     std::vector<LiveHeapRun> Runs = traceRuns(Trace);
     EXPECT_EQ(imagesDigest(imagesFromTrace(Trace, 3)),
-              imagesDigest(captureAll(Runs, nullptr)));
+              imagesDigest(captureAll(Runs)));
   }
-}
-
-TEST(EvidencePath, ParallelCaptureEqualsSequentialInMemory) {
-  Executor Pool(4);
-  for (CaptureFixture &Fixture : captureFixtures())
-    for (LiveHeapRun &Run : Fixture.Runs) {
-      const HeapImage Sequential = captureHeapImage(Run.diefast());
-      const HeapImage Parallel = captureHeapImage(Run.diefast(), &Pool);
-      EXPECT_TRUE(Parallel == Sequential) << Fixture.Name;
-    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -345,18 +324,13 @@ TEST(EvidencePath, IsolationDerivesGoldenPatchSets) {
       {"scripted-dangling", scriptedDanglingTrace(), 0x662bf3bacf3c9f86ull, 44,
        0x71634cde16ac60bfull},
   };
-  Executor Pool(4);
   for (const IsolationGolden &Case : Cases) {
-    const std::vector<HeapImage> Images = imagesFromTrace(Case.Trace, 3);
-    for (Executor *Sweeps : {static_cast<Executor *>(nullptr), &Pool}) {
-      const IsolationResult Result = isolateErrors(Images, {}, Sweeps);
-      const std::vector<uint8_t> Bytes = serializePatchSet(Result.Patches);
-      const char *How = Sweeps ? "executor" : "sequential";
-      EXPECT_EQ(fnv1a64(Bytes), Case.PatchDigest) << Case.Name << ", " << How;
-      EXPECT_EQ(Bytes.size(), Case.PatchBytes) << Case.Name << ", " << How;
-      EXPECT_EQ(findingsDigest(Result), Case.FindingsDigest)
-          << Case.Name << ", " << How;
-    }
+    const IsolationResult Result =
+        isolateErrors(imagesFromTrace(Case.Trace, 3));
+    const std::vector<uint8_t> Bytes = serializePatchSet(Result.Patches);
+    EXPECT_EQ(fnv1a64(Bytes), Case.PatchDigest) << Case.Name;
+    EXPECT_EQ(Bytes.size(), Case.PatchBytes) << Case.Name;
+    EXPECT_EQ(findingsDigest(Result), Case.FindingsDigest) << Case.Name;
   }
 }
 

@@ -1,19 +1,26 @@
 //===- tests/runtime_test.cpp - Single-run harness tests ------------------------===//
 //
-// Tests of the runtime plumbing in runtime/Exterminator.cpp: heap-image
-// capture points (signal, malloc breakpoint, end of run), fault-injector
-// stacking, and statistics reporting — the contract the three mode
-// drivers are built on.
+// Tests of the runtime plumbing in runtime/Exterminator.cpp: the first
+// signal's allocation time, heap-image capture points (malloc
+// breakpoint, end of run), fault-injector stacking, statistics
+// reporting, and the evidence path staying on the calling thread — the
+// contract the three modes of operation are built on.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Exterminator.h"
 
 #include "TestHelpers.h"
+#include "diagnose/DiagnosisPipeline.h"
 #include "workload/EspressoWorkload.h"
+#include "workload/ScriptedBugs.h"
 #include "workload/TraceWorkload.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <string>
 
 using namespace exterminator;
 using namespace exterminator::testing_support;
@@ -29,13 +36,23 @@ std::vector<TraceOp> simpleTrace(unsigned Allocations) {
     Ops.push_back(TraceOp::free(I, SiteF));
   return Ops;
 }
+
+/// The process's thread count, from the Threads: line of
+/// /proc/self/status (0 when it cannot be read).
+unsigned processThreads() {
+  std::ifstream Status("/proc/self/status");
+  std::string Line;
+  while (std::getline(Status, Line))
+    if (Line.rfind("Threads:", 0) == 0)
+      return static_cast<unsigned>(std::stoul(Line.substr(8)));
+  return 0;
+}
 } // namespace
 
 TEST(RunHarness, CleanRunReportsSuccess) {
   const auto Run = runTrace(simpleTrace(20), 1);
   EXPECT_EQ(Run.Result.Status, RunStatusKind::Success);
   EXPECT_FALSE(Run.ErrorSignalled);
-  EXPECT_FALSE(Run.SignalImage.has_value());
   EXPECT_FALSE(Run.BreakpointImage.has_value());
   EXPECT_EQ(Run.EndTime, 20u);
   EXPECT_EQ(Run.FinalImage.AllocationTime, 20u);
@@ -67,7 +84,7 @@ TEST(RunHarness, BreakpointBeyondEndYieldsNoImage) {
 
 TEST(RunHarness, SignalsSuppressedDuringReplay) {
   // A run with real corruption: signals must be ignored when a
-  // breakpoint is set (§3.4 replay protocol), captured when it is not.
+  // breakpoint is set (§3.4 replay protocol), recorded when it is not.
   std::vector<TraceOp> Ops = simpleTrace(40);
   Ops.push_back(TraceOp::alloc(100, 64, SiteA));
   Ops.push_back(TraceOp::free(100, SiteF));
@@ -82,15 +99,33 @@ TEST(RunHarness, SignalsSuppressedDuringReplay) {
   const SingleRunResult Discovery =
       runWorkloadOnce(Work, 1, 7, Config, PatchSet());
   ASSERT_TRUE(Discovery.ErrorSignalled);
-  ASSERT_TRUE(Discovery.SignalImage.has_value());
-  EXPECT_EQ(Discovery.SignalImage->AllocationTime,
-            Discovery.FirstSignalTime);
 
   const SingleRunResult Replay = runWorkloadOnce(
       Work, 1, 7, Config, PatchSet(), Discovery.FirstSignalTime);
   EXPECT_FALSE(Replay.ErrorSignalled);
-  EXPECT_FALSE(Replay.SignalImage.has_value());
-  EXPECT_TRUE(Replay.BreakpointImage.has_value());
+  ASSERT_TRUE(Replay.BreakpointImage.has_value());
+  EXPECT_EQ(Replay.BreakpointImage->AllocationTime,
+            Discovery.FirstSignalTime);
+}
+
+TEST(RunHarness, EvidencePathStartsNoThreads) {
+  // Heap-image capture and §4 isolation run on the calling thread.  A
+  // fresh child process (threadsafe death-test style re-executes the
+  // binary) starts from the main thread alone, so any worker the
+  // evidence path spawns shows in its thread count.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const unsigned Before = processThreads();
+        const DiagnosisPipeline Pipeline;
+        const IsolationResult Result =
+            Pipeline.isolateImages({scriptedEvidenceImages(3, 9), {}});
+        // Exit 2: threads started; exit 3: the evidence derived nothing.
+        if (Before == 0 || processThreads() != Before)
+          std::exit(2);
+        std::exit(Result.Patches.empty() ? 3 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(RunHarness, SameSeedReplaysIdentically) {
