@@ -15,8 +15,8 @@
 //               scripted-overflow evidence, views rebuilt per episode
 //               the way a server sees fresh submissions.
 //   ingest      patch-server image submissions/s over loopback (full
-//               frame encode → decode → diagnose), which also exercises
-//               the DiagnosisPipeline view cache.
+//               frame encode → decode → diagnose), one bundle submitted
+//               repeatedly, its views rebuilt for every submission.
 //
 // Before timing isolation the bench checks that isolation derives a
 // non-empty patch set, and exits 1 when it does not.
@@ -279,8 +279,8 @@ int main(int Argc, char **Argv) {
         {"3-image bundle + isolation", fmt("%.1f", M.PerSec)});
     Results.push_back(std::move(M));
     IngestTable.print();
-    note("repeated submissions of one bundle are the retry/duplicate "
-         "shape the view cache exists for");
+    note("repeated submissions of one bundle; every submission decodes "
+         "and isolates anew");
   }
 
   //===--------------------------------------------------------------------===//

@@ -12,7 +12,8 @@
 /// heaps underneath them.
 ///
 /// The paper interposes on malloc/free in unaltered binaries; here the
-/// interposition point is this interface (see DESIGN.md, substitutions).
+/// programs are in-process workloads, so the interposition point is this
+/// interface.
 ///
 //===----------------------------------------------------------------------===//
 

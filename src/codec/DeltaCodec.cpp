@@ -105,10 +105,23 @@ static void writeSlotContentsDelta(StreamWriter &Writer,
   }
 }
 
-/// readSlotContents accepting CanaryRun records.
+/// Charges \p Runs run records carrying \p LiteralBytes pool bytes to
+/// the contents budget; false when the decode would pass it.
+static bool chargeContents(BundleBudget &Budget, uint64_t Runs,
+                           uint64_t LiteralBytes) {
+  const uint64_t Bytes = Runs * sizeof(ContentsRun) + LiteralBytes;
+  if (Bytes > Budget.ContentsBytes)
+    return false;
+  Budget.ContentsBytes -= Bytes;
+  return true;
+}
+
+/// readSlotContents accepting CanaryRun records, charging each run to
+/// \p Budget before it is appended.
 static bool readSlotContentsDelta(StreamReader &Reader, HeapImage &Image,
                                   uint64_t ObjectSize, uint64_t CanaryWord,
-                                  std::vector<uint8_t> &Scratch) {
+                                  std::vector<uint8_t> &Scratch,
+                                  BundleBudget &Budget) {
   const uint64_t RunCount = Reader.readVarU64();
   if (Reader.failed() || RunCount > ObjectSize / 8 + 1)
     return false;
@@ -118,7 +131,8 @@ static bool readSlotContentsDelta(StreamReader &Reader, HeapImage &Image,
     const uint64_t Length = Reader.readVarU64();
     // Non-wrapping form: Total + Length could overflow on a corrupt
     // varint and slip past the bound into a huge allocation.
-    if (Reader.failed() || Length == 0 || Length > ObjectSize - Total)
+    if (Reader.failed() || Length == 0 || Length > ObjectSize - Total ||
+        !chargeContents(Budget, 1, Kind == ContentsRun::Literal ? Length : 0))
       return false;
     if (Kind == ContentsRun::Pattern || Kind == CanaryRunKind) {
       if (Length % 8 != 0)
@@ -223,14 +237,18 @@ void exterminator::writeDeltaImageBody(StreamWriter &Writer,
 
 /// Copies the base slot's contents runs into \p Image's current slot
 /// under canary substitution, preserving run structure exactly (so a
-/// decoded bundle re-encodes byte-identically).
-static void copyBaseContents(HeapImage &Image, const HeapImage &Base,
+/// decoded bundle re-encodes byte-identically).  False when the copy
+/// would pass \p Budget.
+static bool copyBaseContents(HeapImage &Image, const HeapImage &Base,
                              const ImageLocation &BaseLoc,
                              uint64_t BaseCanaryWord,
-                             uint64_t MemberCanaryWord) {
+                             uint64_t MemberCanaryWord, BundleBudget &Budget) {
   const SlotContents Contents = Base.contents(BaseLoc);
   for (size_t R = 0; R < Contents.runCount(); ++R) {
     const ContentsRun &Run = Contents.run(R);
+    if (!chargeContents(Budget, 1,
+                        Run.RunKind == ContentsRun::Literal ? Run.Length : 0))
+      return false;
     if (Run.RunKind == ContentsRun::Pattern)
       Image.addPatternRun(Run.Word == BaseCanaryWord ? MemberCanaryWord
                                                      : Run.Word,
@@ -238,6 +256,7 @@ static void copyBaseContents(HeapImage &Image, const HeapImage &Base,
     else
       Image.addLiteralRun(Base.pool().data() + Run.PoolOffset, Run.Length);
   }
+  return true;
 }
 
 /// Resolves a reference tag's object id against the base; false on a
@@ -257,7 +276,7 @@ static bool resolveBaseRef(StreamReader &Reader, const HeapImageView &Base,
 bool exterminator::readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
                                       const std::vector<SiteId> &SiteTable,
                                       const HeapImageView *Base,
-                                      uint64_t &SlotBudget) {
+                                      BundleBudget &Budget) {
   const uint64_t CanaryWord = canaryWordOf(Image);
   const uint64_t BaseCanaryWord =
       Base ? canaryWordOf(Base->image()) : uint64_t(0);
@@ -273,10 +292,10 @@ bool exterminator::readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
     const uint64_t CreationTime = Reader.readVarU64();
     const uint64_t NumSlots = Reader.readVarU64();
     if (Reader.failed() || NumSlots > MaxSlotsPerMiniheap ||
-        NumSlots > SlotBudget || ObjectSize == 0 ||
+        NumSlots > Budget.Slots || ObjectSize == 0 ||
         ObjectSize > MaxObjectSizeBound || ObjectSize % 8 != 0)
       return false;
-    SlotBudget -= NumSlots;
+    Budget.Slots -= NumSlots;
     Image.beginMiniheap(static_cast<uint32_t>(SizeClassIndex), ObjectSize,
                         BaseAddress, CreationTime);
     Image.reserveSlots(std::min(NumSlots, ReserveCap));
@@ -289,7 +308,8 @@ bool exterminator::readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
         const uint64_t Count = Reader.readVarU64();
         const uint64_t Word = Reader.readU64();
         // Non-wrapping form (see readSlotContentsDelta).
-        if (Reader.failed() || Count == 0 || Count > NumSlots - S)
+        if (Reader.failed() || Count == 0 || Count > NumSlots - S ||
+            !chargeContents(Budget, Count, 0))
           return false;
         for (uint64_t I = 0; I < Count; ++I) {
           Image.addSlot(0, 0, 0, 0, 0, 0);
@@ -308,10 +328,13 @@ bool exterminator::readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
         Image.addSlot(B.slotFlags(BaseLoc), B.objectId(BaseLoc),
                       B.freeTime(BaseLoc), B.allocSite(BaseLoc),
                       B.freeSite(BaseLoc), B.requestedSize(BaseLoc));
-        if (Tag == SlotRefFullTag)
-          copyBaseContents(Image, B, BaseLoc, BaseCanaryWord, CanaryWord);
-        else if (!readSlotContentsDelta(Reader, Image, ObjectSize, CanaryWord,
-                                        Scratch))
+        const bool Contents =
+            Tag == SlotRefFullTag
+                ? copyBaseContents(Image, B, BaseLoc, BaseCanaryWord,
+                                   CanaryWord, Budget)
+                : readSlotContentsDelta(Reader, Image, ObjectSize, CanaryWord,
+                                        Scratch, Budget);
+        if (!Contents)
           return false;
         ++S;
         continue;
@@ -335,7 +358,7 @@ bool exterminator::readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
       Image.addSlot(Tag & FlagsMask, ObjectId, FreeTime, AllocSite,
                     FreeSite, static_cast<uint32_t>(RequestedSize));
       if (!readSlotContentsDelta(Reader, Image, ObjectSize, CanaryWord,
-                                 Scratch))
+                                 Scratch, Budget))
         return false;
       ++S;
     }

@@ -50,6 +50,7 @@
 #define EXTERMINATOR_CODEC_DELTACODEC_H
 
 #include "heapimage/HeapImage.h"
+#include "heapimage/ImageBundle.h"
 #include "heapimage/ImageFormatDetail.h"
 
 #include <cstdint>
@@ -79,12 +80,12 @@ void writeDeltaImageBody(StreamWriter &Writer, const HeapImage &Image,
 
 /// Reads a delta-encoded body, resolving references through \p Base
 /// (null rejects reference tags, for the first image).  Returns false
-/// on malformed input: unknown ids, object-size mismatches, or any of
-/// the plain-body malformations.  \p SlotBudget semantics match
-/// readImageBody.
+/// on malformed input: unknown ids, object-size mismatches, slots or
+/// contents bytes past \p Budget (which is decremented by what the body
+/// materializes), or any of the plain-body malformations.
 bool readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
                         const std::vector<SiteId> &SiteTable,
-                        const HeapImageView *Base, uint64_t &SlotBudget);
+                        const HeapImageView *Base, BundleBudget &Budget);
 
 } // namespace exterminator
 

@@ -11,11 +11,6 @@
 
 using namespace exterminator;
 
-/// Cached indexed image sets per pipeline.  Submissions in practice
-/// alternate between at most a primary and a fallback set plus retries,
-/// so a handful of slots covers the reuse without unbounded growth.
-static constexpr size_t MaxCachedViewSets = 4;
-
 DiagnosisPipeline::DiagnosisPipeline(const DiagnosisConfig &Config)
     : Config(Config), Cumulative(Config.Cumulative) {}
 
@@ -30,97 +25,13 @@ void DiagnosisPipeline::seedPatches(const PatchSet &Initial) {
   mergeActive(Initial);
 }
 
-std::shared_ptr<const DiagnosisPipeline::IndexedImages>
-DiagnosisPipeline::indexedViews(const std::vector<HeapImage> &Images) const {
-  if (Images.size() < 2)
-    return nullptr;
-
-  uint64_t Fingerprint = 0x243F6A8885A308D3ull ^ Images.size();
-  for (const HeapImage &Image : Images)
-    Fingerprint ^= heapImageFingerprint(Image) * 0x100000001B3ull;
-
-  // Collect fingerprint-matching candidates under the lock, but run
-  // the O(image-bytes) equality verification outside it — entries are
-  // immutable and the shared_ptr protects against eviction, so a long
-  // comparison must not serialize concurrent submissions.
-  std::vector<std::shared_ptr<const IndexedImages>> Candidates;
-  bool SeenBefore = false;
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    for (CacheSlot &Slot : ViewCache)
-      if (Slot.Fingerprint == Fingerprint &&
-          Slot.Entry->OwnedImages.size() == Images.size())
-        Candidates.push_back(Slot.Entry);
-    // Caching an entry copies the whole image set, and most evidence a
-    // long-running server sees is distinct — so only a fingerprint's
-    // *second* sighting pays for retention (retries and duplicate
-    // submissions repeat quickly; one-off evidence never pays).
-    for (uint64_t Recent : RecentFingerprints)
-      SeenBefore |= Recent == Fingerprint;
-    if (!SeenBefore && Candidates.empty()) {
-      if (RecentFingerprints.size() >= MaxRecentFingerprints)
-        RecentFingerprints.erase(RecentFingerprints.begin());
-      RecentFingerprints.push_back(Fingerprint);
-    }
-  }
-  for (const std::shared_ptr<const IndexedImages> &Candidate : Candidates) {
-    // A fingerprint hit still verifies full equality, so a collision
-    // costs a rebuild, never a diagnosis over the wrong images.
-    bool Equal = true;
-    for (size_t I = 0; I < Images.size() && Equal; ++I)
-      Equal = Candidate->OwnedImages[I] == Images[I];
-    if (!Equal)
-      continue;
-    CacheHits.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    for (CacheSlot &Slot : ViewCache)
-      if (Slot.Entry == Candidate)
-        Slot.LastUse = ++CacheClock;
-    return Candidate;
-  }
-  CacheMisses.fetch_add(1, std::memory_order_relaxed);
-  // A cached candidate that fails equality is a fingerprint collision:
-  // treat it as a second sighting so the colliding set can still be
-  // cached (insertion below replaces nothing; both entries coexist).
-  if (!Candidates.empty())
-    SeenBefore = true;
-
-  // Build outside the lock: indexing is the expensive part, and two
-  // concurrent builders of the same set merely race to insert.
-  auto Entry = std::make_shared<IndexedImages>();
-  if (!SeenBefore) {
-    // Ephemeral: views borrow the caller's images (no copy, not
-    // cached); the holder only lives for this isolation call.
-    Entry->Views.reserve(Images.size());
-    for (const HeapImage &Image : Images)
-      Entry->Views.emplace_back(Image);
-    return Entry;
-  }
-  Entry->OwnedImages = Images;
-  Entry->Views.reserve(Entry->OwnedImages.size());
-  for (const HeapImage &Image : Entry->OwnedImages)
-    Entry->Views.emplace_back(Image);
-
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  if (ViewCache.size() >= MaxCachedViewSets) {
-    size_t Oldest = 0;
-    for (size_t I = 1; I < ViewCache.size(); ++I)
-      if (ViewCache[I].LastUse < ViewCache[Oldest].LastUse)
-        Oldest = I;
-    ViewCache.erase(ViewCache.begin() + Oldest);
-  }
-  ViewCache.push_back({Fingerprint, ++CacheClock, Entry});
-  return Entry;
-}
-
 IsolationResult
 DiagnosisPipeline::isolateImages(const ImageEvidence &Evidence) const {
-  IsolationResult Result;
-  if (auto Primary = indexedViews(Evidence.Primary))
-    Result = isolateErrors(Primary->Views, Config.Isolation);
-  if (Result.Patches.empty())
-    if (auto Fallback = indexedViews(Evidence.Fallback))
-      Result = isolateErrors(Fallback->Views, Config.Isolation);
+  IsolationResult Result = isolateErrors(Evidence.Primary, Config.Isolation);
+  // A fallback set too small to isolate keeps the primary's findings
+  // (sub-threshold candidates still reach the caller).
+  if (Result.Patches.empty() && Evidence.Fallback.size() >= 2)
+    Result = isolateErrors(Evidence.Fallback, Config.Isolation);
   return Result;
 }
 
@@ -238,13 +149,6 @@ void DiagnosisPipeline::collectMetrics(std::vector<MetricSample> &Out,
                               double(Cumulative.failedRunCount()));
   MetricsRegistry::addCounter(Out, "xterm_cumulative_corrupt_runs_total", {},
                               double(Cumulative.corruptRunCount()));
-  const double Hits = double(CacheHits.load(std::memory_order_relaxed));
-  const double Misses = double(CacheMisses.load(std::memory_order_relaxed));
-  MetricsRegistry::addCounter(Out, "xterm_image_cache_hits_total", {}, Hits);
-  MetricsRegistry::addCounter(Out, "xterm_image_cache_misses_total", {},
-                              Misses);
-  MetricsRegistry::addGauge(Out, "xterm_image_cache_hit_ratio", {},
-                            Hits + Misses > 0 ? Hits / (Hits + Misses) : 0.0);
   for (const SitePosterior &P : Cumulative.sitePosteriors(MaxSites)) {
     std::string Labels =
         P.Dangling

@@ -40,9 +40,6 @@
 #include "patch/RuntimePatch.h"
 #include "report/PatchReport.h"
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -112,19 +109,11 @@ public:
   /// Equivalent to isolateImages + absorbIsolation.
   IsolationResult submitImages(const ImageEvidence &Evidence);
 
-  /// The isolation half of submitImages, with no pipeline mutation
-  /// (the internally-synchronized view cache aside).  Reads only the
-  /// (immutable) configuration, so concurrent callers need no external
-  /// synchronization — the patch server runs this outside its lock and
-  /// serializes only the merge.
-  ///
-  /// Isolation runs over *cached* views: an image set already indexed
-  /// by an earlier submission (keyed by content fingerprint, verified by
-  /// full equality) reuses its indexes instead of rebuilding them, so
-  /// retried/duplicate submissions and the primary→fallback sequence
-  /// never re-index the same images.  Isolation runs on the calling
-  /// thread.  Cached and fresh views diagnose identically (pinned by
-  /// test).
+  /// The isolation half of submitImages: a pure function of the
+  /// (immutable) configuration and \p Evidence, run on the calling
+  /// thread over views built for this call.  Concurrent callers need no
+  /// external synchronization — the patch server runs this outside its
+  /// lock and serializes only the merge.
   IsolationResult isolateImages(const ImageEvidence &Evidence) const;
 
   /// The merge half of submitImages: folds already-derived patches into
@@ -156,17 +145,16 @@ public:
   std::vector<uint8_t> serializeState() const;
 
   /// All-or-nothing restore of serializeState's output: a malformed
-  /// buffer returns false and leaves the pipeline untouched.  The view
-  /// cache is not part of the state (it is a cache).
+  /// buffer returns false and leaves the pipeline untouched.
   bool restoreState(const std::vector<uint8_t> &Buffer);
 
   /// Renders the active patch set as a bug report (§9).
   std::string report(const SiteRegistry *Registry = nullptr) const;
 
   /// Appends this pipeline's observability samples: epoch, active patch
-  /// counts, cumulative run counts, image-cache hit rate, and the top
-  /// \p MaxSites per-site corruption posteriors (margin over the §5.1
-  /// bar) with their trial counts.  The caller synchronizes pipeline
+  /// counts, cumulative run counts, and the top \p MaxSites per-site
+  /// corruption posteriors (margin over the §5.1 bar) with their trial
+  /// counts.  The caller synchronizes pipeline
   /// access exactly as for any other read (the patch server calls this
   /// under its mutex).
   void collectMetrics(std::vector<MetricSample> &Out,
@@ -177,46 +165,10 @@ private:
   /// merge actually changed it.
   void mergeActive(const PatchSet &Derived);
 
-  /// One indexed image set.  Cached entries own copies of the images
-  /// their views reference (so a shared_ptr keeps an isolation run
-  /// safe against concurrent eviction); ephemeral entries borrow the
-  /// caller's images and must not outlive the isolation call.
-  struct IndexedImages {
-    std::vector<HeapImage> OwnedImages; ///< empty for ephemeral entries
-    std::vector<HeapImageView> Views;
-  };
-
-  /// Returns indexed views for \p Images: the cached entry when an
-  /// equal set was indexed and retained before, otherwise a fresh
-  /// build — which is *cached* (image set copied into the entry) only
-  /// on a fingerprint's second sighting, so one-off evidence never
-  /// pays the copy-and-retain cost.  Returns nullptr when \p Images
-  /// cannot be isolated (fewer than two images).
-  std::shared_ptr<const IndexedImages>
-  indexedViews(const std::vector<HeapImage> &Images) const;
-
   DiagnosisConfig Config;
   CumulativeIsolator Cumulative;
   PatchSet Active;
   uint64_t Epoch = 0;
-
-  struct CacheSlot {
-    uint64_t Fingerprint = 0;
-    uint64_t LastUse = 0;
-    std::shared_ptr<const IndexedImages> Entry;
-  };
-  static constexpr size_t MaxRecentFingerprints = 8;
-  mutable std::mutex CacheMutex;
-  /// View-cache effectiveness counters (observability): a hit is an
-  /// equality-verified cached entry reused; everything else that
-  /// indexes views is a miss.  Atomic because isolateImages is const
-  /// and concurrent.
-  mutable std::atomic<uint64_t> CacheHits{0};
-  mutable std::atomic<uint64_t> CacheMisses{0};
-  mutable std::vector<CacheSlot> ViewCache;
-  /// Fingerprints seen once (FIFO): promotion-to-cache gate.
-  mutable std::vector<uint64_t> RecentFingerprints;
-  mutable uint64_t CacheClock = 0;
 };
 
 } // namespace exterminator

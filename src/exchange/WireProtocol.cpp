@@ -210,12 +210,12 @@ bool exterminator::decodeSubmitImages(const std::vector<uint8_t> &Payload,
                                       ImageEvidence &EvidenceOut) {
   MemorySource Source(Payload);
   // One wire budget across both bundles: the server materializes at
-  // most MaxWireSlots decoded slots per submission no matter what the
-  // frame declares (see MaxWireSlots).
-  uint64_t SlotBudget = MaxWireSlots;
-  if (!deserializeImageBundle(Source, EvidenceOut.Primary, SlotBudget))
+  // most MaxWireSlots decoded slots and MaxFramePayload contents bytes
+  // per submission no matter what the frame declares.
+  BundleBudget Budget{MaxWireSlots, MaxFramePayload};
+  if (!deserializeImageBundle(Source, EvidenceOut.Primary, Budget))
     return false;
-  if (!deserializeImageBundle(Source, EvidenceOut.Fallback, SlotBudget))
+  if (!deserializeImageBundle(Source, EvidenceOut.Fallback, Budget))
     return false;
   return Source.remaining() == 0;
 }

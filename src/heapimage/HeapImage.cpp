@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 
 using namespace exterminator;
 
@@ -328,80 +327,6 @@ HeapImage exterminator::captureHeapImage(const DieFastHeap &Heap) {
     Image.captureSlotsBulk(Mini);
   });
   return Image;
-}
-
-//===----------------------------------------------------------------------===//
-// Fingerprint
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-inline uint64_t mixHash(uint64_t H, uint64_t Value) {
-  H ^= Value * 0x9E3779B97F4A7C15ull;
-  H = (H << 27) | (H >> 37);
-  return H * 0xBF58476D1CE4E5B9ull;
-}
-
-uint64_t hashBytes(uint64_t H, const uint8_t *Data, size_t Size) {
-  size_t I = 0;
-  for (; I + 8 <= Size; I += 8) {
-    uint64_t Chunk;
-    std::memcpy(&Chunk, Data + I, 8);
-    H = mixHash(H, Chunk);
-  }
-  uint64_t Tail = 0;
-  for (size_t B = 0; I + B < Size; ++B)
-    Tail |= uint64_t(Data[I + B]) << (8 * B);
-  return mixHash(H, Tail ^ Size);
-}
-
-template <typename T>
-uint64_t hashPod(uint64_t H, const std::vector<T> &Column) {
-  static_assert(std::is_trivially_copyable_v<T> && !std::is_class_v<T>,
-                "column fingerprints cover padding-free scalars only");
-  H = mixHash(H, Column.size());
-  return hashBytes(H, reinterpret_cast<const uint8_t *>(Column.data()),
-                   Column.size() * sizeof(T));
-}
-
-} // namespace
-
-uint64_t exterminator::heapImageFingerprint(const HeapImage &Image) {
-  uint64_t H = 0x5851F42D4C957F2Dull;
-  H = mixHash(H, Image.AllocationTime);
-  H = mixHash(H, Image.CanaryValue);
-  uint64_t Bits;
-  std::memcpy(&Bits, &Image.CanaryFillProbability, 8);
-  H = mixHash(H, Bits);
-  std::memcpy(&Bits, &Image.Multiplier, 8);
-  H = mixHash(H, Bits);
-  H = mixHash(H, Image.HeapSeed);
-  // Structs are hashed field-wise: raw struct bytes would fold in
-  // indeterminate padding and make equal images fingerprint unequal.
-  H = mixHash(H, Image.miniheapCount());
-  for (const ImageMiniheapInfo &Mini : Image.miniheaps()) {
-    H = mixHash(H, Mini.SizeClassIndex);
-    H = mixHash(H, Mini.ObjectSize);
-    H = mixHash(H, Mini.BaseAddress);
-    H = mixHash(H, Mini.CreationTime);
-    H = mixHash(H, Mini.FirstSlot);
-    H = mixHash(H, Mini.NumSlots);
-  }
-  H = hashPod(H, Image.flagsColumn());
-  H = hashPod(H, Image.objectIdColumn());
-  H = hashPod(H, Image.freeTimeColumn());
-  H = hashPod(H, Image.allocSiteColumn());
-  H = hashPod(H, Image.freeSiteColumn());
-  H = hashPod(H, Image.requestedSizeColumn());
-  H = mixHash(H, Image.runs().size());
-  for (const ContentsRun &Run : Image.runs()) {
-    H = mixHash(H, (uint64_t(Run.Length) << 32) | Run.PoolOffset);
-    H = mixHash(H, Run.Word ^ Run.RunKind);
-  }
-  for (uint64_t G = 0; G < Image.totalSlots(); ++G)
-    H = mixHash(H, Image.slotFirstRun(G));
-  H = hashPod(H, Image.pool());
-  return H;
 }
 
 //===----------------------------------------------------------------------===//

@@ -317,12 +317,6 @@ private:
 /// tests/evidence_test.cpp.
 HeapImage captureHeapImage(const DieFastHeap &Heap);
 
-/// A 64-bit content fingerprint over everything operator== compares.
-/// Equal images always fingerprint equal; the DiagnosisPipeline view
-/// cache keys on this (and re-checks full equality on a hit, so hash
-/// collisions cost a rebuild, never a wrong diagnosis).
-uint64_t heapImageFingerprint(const HeapImage &Image);
-
 /// Zero-copy read interface over one image: columnar accessors plus the
 /// id and address indexes isolation needs.  Replaces both the old
 /// materialized ImageSlot vectors and the standalone ImageIndex.

@@ -55,7 +55,7 @@ exterminator::serializeImageBundle(const std::vector<HeapImage> &Images) {
 /// Decodes a bundle after its magic: version, count, site table, images.
 static bool deserializeBundleBody(StreamReader &Reader,
                                   std::vector<HeapImage> &ImagesOut,
-                                  uint64_t &SlotBudget) {
+                                  BundleBudget &Budget) {
   if (Reader.readU32() != ImageBundleFormatV2)
     return false;
   const uint64_t NumImages = Reader.readVarU64();
@@ -79,8 +79,7 @@ static bool deserializeBundleBody(StreamReader &Reader,
     // with a null base — readDeltaImageBody rejects reference tags
     // there, so a forged bundle cannot make image 0 reference a base
     // that does not exist.
-    if (!readDeltaImageBody(Reader, Image, SiteTable, Base.get(),
-                            SlotBudget))
+    if (!readDeltaImageBody(Reader, Image, SiteTable, Base.get(), Budget))
       return false;
     ImagesOut.push_back(std::move(Image));
     if (!Base)
@@ -91,35 +90,18 @@ static bool deserializeBundleBody(StreamReader &Reader,
 
 bool exterminator::deserializeImageBundle(ByteSource &Source,
                                           std::vector<HeapImage> &ImagesOut,
-                                          uint64_t &SlotBudget) {
+                                          BundleBudget &Budget) {
   StreamReader Reader(Source);
-  const uint32_t Magic = Reader.readU32();
-  if (Reader.failed())
+  if (Reader.readU32() != BundleMagic)
     return false;
-  if (Magic == CompressedBundleMagic) {
-    // Compressed container: the inner stream must be exactly one bare
-    // bundle (no nested containers — bounds adversarial recursion).
-    DecompressingSource Unzip(Source);
-    StreamReader Inner(Unzip);
-    if (Inner.readU32() != BundleMagic)
-      return false;
-    if (!deserializeBundleBody(Inner, ImagesOut, SlotBudget))
-      return false;
-    // Drain the terminator and reject trailing bytes *inside* the
-    // compressed stream; what follows it in Source is the caller's.
-    uint8_t Tail = 0;
-    return Unzip.read(&Tail, 1) == 0 && Unzip.finished();
-  }
-  if (Magic != BundleMagic)
-    return false;
-  return deserializeBundleBody(Reader, ImagesOut, SlotBudget);
+  return deserializeBundleBody(Reader, ImagesOut, Budget);
 }
 
 bool exterminator::deserializeImageBundle(const std::vector<uint8_t> &Buffer,
                                           std::vector<HeapImage> &ImagesOut,
-                                          uint64_t &SlotBudget) {
+                                          BundleBudget &Budget) {
   MemorySource Source(Buffer);
-  if (!deserializeImageBundle(Source, ImagesOut, SlotBudget))
+  if (!deserializeImageBundle(Source, ImagesOut, Budget))
     return false;
   return Source.remaining() == 0;
 }
@@ -146,7 +128,14 @@ bool exterminator::loadImageBundle(const std::string &Path,
   FileSource Source(Path);
   if (!Source.ok())
     return false;
-  if (!deserializeImageBundle(Source, ImagesOut))
+  StreamReader Header(Source);
+  if (Header.readU32() != CompressedBundleMagic)
     return false;
-  return Source.exhausted();
+  // The container's stream is exactly one bare bundle, then the codec
+  // terminator and the end of the file.
+  DecompressingSource Unzip(Source);
+  if (!deserializeImageBundle(Unzip, ImagesOut))
+    return false;
+  uint8_t Tail = 0;
+  return Unzip.read(&Tail, 1) == 0 && Unzip.finished() && Source.exhausted();
 }

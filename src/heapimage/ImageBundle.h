@@ -23,10 +23,12 @@
 /// (ImageFormatDetail.h) with the delta codec's reference tags.  Format
 /// version 1 (standalone bodies, no delta) is refused.
 ///
-/// On disk a bundle is wrapped in the compressed container ("XIC1"): the
+/// A bundle *file* is always the compressed container ("XIC1"): the
 /// bundle byte stream passes through the LZ block codec
-/// (codec/CodecStream.h).  loadImageBundle transparently reads both the
-/// container and bare "XIB1" files.
+/// (codec/CodecStream.h), and loadImageBundle reads nothing else.  The
+/// stream and buffer decoders read bare "XIB1" bundles only — what a
+/// SubmitImages frame carries, whose payload the frame envelope already
+/// compresses, so no frame can nest a second LZ stream inside its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,12 +62,32 @@ inline constexpr uint64_t MaxBundleImages = 1024;
 /// will materialize, not what they will read.
 inline constexpr uint64_t MaxBundleSlots = uint64_t(1) << 24;
 
+/// Default contents-byte budget of one bundle file: room for the run
+/// records of MaxBundleSlots virgin slots (384 MiB) plus literal
+/// contents far past any real capture.
+inline constexpr uint64_t MaxBundleContentsBytes = uint64_t(1) << 30;
+
 /// The tighter budget the patch server applies to bundles arriving over
 /// the wire (2M slots ≈ two orders of magnitude above any real evidence
 /// set: MaxImages ≤ 8 captures of thousands of slots).  Keeps a forged
 /// ~100-byte SubmitImages frame from inflating into gigabytes of
-/// columns before rejection.
+/// columns before rejection.  The wire's contents-byte budget is the
+/// frame payload bound (exchange/WireProtocol.h: MaxFramePayload).
 inline constexpr uint64_t MaxWireSlots = uint64_t(1) << 21;
+
+/// What a bundle decode may still materialize, charged as it goes and
+/// shared across every image of one bundle (the patch server shares one
+/// across a submission's primary + fallback pair).
+struct BundleBudget {
+  /// Slots the bodies may declare.
+  uint64_t Slots = MaxBundleSlots;
+  /// Bytes the bodies may append to the images' contents tables: every
+  /// literal byte plus one run record per contents run.  Both amplify —
+  /// a two-byte full reference copies a base slot of up to 1 MiB and
+  /// thousands of run records, a two-byte canary-run record appends a
+  /// 24-byte run — so the bound is on what is built, not what is read.
+  uint64_t ContentsBytes = MaxBundleContentsBytes;
+};
 
 /// Streams \p Images as one bundle into \p Sink; returns false on write
 /// failure.  An empty set encodes as a valid zero-image bundle.
@@ -75,38 +97,40 @@ bool serializeImageBundle(const std::vector<HeapImage> &Images,
 /// Encodes \p Images into a self-describing bundle byte buffer.
 std::vector<uint8_t> serializeImageBundle(const std::vector<HeapImage> &Images);
 
-/// Streaming decode of one bundle.  Returns false (leaving \p ImagesOut
-/// unspecified) on malformed input — truncation, bad magic/version,
-/// oversized counts, slot declarations past \p SlotBudget, or slot
-/// records referencing out-of-range dictionary entries.  \p SlotBudget
-/// is decremented by the slots actually declared, so one budget can
-/// span several bundles (the server shares one across a submission's
-/// primary + fallback pair).  Does not check for trailing bytes —
-/// callers owning the stream decide what follows.
+/// Streaming decode of one bare bundle.  Returns false (leaving
+/// \p ImagesOut unspecified) on malformed input — truncation, bad
+/// magic/version (the "XIC1" container included), oversized counts,
+/// slots or contents bytes past \p Budget, or slot records referencing
+/// out-of-range dictionary entries.  \p Budget is decremented by what
+/// the decode materializes, so one budget can span several bundles.
+/// Does not check for trailing bytes — callers owning the stream decide
+/// what follows.
 bool deserializeImageBundle(ByteSource &Source,
                             std::vector<HeapImage> &ImagesOut,
-                            uint64_t &SlotBudget);
+                            BundleBudget &Budget);
 inline bool deserializeImageBundle(ByteSource &Source,
                                    std::vector<HeapImage> &ImagesOut) {
-  uint64_t SlotBudget = MaxBundleSlots;
-  return deserializeImageBundle(Source, ImagesOut, SlotBudget);
+  BundleBudget Budget;
+  return deserializeImageBundle(Source, ImagesOut, Budget);
 }
 
 /// Buffer decode; additionally rejects trailing garbage.
 bool deserializeImageBundle(const std::vector<uint8_t> &Buffer,
                             std::vector<HeapImage> &ImagesOut,
-                            uint64_t &SlotBudget);
+                            BundleBudget &Budget);
 inline bool deserializeImageBundle(const std::vector<uint8_t> &Buffer,
                                    std::vector<HeapImage> &ImagesOut) {
-  uint64_t SlotBudget = MaxBundleSlots;
-  return deserializeImageBundle(Buffer, ImagesOut, SlotBudget);
+  BundleBudget Budget;
+  return deserializeImageBundle(Buffer, ImagesOut, Budget);
 }
 
-/// Saves \p Images as a bundle file; returns false on I/O failure.
+/// Saves \p Images as a bundle file (the "XIC1" container); returns
+/// false on I/O failure.
 bool saveImageBundle(const std::vector<HeapImage> &Images,
                      const std::string &Path);
 
-/// Loads a bundle file; returns false on I/O or format failure.
+/// Loads a bundle file; returns false on I/O or format failure,
+/// including a file that is not the "XIC1" container.
 bool loadImageBundle(const std::string &Path,
                      std::vector<HeapImage> &ImagesOut);
 

@@ -5,11 +5,12 @@
 using namespace exterminator;
 
 IsolationResult
-exterminator::isolateErrors(const std::vector<HeapImageView> &Views,
+exterminator::isolateErrors(const std::vector<HeapImage> &Images,
                             const IsolationConfig &Config) {
   IsolationResult Result;
-  if (Views.size() < 2)
+  if (Images.size() < 2)
     return Result;
+  const std::vector<HeapImageView> Views = makeViews(Images);
 
   // Dangling overwrites first: identical corruption across images is a
   // dangling pointer with overwhelming probability (Theorem 1), so those
@@ -47,12 +48,4 @@ exterminator::isolateErrors(const std::vector<HeapImageView> &Views,
       Result.Patches.addFrontPad(Top.CulpritAllocSite, Top.FrontPadBytes);
   }
   return Result;
-}
-
-IsolationResult
-exterminator::isolateErrors(const std::vector<HeapImage> &Images,
-                            const IsolationConfig &Config) {
-  if (Images.size() < 2)
-    return IsolationResult();
-  return isolateErrors(makeViews(Images), Config);
 }

@@ -54,13 +54,9 @@ struct IsolationResult {
 };
 
 /// Runs the complete §4 isolation pipeline over a set of heap images, on
-/// the calling thread.
+/// the calling thread, through views built for this call (makeViews).
+/// Fewer than two images yield an empty result.
 IsolationResult isolateErrors(const std::vector<HeapImage> &Images,
-                              const IsolationConfig &Config = {});
-
-/// Same pipeline over pre-built views (avoids re-indexing when the
-/// caller — e.g. DiagnosisPipeline — already holds them).
-IsolationResult isolateErrors(const std::vector<HeapImageView> &Views,
                               const IsolationConfig &Config = {});
 
 } // namespace exterminator

@@ -119,8 +119,10 @@ EvidenceCollector::classifyWord(uint64_t ObjectId, uint64_t WordOffset,
 void EvidenceCollector::diffLiveObject(
     uint64_t ObjectId, std::vector<CorruptionRegion> &EvidenceOut) const {
   const size_t K = Views.size();
+  // A plurality needs at least three images: with two, a disagreeing
+  // word cannot say which image holds the corruption.
   if (K < 3)
-    return; // A plurality needs at least three images (DESIGN.md).
+    return;
 
   // The object must be live, unquarantined, and of identical size in
   // every image; otherwise it is not comparable.

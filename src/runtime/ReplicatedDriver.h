@@ -21,7 +21,7 @@
 /// starts only after every replica has produced its image at the common
 /// allocation time.  Replicas are deterministic in (input, heap seed), so
 /// the dump at the common failure time is reproduced by an exact replay
-/// (see DESIGN.md, substitutions).
+/// instead of pausing live replicas at that time, as the paper does.
 ///
 /// The Sequential toggle runs the identical round protocol on the
 /// calling thread alone.  Because results are committed per replica

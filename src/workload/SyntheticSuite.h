@@ -13,7 +13,7 @@
 /// and compute-to-allocation ratio.  Allocator overhead (what Figure 7
 /// measures) is a function of exactly these parameters: the
 /// allocation-intensive group spends most of its time in the allocator,
-/// the SPEC group mostly computes (see DESIGN.md, substitutions).
+/// the SPEC group mostly computes.
 ///
 //===----------------------------------------------------------------------===//
 

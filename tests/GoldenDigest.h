@@ -10,11 +10,14 @@
 /// suite holds one implementation to what it did when the constants
 /// were recorded.
 ///
-/// Image digests skip each miniheap's BaseAddress: a slab address is
-/// where the dumping process happened to map the slab, so it differs
-/// between two runs of the same seeded workload while every other field
-/// (metadata columns, contents runs, pool) is identical.  Everything
-/// else heapImageFingerprint covers is hashed.
+/// An image digest hashes the header (allocation time, canary value,
+/// fill probability, multiplier, heap seed), each miniheap's size class,
+/// object size, creation time, first slot and slot count, the six
+/// metadata columns, the contents runs with each slot's first run, and
+/// the literal pool.  It skips each miniheap's BaseAddress: a slab
+/// address is where the dumping process happened to map the slab, so it
+/// differs between two runs of the same seeded workload while every
+/// other field is identical.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -356,7 +356,7 @@ TEST(DeltaBundle, CorruptBackReferencesRejectedNotWild) {
     std::vector<uint8_t> Mutated = Bytes;
     Mutated[I] ^= 0xff;
     std::vector<HeapImage> Decoded;
-    uint64_t Budget = MaxWireSlots;
+    BundleBudget Budget{MaxWireSlots};
     if (!deserializeImageBundle(Mutated, Decoded, Budget))
       ++Rejections;
   }
@@ -407,14 +407,14 @@ TEST(BundleContainer, SaveLoadRoundTripsAndShrinks) {
   std::remove(Path.c_str());
 }
 
-TEST(BundleContainer, BareBundleFilesStillLoad) {
-  // Bare files (an "XIB1" stream on disk, no container) must keep
-  // loading.
-  const std::vector<HeapImage> Images = espressoDumps(2);
-  const std::string Path = ::testing::TempDir() + "/codec_bare.xib";
-  ASSERT_TRUE(writeFileBytes(Path, serializeImageBundle(Images)));
+TEST(BundleContainer, BareBundleFilesAreRefused) {
+  // A bundle file is the "XIC1" container: a bare "XIB1" stream on disk
+  // is refused, though the same bytes decode from a buffer.
+  const std::vector<uint8_t> Bare = serializeImageBundle(espressoDumps(2));
   std::vector<HeapImage> Back;
-  ASSERT_TRUE(loadImageBundle(Path, Back));
-  ASSERT_EQ(Back.size(), Images.size());
+  ASSERT_TRUE(deserializeImageBundle(Bare, Back));
+  const std::string Path = ::testing::TempDir() + "/codec_bare.xib";
+  ASSERT_TRUE(writeFileBytes(Path, Bare));
+  EXPECT_FALSE(loadImageBundle(Path, Back));
   std::remove(Path.c_str());
 }

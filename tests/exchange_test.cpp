@@ -15,6 +15,7 @@
 #include "exchange/StateStore.h"
 
 #include "TestHelpers.h"
+#include "codec/DeltaCodec.h"
 #include "heapimage/ImageBundle.h"
 #include "runtime/CumulativeDriver.h"
 #include "support/Serializer.h"
@@ -632,11 +633,119 @@ TEST(PatchExchange, RejectsSlotAmplificationBomb) {
   expectRejectedThenAlive(Server,
                           encodeFrame(MessageType::SubmitImages, Bundle));
 
-  // The same declaration through the file path (larger budget) is also
-  // bounded — just by MaxBundleSlots instead.
+  // The bundle decoder itself refuses the declaration under the wire
+  // budget.
   std::vector<HeapImage> Out;
-  uint64_t WireBudget = MaxWireSlots;
+  BundleBudget WireBudget{MaxWireSlots, MaxFramePayload};
   EXPECT_FALSE(deserializeImageBundle(Bundle, Out, WireBudget));
+}
+
+namespace {
+
+/// A SubmitImages payload (primary bundle, then an empty fallback) whose
+/// base image holds one allocated 64 KiB slot, object id 1, and whose
+/// member image full-references that slot \p Refs times.  A reference
+/// costs two wire bytes and decodes into a copy of the base slot's
+/// contents: one literal run of 64 KiB (\p Literal) or 8,192 pattern
+/// runs of one word each.
+std::vector<uint8_t> fullReferencePayload(bool Literal, uint64_t Refs) {
+  constexpr uint64_t SlotBytes = 64 * 1024;
+  std::vector<uint8_t> Payload;
+  VectorSink Sink(Payload);
+  StreamWriter Writer(Sink);
+  Writer.writeU32(0x58494231); // "XIB1"
+  Writer.writeU32(ImageBundleFormatV2);
+  Writer.writeVarU64(2); // base + member
+  Writer.writeVarU64(1); // site table: just "no site"
+  Writer.writeU32(0);
+  for (uint64_t Image = 0; Image < 2; ++Image) {
+    Writer.writeU64(1);         // AllocationTime
+    Writer.writeU32(1);         // CanaryValue
+    Writer.writeF64(1.0);       // p
+    Writer.writeF64(2.0);       // M
+    Writer.writeU64(3 + Image); // seed
+    Writer.writeVarU64(1);      // one miniheap
+    Writer.writeVarU64(0);      // size class
+    Writer.writeVarU64(SlotBytes);
+    Writer.writeU64(0x100000 * (Image + 1)); // base address
+    Writer.writeVarU64(0);                   // creation time
+    if (Image == 1) {
+      Writer.writeVarU64(Refs);
+      for (uint64_t R = 0; R < Refs; ++R) {
+        Writer.writeU8(SlotRefFullTag);
+        Writer.writeVarU64(1); // the base slot's object id
+      }
+      continue;
+    }
+    Writer.writeVarU64(1);    // one slot
+    Writer.writeU8(0x80 | 1); // HasMeta | Allocated
+    Writer.writeVarU64(1);    // object id
+    Writer.writeVarU64(0);    // free time
+    Writer.writeVarU64(0);    // alloc-site index
+    Writer.writeVarU64(0);    // free-site index
+    Writer.writeVarU64(SlotBytes);
+    if (Literal) {
+      Writer.writeVarU64(1);
+      Writer.writeU8(0); // literal
+      Writer.writeVarU64(SlotBytes);
+      for (uint64_t I = 0; I < SlotBytes; ++I)
+        Writer.writeU8(static_cast<uint8_t>(I % 251 + 1));
+    } else {
+      Writer.writeVarU64(SlotBytes / 8);
+      for (uint64_t W = 0; W < SlotBytes / 8; ++W) {
+        Writer.writeU8(1); // pattern
+        Writer.writeVarU64(8);
+        Writer.writeU64(W % 2 ? 0x1111111111111111ull : 0x2222222222222222ull);
+      }
+    }
+  }
+  EXPECT_FALSE(Writer.failed());
+  const std::vector<uint8_t> Fallback = serializeImageBundle({});
+  Payload.insert(Payload.end(), Fallback.begin(), Fallback.end());
+  return Payload;
+}
+
+} // namespace
+
+TEST(PatchExchange, RejectsFullReferenceAmplificationBomb) {
+  // A few hundred wire bytes of full references would decode into
+  // 125 MiB of literal bytes (2,000 copies of 64 KiB) or 75 MiB of run
+  // records (400 copies of 8,192 runs): past the contents-byte budget
+  // (MaxFramePayload) that bounds a submission like MaxWireSlots does.
+  PatchServer Server;
+  const std::vector<uint8_t> Literal =
+      encodeFrame(MessageType::SubmitImages, fullReferencePayload(true, 2000));
+  EXPECT_LT(Literal.size(), 1024u);
+  expectRejectedThenAlive(Server, Literal);
+  expectRejectedThenAlive(
+      Server,
+      encodeFrame(MessageType::SubmitImages, fullReferencePayload(false, 400)));
+
+  // Under the budget the same shape decodes: the member's slots are the
+  // base slot's copies.
+  ImageEvidence Evidence;
+  ASSERT_TRUE(decodeSubmitImages(fullReferencePayload(true, 4), Evidence));
+  ASSERT_EQ(Evidence.Primary.size(), 2u);
+  EXPECT_EQ(Evidence.Primary[1].totalSlots(), 4u);
+  EXPECT_EQ(Evidence.Primary[1].pool().size(), 4u * 64 * 1024);
+}
+
+TEST(PatchExchange, RejectsCompressedContainerInsideFrame) {
+  // The frame envelope compresses the payload and MaxFramePayload bounds
+  // what it expands to; a bundle file's "XIC1" container as the primary
+  // bundle would nest a second LZ stream past that bound.  Frames carry
+  // bare bundles only.
+  const std::string Path = ::testing::TempDir() + "/exchange_container.xib";
+  ASSERT_TRUE(saveImageBundle(imagesFromTrace(overflowTrace(6), 3), Path));
+  std::vector<uint8_t> Payload;
+  ASSERT_TRUE(readFileBytes(Path, Payload));
+  std::remove(Path.c_str());
+  const std::vector<uint8_t> Fallback = serializeImageBundle({});
+  Payload.insert(Payload.end(), Fallback.begin(), Fallback.end());
+
+  PatchServer Server;
+  expectRejectedThenAlive(Server,
+                          encodeFrame(MessageType::SubmitImages, Payload));
 }
 
 TEST(PatchExchange, SocketServerSurvivesHostileBytes) {

@@ -170,7 +170,6 @@ static int reportPatches(const std::string &Path) {
 static constexpr uint32_t SniffPatchV2 = 0x58505432;  // "XPT2"
 static constexpr uint32_t SniffPatchV3 = 0x58505433;  // "XPT3"
 static constexpr uint32_t SniffImageV2 = 0x58484932;  // "XHI2"
-static constexpr uint32_t SniffBundle = 0x58494231;   // "XIB1"
 static constexpr uint32_t SniffSnapshot = 0x58535431; // "XST1"
 
 /// One "raw vs compressed" line — the operator-visible proof the codec
@@ -263,7 +262,6 @@ static int inspectFile(const std::string &Path, bool Report) {
     return Report ? reportPatches(Path) : inspectPatches(Path);
   case SniffImageV2:
     return inspectImageSizes(Path, Bytes);
-  case SniffBundle:
   case CompressedBundleMagic:
     return inspectBundleSizes(Path, Bytes);
   case SniffSnapshot:
