@@ -3,7 +3,6 @@
 #include "alloc/DieHardHeap.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace exterminator;
 
@@ -13,7 +12,6 @@ DieHardHeap::DieHardHeap(const DieHardConfig &Config,
   assert(Config.Multiplier > 1.0 && "heap multiplier must exceed 1");
   assert(Config.InitialSlots > 0 && "initial miniheap must be nonempty");
   Classes.resize(sizeclass::numClasses());
-  Slabs.reserve(MaxSlabs);
 }
 
 DieHardHeap::~DieHardHeap() = default;
@@ -40,33 +38,14 @@ void DieHardHeap::tickAllocationClock(size_t Size) {
   Stats.BytesRequested += Size;
 }
 
-ObjectRef DieHardHeap::reserveSlot(unsigned ClassIndex, Miniheap **HeapOut) {
+ObjectRef DieHardHeap::reserveSlot(unsigned ClassIndex) {
   ClassState &Class = Classes[ClassIndex];
   ensureCapacity(Class, ClassIndex);
   const ObjectRef Ref = placeRandomly(Class, ClassIndex);
-  Miniheap &Heap = *Class.Heaps[Ref.HeapIndex];
-  Heap.markAllocated(Ref.SlotIndex);
+  Class.Heaps[Ref.HeapIndex]->markAllocated(Ref.SlotIndex);
   ++Class.Live;
   ++LiveObjects;
-  if (HeapOut)
-    *HeapOut = &Heap;
   return Ref;
-}
-
-void DieHardHeap::releaseReserved(const ObjectRef &Ref) {
-  Miniheap &Heap = miniheap(Ref);
-  assert(Heap.isAllocated(Ref.SlotIndex) &&
-         "releaseReserved requires a reserved slot");
-  assert(!Heap.slot(Ref.SlotIndex).Bad && "bad slots are never released");
-  Heap.markFree(Ref.SlotIndex);
-  --Classes[Ref.ClassIndex].Live;
-  --LiveObjects;
-  // A magazine slot whose page was retired while it sat reserved in a
-  // thread cache must not rejoin the free pool on flush.
-  if (!RetiredPages.empty() && slotOnRetiredPage(Heap, Ref.SlotIndex)) {
-    quarantine(Ref);
-    ++RetiredSlots;
-  }
 }
 
 void DieHardHeap::commitAllocation(const ObjectRef &Ref, size_t Size) {
@@ -150,8 +129,7 @@ bool DieHardHeap::deallocateIn(Miniheap &Heap, const ObjectRef &Ref,
   // A slot whose page was retired while the object lived is withdrawn
   // the moment it comes back: the free succeeds, then the slot goes
   // straight to quarantine instead of the free pool.  This is the only
-  // re-entry path into the lottery, so it covers the concurrent
-  // front-end's magazines as well.
+  // path by which a slot re-enters the lottery.
   if (!RetiredPages.empty() && slotOnRetiredPage(Heap, Ref.SlotIndex)) {
     quarantine(Ref);
     ++RetiredSlots;
@@ -221,10 +199,10 @@ std::optional<ObjectRef> DieHardHeap::findObject(const void *Ptr) const {
   const uint8_t *Addr = static_cast<const uint8_t *>(Ptr);
   // Page directory: every page an object region overlaps is keyed here,
   // so a miss proves Addr is outside the heap (guard regions included).
-  const uint32_t Id = PageDirectory.lookup(pageOf(Addr));
-  if (Id == PageTable::NotFound)
+  const uint32_t *Id = PageDirectory.lookup(pageOf(Addr));
+  if (!Id)
     return std::nullopt;
-  const Range &Slab = Slabs[Id];
+  const Range &Slab = Slabs[*Id];
   // The page can hang over the slab's edges into guard space; range-check
   // before trusting it.
   if (Addr < Slab.Base || Addr >= Slab.End)
@@ -236,20 +214,11 @@ std::optional<ObjectRef> DieHardHeap::findObject(const void *Ptr) const {
 
 std::optional<DieHardHeap::ResolvedObject>
 DieHardHeap::resolvePointer(const void *Ptr) const {
-  // findObject's lookup, reading the owning miniheap from the slab record
-  // (never from Classes, which growth may reallocate under a lock-free
-  // reader).
-  const uint8_t *Addr = static_cast<const uint8_t *>(Ptr);
-  const uint32_t Id = PageDirectory.lookup(pageOf(Addr));
-  if (Id == PageTable::NotFound)
+  const std::optional<ObjectRef> Ref = findObject(Ptr);
+  if (!Ref)
     return std::nullopt;
-  const Range &Slab = Slabs[Id];
-  if (Addr < Slab.Base || Addr >= Slab.End)
-    return std::nullopt;
-  std::optional<size_t> Slot = Slab.Heap->slotContaining(Addr);
-  assert(Slot && "in-range address must resolve to a slot");
-  return ResolvedObject{ObjectRef{Slab.ClassIndex, Slab.HeapIndex, *Slot},
-                        Slab.Heap, Slab.Heap->slotPointer(*Slot)};
+  const Miniheap &Heap = miniheap(*Ref);
+  return ResolvedObject{*Ref, &Heap, Heap.slotPointer(Ref->SlotIndex)};
 }
 
 bool DieHardHeap::isLivePointer(const void *Ptr) const {
@@ -352,19 +321,12 @@ void DieHardHeap::registerRange(Miniheap *Heap, unsigned ClassIndex,
   // Page directory: map every page the object region overlaps to this
   // slab.  Page-sized guards keep every other slab's object region off
   // these pages, so each insert is fresh.
-  assert(Slabs.size() < MaxSlabs &&
-         "slab cap reached; raise MaxSlabs (reserved so concurrent "
-         "readers never race a reallocation)");
   const uint32_t SlabId = static_cast<uint32_t>(Slabs.size());
-  // The Range must be fully written before any page id pointing at it
-  // publishes: emplace's release store is the publication point for
-  // lock-free resolvePointer readers.
   Slabs.push_back(NewRange);
   for (uintptr_t Page = pageOf(NewRange.Base),
                  LastPage = pageOf(NewRange.End - 1);
        Page <= LastPage; ++Page) {
-    [[maybe_unused]] const auto [Value, Inserted] =
-        PageDirectory.emplace(Page, SlabId);
+    [[maybe_unused]] const bool Inserted = PageDirectory.emplace(Page, SlabId);
     assert(Inserted && "two slabs' object regions share a page");
   }
 }

@@ -45,7 +45,7 @@
 #include "alloc/Allocator.h"
 #include "alloc/Miniheap.h"
 #include "alloc/SizeClass.h"
-#include "support/PageTable.h"
+#include "support/FlatU64Map.h"
 #include "support/RandomGenerator.h"
 #include "support/SiteHash.h"
 
@@ -104,25 +104,8 @@ public:
 
   /// Reserves a uniformly random free slot of \p ClassIndex: marks it
   /// allocated but leaves its metadata (the previous object's history)
-  /// untouched.  Grows the class if needed.  \p HeapOut, when non-null,
-  /// receives the owning miniheap (the concurrent front-end caches it so
-  /// cached allocations never touch Classes).
-  ObjectRef reserveSlot(unsigned ClassIndex, Miniheap **HeapOut = nullptr);
-
-  /// Returns a reserved-but-uncommitted slot to the free pool without
-  /// touching metadata or stats: the undo of reserveSlot, used by the
-  /// concurrent front-end to flush unconsumed magazine slots.
-  void releaseReserved(const ObjectRef &Ref);
-
-  /// Advances the allocation clock to at least \p Time without counting
-  /// an allocation.  The concurrent front-end stamps object ids from its
-  /// own atomic clock and re-synchronizes the backend clock here whenever
-  /// it takes the lock, so FreeTime stamps and miniheap creation times
-  /// stay on the same timeline.
-  void advanceClockTo(uint64_t Time) {
-    if (Time > Clock)
-      Clock = Time;
-  }
+  /// untouched.  Grows the class if needed.
+  ObjectRef reserveSlot(unsigned ClassIndex);
 
   /// Fills in metadata for a reserved slot as a fresh object of \p Size
   /// bytes, stamped with the current clock and call context.
@@ -156,10 +139,9 @@ public:
   /// lottery (PR 9: a hardware-fault report implicated it).  Free slots
   /// overlapping the page are quarantined immediately; live slots are
   /// quarantined the moment they are freed.  Because quarantined slots
-  /// are marked allocated+bad, random placement — the single draw path
-  /// under both the sequential heap and the concurrent front-end's
-  /// magazines — can never hand them out again.  Addresses that overlap
-  /// no slab (reports imported from another process's address space) are
+  /// are marked allocated+bad, random placement, the heap's one draw
+  /// path, can never hand them out again.  Addresses that overlap no
+  /// slab (reports imported from another process's address space) are
   /// recorded but retire nothing.  Returns the slots quarantined now.
   size_t retirePage(uintptr_t PageAddress);
 
@@ -175,20 +157,16 @@ public:
   /// Maps any address within an object slot to the slot.
   std::optional<ObjectRef> findObject(const void *Ptr) const;
 
-  /// A pointer resolved to its slot with the owning miniheap and the
-  /// slot's start address already in hand (one lookup serves the whole
-  /// free path).
+  /// A pointer resolved to its slot, with the owning miniheap and the
+  /// slot's start address.
   struct ResolvedObject {
     ObjectRef Ref;
-    Miniheap *Heap;
-    uint8_t *SlotStart;
+    const Miniheap *Heap;
+    const uint8_t *SlotStart;
   };
 
   /// Like findObject, but also reports the owning miniheap and slot
-  /// start.  Safe to call lock-free, concurrently with allocations on
-  /// other threads, for pointers whose slab registration happened-before
-  /// this call — i.e. any pointer the allocator previously returned and
-  /// the program handed to this thread.
+  /// start.
   std::optional<ResolvedObject> resolvePointer(const void *Ptr) const;
 
   /// True if \p Ptr points into a currently-allocated (non-bad) slot.
@@ -242,14 +220,6 @@ public:
 
   /// Visits every miniheap (heap-image capture, isolation).
   template <typename CallbackT> void forEachMiniheap(CallbackT Callback) const {
-    for (unsigned C = 0; C < Classes.size(); ++C)
-      for (unsigned H = 0; H < Classes[C].Heaps.size(); ++H)
-        Callback(C, H, *Classes[C].Heaps[H]);
-  }
-
-  /// Mutable visit (the concurrent front-end drains per-miniheap
-  /// remote-free queues; callers hold the backend lock).
-  template <typename CallbackT> void forEachMiniheap(CallbackT Callback) {
     for (unsigned C = 0; C < Classes.size(); ++C)
       for (unsigned H = 0; H < Classes[C].Heaps.size(); ++H)
         Callback(C, H, *Classes[C].Heaps[H]);
@@ -322,15 +292,8 @@ private:
     /// chasing Classes[c].Heaps[h].
     Miniheap *Heap;
   };
-  /// Hard cap on slabs per heap.  Doubling miniheaps mean even a class
-  /// grown to 2^MaxSlabs-ish slots stays far below it; the cap buys a
-  /// never-reallocated Slabs array, which lock-free readers index
-  /// concurrently with registration (entries are fully written before
-  /// their page-directory ids publish).
-  static constexpr size_t MaxSlabs = 1024;
   /// Append-only copy of every slab in registration order; stable ids for
-  /// the page directory.  reserve(MaxSlabs) in the constructor pins the
-  /// storage so concurrent directory hits never race a reallocation.
+  /// the page directory.
   std::vector<Range> Slabs;
 
   static constexpr unsigned PageShift = 12;
@@ -341,8 +304,9 @@ private:
   }
   /// 4 KiB page -> index into Slabs.  Covers every page any object
   /// region overlaps, so a missing key proves the address is outside the
-  /// heap.
-  PageTable PageDirectory;
+  /// heap.  Page 0 is never a key (FlatU64Map's empty sentinel): no slab
+  /// maps the null page.
+  FlatU64Map<uint32_t> PageDirectory;
 };
 
 } // namespace exterminator

@@ -5,7 +5,6 @@
 #include "alloc/SizeClass.h"
 
 #include <bit>
-#include <cstring>
 
 using namespace exterminator;
 
@@ -21,12 +20,10 @@ Miniheap::Miniheap(unsigned SizeClassIndex, size_t NumSlots,
   // between real miniheaps plays this role in the paper).
   GuardOffset = GuardBytes;
   const size_t SlabBytes = NumSlots * ObjectSize + 2 * GuardBytes;
+  // Value-initialized: virgin slots read zero, which heap images rely on.
   Slab = std::make_unique<uint8_t[]>(SlabBytes);
-  std::memset(Slab.get(), 0, SlabBytes);
   InUse.resize(NumSlots);
   Metadata = std::make_unique<SlotMetadata[]>(NumSlots);
-  PendingFreeWords =
-      std::make_unique<std::atomic<uint64_t>[]>((NumSlots + 63) / 64);
 }
 
 bool Miniheap::contains(const void *Ptr) const {

@@ -23,10 +23,8 @@
 #define EXTERMINATOR_ALLOC_MINIHEAP_H
 
 #include "support/Bitmap.h"
-#include "support/MpscQueue.h"
 #include "support/SiteHash.h"
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -126,42 +124,6 @@ public:
     return Metadata[Slot];
   }
 
-  /// \name Remote-free support (concurrent front-end, PR 7)
-  /// A free from a thread that does not hold the backend lock claims the
-  /// slot's *pending-free* bit, pushes a node into this miniheap's queue,
-  /// and returns; the bit makes the claim exclusive, so double frees from
-  /// racing threads are detected without the lock, and the slot cannot be
-  /// enqueued twice.  The owner drains the queue under the lock and
-  /// clears the bit only when the slot is next committed — between drain
-  /// and commit the slot is free (or quarantined) and a stale free
-  /// attempt must keep bouncing off the set bit rather than scribble a
-  /// queue node into memory it no longer owns.
-  /// @{
-
-  /// Atomically claims the pending-free bit for \p Slot.  Returns true
-  /// when this caller set it (the free proceeds); false means another
-  /// free already owns the slot (a concurrent double free).
-  bool claimPendingFree(size_t Slot) {
-    assert(Slot < NumSlots && "slot index out of range");
-    const uint64_t Bit = uint64_t(1) << (Slot & 63);
-    const uint64_t Old = PendingFreeWords[Slot >> 6].fetch_or(
-        Bit, std::memory_order_acq_rel);
-    return (Old & Bit) == 0;
-  }
-
-  /// Clears the pending-free bit at commit time (the slot is live again;
-  /// the next free must be able to claim it).
-  void clearPendingFree(size_t Slot) {
-    assert(Slot < NumSlots && "slot index out of range");
-    const uint64_t Bit = uint64_t(1) << (Slot & 63);
-    PendingFreeWords[Slot >> 6].fetch_and(~Bit, std::memory_order_release);
-  }
-
-  /// This miniheap's remote-free queue (drained under the backend lock).
-  MpscQueue &remoteFreeQueue() { return RemoteFrees; }
-
-  /// @}
-
 private:
   unsigned SizeClassIndex;
   size_t ObjectSize;
@@ -172,12 +134,6 @@ private:
   std::unique_ptr<uint8_t[]> Slab;
   Bitmap InUse;
   std::unique_ptr<SlotMetadata[]> Metadata;
-  /// One pending-free bit per slot (see claimPendingFree); value-
-  /// initialized to zero.  Kept separate from InUse, which stays a plain
-  /// bitmap owned by the lock holder.
-  std::unique_ptr<std::atomic<uint64_t>[]> PendingFreeWords;
-  /// Frees pushed by threads not holding the backend lock.
-  MpscQueue RemoteFrees;
 };
 
 } // namespace exterminator

@@ -370,7 +370,7 @@ matchWordsAvx512(const uint8_t *Bytes, size_t Words, uint64_t Word) {
 
 #endif // EXTERMINATOR_CANARY_X86
 
-struct CanaryOps {
+struct KernelSet {
   canary_detail::FillFn Fill;
   canary_detail::VerifyFn Verify;
   canary_detail::VerifyZeroFn VerifyZero;
@@ -379,18 +379,18 @@ struct CanaryOps {
   const char *Name;
 };
 
-CanaryOps selectOps(canary_dispatch::Mode M) {
+KernelSet selectOps(canary_dispatch::Mode M) {
   using canary_dispatch::Mode;
 #if EXTERMINATOR_CANARY_X86
   // SSE2 has no packed 64-bit equality, so its pair scan stays scalar.
-  const CanaryOps Sse2 = {fillSse2, verifySse2, verifyZeroSse2, matchWordsSse2,
+  const KernelSet Sse2 = {fillSse2, verifySse2, verifyZeroSse2, matchWordsSse2,
                           findPairScalar, "sse2"};
-  const CanaryOps Avx2 = {fillAvx2, verifyAvx2, verifyZeroAvx2, matchWordsAvx2,
+  const KernelSet Avx2 = {fillAvx2, verifyAvx2, verifyZeroAvx2, matchWordsAvx2,
                           findPairAvx2, "avx2"};
   // The AVX-512 tier upgrades the streaming kernels (fill, verify,
   // match); verify-zero's prefix masking and the pair scan keep their
   // AVX2 forms, which are not the capture bottleneck.
-  const CanaryOps Avx512 = {fillAvx512, verifyAvx512, verifyZeroAvx2,
+  const KernelSet Avx512 = {fillAvx512, verifyAvx512, verifyZeroAvx2,
                             matchWordsAvx512, findPairAvx2, "avx512"};
   const bool HaveAvx2 = __builtin_cpu_supports("avx2");
   const bool HaveAvx512 = __builtin_cpu_supports("avx512bw");
@@ -433,7 +433,7 @@ FindPairFn FindPair = findPairScalar;
 } // namespace exterminator
 
 void canary_dispatch::force(Mode M) {
-  const CanaryOps Ops = selectOps(M);
+  const KernelSet Ops = selectOps(M);
   canary_detail::Fill = Ops.Fill;
   canary_detail::Verify = Ops.Verify;
   canary_detail::VerifyZero = Ops.VerifyZero;

@@ -2,9 +2,73 @@
 
 #include "diefast/DieFastHeap.h"
 
-#include "diefast/CanaryOps.h"
+#include <cstring>
 
 using namespace exterminator;
+
+namespace {
+
+/// The alloc-time check on a reserved slot (Figure 4 + §2.1): verifies
+/// the previous tenant's canary when one was laid down and zero-fills
+/// the first \p RequestSize bytes.  A canaried slot is traversed once,
+/// the check and the zeroing fused; the slot's tail keeps whatever
+/// canary it carried, which stays sound because the next free re-fills
+/// the whole slot.  Returns true when the slot is clean and ready to
+/// commit; false when the canary was corrupted — intact-but-zeroed
+/// prefix bytes are restored first, so the caller quarantines a slot
+/// carrying its exact corruption evidence.
+bool prepareReusedSlot(const Canary &C, const SlotMetadata &Meta, uint8_t *Ptr,
+                       size_t ObjectSize, size_t RequestSize) {
+  if (!Meta.Canaried) {
+    std::memset(Ptr, 0, RequestSize);
+    return true;
+  }
+  const size_t Zeroed = C.verifyAndZeroPrefix(Ptr, ObjectSize, RequestSize);
+  if (Zeroed != Canary::AllVerified) {
+    // Only intact canary bytes were zeroed; restore them so the
+    // quarantined slot carries its exact corruption evidence.
+    C.fill(Ptr, Zeroed);
+    return false;
+  }
+  return true;
+}
+
+/// The post-free neighbor sweep (§3.3, "implicit fence-posts"): visits
+/// the freed slot's address-order neighbors that are free and canaried
+/// and whose canary no longer verifies, invoking
+/// \p OnCorrupt(ObjectRef) for each.  Random placement means the
+/// identity of these neighbors differs from run to run, so repeated runs
+/// check different pairs and detect overflows within E(H) frees.
+template <typename OnCorruptT>
+void sweepFreedNeighbors(Miniheap &Mini, const Canary &C, const ObjectRef &Ref,
+                         OnCorruptT OnCorrupt) {
+  const auto CheckOne = [&](size_t Slot) {
+    if (Mini.isAllocated(Slot) || !Mini.slot(Slot).Canaried)
+      return;
+    if (!C.verify(Mini.slotPointer(Slot), Mini.objectSize()))
+      OnCorrupt(ObjectRef{Ref.ClassIndex, Ref.HeapIndex, Slot});
+  };
+  if (Ref.SlotIndex > 0)
+    CheckOne(Ref.SlotIndex - 1);
+  if (Ref.SlotIndex + 1 < Mini.numSlots())
+    CheckOne(Ref.SlotIndex + 1);
+}
+
+/// Probabilistically fills a just-freed slot with canaries and records
+/// the outcome in its metadata (§3.3; p < 1 makes each run a Bernoulli
+/// trial over which freed objects got canaried, §5.2).
+void canaryFillFreedSlot(Miniheap &Mini, const Canary &C, RandomGenerator &Rng,
+                         double Probability, size_t Slot) {
+  SlotMetadata &Meta = Mini.slot(Slot);
+  if (Rng.chance(Probability)) {
+    C.fill(Mini.slotPointer(Slot), Mini.objectSize());
+    Meta.Canaried = true;
+  } else {
+    Meta.Canaried = false;
+  }
+}
+
+} // namespace
 
 DieFastHeap::DieFastHeap(const DieFastConfig &Config,
                          const CallContext *Context)
@@ -30,11 +94,11 @@ void *DieFastHeap::allocate(size_t Size) {
 
     // Figure 4: check that the object either wasn't canary-filled or is
     // uncorrupted, fusing the §2.1 zero-fill into the verification sweep
-    // (see canary_ops::prepareReusedSlot).  A corrupt slot is never
-    // reused ("bad object isolation"): mark it allocated-for-good and
-    // pick another slot.
-    if (!canary_ops::prepareReusedSlot(HeapCanary, Mini.slot(Ref.SlotIndex),
-                                       Ptr, Mini.objectSize(), Size)) {
+    // (see prepareReusedSlot).  A corrupt slot is never reused ("bad
+    // object isolation"): mark it allocated-for-good and pick another
+    // slot.
+    if (!prepareReusedSlot(HeapCanary, Mini.slot(Ref.SlotIndex), Ptr,
+                           Mini.objectSize(), Size)) {
       Heap.markBad(Ref);
       signalError(ErrorSignalKind::CanaryCorruptOnAlloc, Ref);
       continue;
@@ -73,18 +137,16 @@ void DieFastHeap::afterFree(const ObjectRef &Ref) {
   // neighbor checks and the canary fill.  Quarantine preserves the
   // corrupted contents for the error isolator.
   Miniheap &Mini = Heap.miniheap(Ref);
-  canary_ops::sweepFreedNeighbors(
-      Mini, HeapCanary, Ref, [&](const ObjectRef &Corrupt) {
-        Heap.quarantine(Corrupt);
-        signalError(ErrorSignalKind::CanaryCorruptOnFree, Corrupt);
-      });
+  sweepFreedNeighbors(Mini, HeapCanary, Ref, [&](const ObjectRef &Corrupt) {
+    Heap.quarantine(Corrupt);
+    signalError(ErrorSignalKind::CanaryCorruptOnFree, Corrupt);
+  });
 
   // Probabilistically fill the freed object with canaries.  Cumulative
   // mode needs p < 1 to turn each run into a Bernoulli trial over which
   // freed objects got canaried (§5.2).
-  canary_ops::canaryFillFreedSlot(Mini, HeapCanary, Rng,
-                                  Config.CanaryFillProbability,
-                                  Ref.SlotIndex);
+  canaryFillFreedSlot(Mini, HeapCanary, Rng, Config.CanaryFillProbability,
+                      Ref.SlotIndex);
 }
 
 void DieFastHeap::signalError(ErrorSignalKind Kind, const ObjectRef &Where) {

@@ -20,7 +20,7 @@
 ///
 /// Allocated objects are always zero-filled: Exterminator cannot repair
 /// uninitialized reads, so it makes them deterministic instead (§2.1).
-/// The zeroing fuses into the canary check (canary_ops).
+/// The zeroing fuses into the canary check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,7 +91,7 @@ private:
   void deallocateImpl(void *Ptr, std::optional<SiteId> SiteOverride);
 
   /// Neighbor canary checks plus probabilistic canary fill of the slot
-  /// that was just freed (the Figure 4 post-free work, via canary_ops).
+  /// that was just freed (the Figure 4 post-free work).
   void afterFree(const ObjectRef &Ref);
 
   void signalError(ErrorSignalKind Kind, const ObjectRef &Where);

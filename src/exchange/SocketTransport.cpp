@@ -4,6 +4,7 @@
 
 #include "exchange/PatchServer.h"
 #include "exchange/WireProtocol.h"
+#include "support/Executor.h"
 
 #include <algorithm>
 #include <arpa/inet.h>
@@ -341,17 +342,15 @@ bool SocketPatchServer::listen(const Endpoint &Ep) {
 void SocketPatchServer::serve() {
   if (ListenFd < 0)
     return;
-  // 1 + Workers indexes over a pool of the same size: the accept loop
-  // and every worker each own one index for the whole serve lifetime,
-  // and parallelFor's join barrier is the drain barrier.
-  Pool = std::make_unique<Executor>(1 + Workers);
-  Pool->parallelFor(1 + Workers, [this](size_t I) {
+  // One thread per index: the accept loop (index 0, on this thread) and
+  // every worker each own one for the whole serve lifetime, and
+  // parallelFor's join barrier is the drain barrier.
+  parallelFor(1 + Workers, [this](size_t I) {
     if (I == 0)
       acceptLoop();
     else
       workerLoop();
   });
-  Pool.reset();
 }
 
 bool SocketPatchServer::start() {

@@ -8,7 +8,7 @@
 /// The socket leg of the patch exchange: a client transport that
 /// pipelines frames over one Unix-domain or TCP connection, and a server
 /// front-end that pumps accepted connections through PatchServer on a
-/// small accept/worker loop built from support/Executor.
+/// small accept/worker loop built from support/Executor's parallelFor.
 ///
 /// Endpoints are spelled as strings so the CLI, the example, and the
 /// tests share one parser:
@@ -29,13 +29,11 @@
 #define EXTERMINATOR_EXCHANGE_SOCKETTRANSPORT_H
 
 #include "exchange/Transport.h"
-#include "support/Executor.h"
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -99,13 +97,13 @@ private:
 /// Socket front-end for a PatchServer: accepts connections and pumps
 /// their frames through handleFrame.
 ///
-/// The serving loop runs as one Executor::parallelFor over
-/// 1 + Workers indexes: index 0 accepts and enqueues connections, the
-/// rest drain the queue, each owning one connection at a time (a
-/// connection may carry many frames — clients batch).  The fork-join
-/// barrier doubles as shutdown: requestStop() closes the listening
-/// socket and enqueues one sentinel per worker, so serve() returns only
-/// when every in-flight connection has drained.
+/// The serving loop runs as one parallelFor over 1 + Workers indexes:
+/// index 0 accepts and enqueues connections, the rest drain the queue,
+/// each owning one connection at a time (a connection may carry many
+/// frames — clients batch).  The join barrier doubles as shutdown:
+/// requestStop() closes the listening socket and enqueues one sentinel
+/// per worker, so serve() returns only when every in-flight connection
+/// has drained.
 class SocketPatchServer {
 public:
   /// \param Workers concurrent connection handlers (≥ 1).
@@ -139,7 +137,7 @@ public:
   const Endpoint &endpoint() const { return Bound; }
 
   /// Serves until a Shutdown frame is accepted or requestStop() is
-  /// called.  Blocks the caller (it participates in the pool).
+  /// called.  Blocks the caller (it runs the accept loop).
   void serve();
 
   /// serve() on a background thread.
@@ -188,7 +186,6 @@ private:
   std::deque<int> Pending;
   bool Stopping = false;
 
-  std::unique_ptr<Executor> Pool;
   std::thread Background;
 };
 

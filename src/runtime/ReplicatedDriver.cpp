@@ -6,7 +6,6 @@
 #include "support/RandomGenerator.h"
 
 #include <algorithm>
-#include <memory>
 
 using namespace exterminator;
 
@@ -35,18 +34,15 @@ ReplicatedOutcome ReplicatedDriver::run(uint64_t InputSeed,
   Outcome.Patches = Pipeline.patches();
   RandomGenerator SeedStream(Config.MasterSeed ^ 0x5eed5eedULL);
 
-  // The replica map: concurrent over the executor, or a plain loop under
+  // The replica map: one thread per replica, or a plain loop under
   // --sequential.  Either way results commit to per-replica slots, so
   // the two paths produce bit-identical outcomes for the same seeds.
-  std::unique_ptr<Executor> Exec;
-  if (!Sequential && NumReplicas > 1)
-    Exec = std::make_unique<Executor>(NumReplicas);
   auto forEachReplica = [&](const std::function<void(size_t)> &Body) {
-    if (Exec)
-      Exec->parallelFor(NumReplicas, Body);
-    else
+    if (Sequential)
       for (size_t R = 0; R < NumReplicas; ++R)
         Body(R);
+    else
+      parallelFor(NumReplicas, Body);
   };
 
   unsigned CleanStreak = 0;

@@ -14,14 +14,15 @@
 /// correcting allocators so subsequent allocations are patched
 /// on-the-fly.
 ///
-/// As in the paper, replicas run *concurrently*: each round maps the N
-/// replicas onto a thread-pool Executor (each replica owns its heap, its
-/// call context, and its fault injector, so they share nothing), and the
-/// fork-join barrier doubles as the lockstep dump barrier — isolation
-/// starts only after every replica has produced its image at the common
-/// allocation time.  Replicas are deterministic in (input, heap seed), so
-/// the dump at the common failure time is reproduced by an exact replay
-/// instead of pausing live replicas at that time, as the paper does.
+/// As in the paper, replicas run *concurrently*: each round runs the N
+/// replicas on N threads through parallelFor (each replica owns its
+/// heap, its call context, and its fault injector, so they share
+/// nothing), and the join barrier doubles as the lockstep dump barrier —
+/// isolation starts only after every replica has produced its image at
+/// the common allocation time.  Replicas are deterministic in (input,
+/// heap seed), so the dump at the common failure time is reproduced by an
+/// exact replay instead of pausing live replicas at that time, as the
+/// paper does.
 ///
 /// The Sequential toggle runs the identical round protocol on the
 /// calling thread alone.  Because results are committed per replica

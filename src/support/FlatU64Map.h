@@ -6,20 +6,24 @@
 ///
 /// \file
 /// A flat open-addressing hash table from nonzero 64-bit keys to small
-/// values — the same design as support/PageTable.h (one contiguous
-/// power-of-two array, linear probing, Fibonacci hashing) generalized
-/// over the value type.
+/// values: one contiguous power-of-two array, linear probing, Fibonacci
+/// hashing.
 ///
-/// HeapImageView's object-id index lives on this: every §4 isolation
-/// query (findById) used to pay std::unordered_map's two dependent cache
-/// misses per lookup plus one node allocation per insert; here a lookup
-/// is a multiply, a shift, and (almost always) one probe into one cache
-/// line, and building the index over N ids is N stores into one
-/// pre-sized array.
+/// std::unordered_map pays two dependent cache misses per lookup (bucket
+/// then node) plus one node allocation per insert; here a lookup is a
+/// multiply, a shift, and (almost always) one probe into one cache line.
+/// Two indexes live on it:
+///
+///  * DieHardHeap's page directory (4 KiB page number -> slab id), the
+///    one hash probe behind every free's pointer lookup;
+///  * HeapImageView's object-id index, behind every §4 isolation query
+///    (findById), where building the index over N ids is N stores into
+///    one pre-sized array.
 ///
 /// Key 0 is reserved as the empty sentinel.  Object ids are drawn from
 /// the allocation clock starting at 1, so id 0 ("never held an object")
-/// is exactly the key the index must not contain anyway.
+/// is exactly the key the id index must not contain anyway, and no slab
+/// maps the null page.
 ///
 //===----------------------------------------------------------------------===//
 

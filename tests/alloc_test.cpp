@@ -1,12 +1,9 @@
 //===- tests/alloc_test.cpp - Allocator substrate tests ----------------------===//
 
 #include "alloc/BaselineAllocator.h"
-#include "alloc/ConcurrentAllocator.h"
 #include "alloc/DieHardHeap.h"
 #include "alloc/Miniheap.h"
 #include "alloc/SizeClass.h"
-#include "diefast/DieFastHeap.h"
-#include "runtime/ConcurrentStress.h"
 #include "support/RandomGenerator.h"
 
 #include "GoldenDigest.h"
@@ -16,8 +13,6 @@
 #include <cmath>
 #include <cstring>
 #include <map>
-#include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -579,313 +574,6 @@ TEST(BaselineAllocator, ManyCycles) {
 }
 
 //===----------------------------------------------------------------------===//
-// ConcurrentAllocator (PR 7 front-end)
-//===----------------------------------------------------------------------===//
-
-TEST(ConcurrentAllocator, MagazineOfOneMatchesDirectBackend) {
-  // With one-slot magazines and a single cache, the front-end refills on
-  // every allocation and drains every queued free before drawing, so the
-  // backend sees the exact operation sequence a direct DieHardHeap would:
-  // the placement stream must match slot for slot, and the clocks must
-  // agree at the end.
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap = testConfig(21);
-  Cfg.MagazineSize = 1;
-  ConcurrentAllocator Front(Cfg);
-  ConcurrentAllocator::ThreadCache &Cache = Front.createCache();
-  DieHardHeap Direct(testConfig(21));
-
-  RandomGenerator Ops(777);
-  std::vector<std::pair<void *, void *>> Live;
-  for (int I = 0; I < 3000; ++I) {
-    if (!Live.empty() && Ops.chance(0.4)) {
-      const size_t Victim = Ops.nextBelow(Live.size());
-      Front.deallocate(Live[Victim].first);
-      Direct.deallocate(Live[Victim].second);
-      Live.erase(Live.begin() + static_cast<ptrdiff_t>(Victim));
-    } else {
-      const size_t Size = size_t(8) << Ops.nextBelow(4);
-      ObjectRef Ra, Rb;
-      void *Pa = Front.allocateFrom(Cache, Size, &Ra);
-      void *Pb = Direct.allocateWithRef(Size, Rb);
-      ASSERT_NE(Pa, nullptr);
-      ASSERT_NE(Pb, nullptr);
-      ASSERT_EQ(Ra, Rb) << "placement diverged at op " << I;
-      Live.push_back({Pa, Pb});
-    }
-  }
-  EXPECT_EQ(Front.allocationClock(), Direct.allocationClock());
-}
-
-TEST(ConcurrentAllocator, MagazineOfOneWithCanariesMatchesDieFast) {
-  // Same equivalence with DieFast semantics layered on: the canary seed
-  // derivation matches DieFastHeap's, so the canary values agree, and
-  // verify/zero-fill/fill draw no placement randomness, so the slot
-  // streams stay identical too.
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap = testConfig(22);
-  Cfg.MagazineSize = 1;
-  Cfg.DieFastCanaries = true;
-  Cfg.CanaryFillProbability = 1.0;
-  ConcurrentAllocator Front(Cfg);
-  ConcurrentAllocator::ThreadCache &Cache = Front.createCache();
-
-  DieFastConfig Reference;
-  Reference.Heap = testConfig(22);
-  Reference.CanaryFillProbability = 1.0;
-  DieFastHeap Direct(Reference);
-
-  EXPECT_EQ(Front.canary().value(), Direct.canary().value());
-
-  RandomGenerator Ops(4242);
-  std::vector<std::pair<void *, void *>> Live;
-  for (int I = 0; I < 2000; ++I) {
-    if (!Live.empty() && Ops.chance(0.4)) {
-      const size_t Victim = Ops.nextBelow(Live.size());
-      Front.deallocate(Live[Victim].first);
-      Direct.deallocate(Live[Victim].second);
-      Live.erase(Live.begin() + static_cast<ptrdiff_t>(Victim));
-    } else {
-      const size_t Size = size_t(8) << Ops.nextBelow(4);
-      ObjectRef Ra;
-      void *Pa = Front.allocateFrom(Cache, Size, &Ra);
-      void *Pb = Direct.allocate(Size);
-      ASSERT_NE(Pa, nullptr);
-      ASSERT_NE(Pb, nullptr);
-      const auto Rb = Direct.heap().findObject(Pb);
-      ASSERT_TRUE(Rb.has_value());
-      ASSERT_EQ(Ra, *Rb) << "placement diverged at op " << I;
-      Live.push_back({Pa, Pb});
-    }
-  }
-  EXPECT_EQ(Front.errorsSignalled(), 0u);
-  EXPECT_EQ(Direct.errorsSignalled(), 0u);
-}
-
-TEST(ConcurrentAllocator, PlacementThroughCachesIsUniform) {
-  // Chi-squared uniformity with the magazine machinery in the loop: four
-  // caches round-robin allocations of one size class, each slot drawn
-  // through batched refills.  Batching changes when draws happen, not
-  // their distribution — every slot must still be chosen equally often.
-  // Sized so the class never grows (reserved magazines + pending frees
-  // stay far under capacity / M).
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap = testConfig(4321);
-  Cfg.Heap.InitialSlots = 256;
-  Cfg.MagazineSize = 4;
-  ConcurrentAllocator Alloc(Cfg);
-  constexpr unsigned NumCaches = 4;
-  std::vector<ConcurrentAllocator::ThreadCache *> Caches;
-  for (unsigned I = 0; I < NumCaches; ++I)
-    Caches.push_back(&Alloc.createCache());
-
-  constexpr int PerSlot = 60;
-  constexpr int Draws = 256 * PerSlot;
-  std::vector<int> Counts(256, 0);
-  for (int I = 0; I < Draws; ++I) {
-    ObjectRef Ref;
-    void *Ptr = Alloc.allocateFrom(*Caches[I % NumCaches], 8, &Ref);
-    ASSERT_NE(Ptr, nullptr);
-    ASSERT_EQ(Ref.HeapIndex, 0u) << "class grew unexpectedly";
-    ++Counts[Ref.SlotIndex];
-    Alloc.deallocate(Ptr);
-  }
-  double Chi2 = 0;
-  for (int Count : Counts) {
-    const double Delta = Count - PerSlot;
-    Chi2 += Delta * Delta / PerSlot;
-  }
-  // df = 255; bound at ~6 sigma above the mean.
-  const double Df = 255.0;
-  EXPECT_LT(Chi2, Df + 6.0 * std::sqrt(2.0 * Df));
-}
-
-TEST(ConcurrentAllocator, CrossThreadFreesDrainExactlyOnce) {
-  // Four workers with cross-thread handoffs: every allocation is freed
-  // exactly once (remote or local), every free drains exactly once, and
-  // after a flush the backend's books balance to zero live objects with
-  // no double or invalid frees recorded.
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap = testConfig(91);
-  Cfg.MagazineSize = 16;
-  ConcurrentAllocator Alloc(Cfg);
-
-  ConcurrentStressConfig Stress;
-  Stress.Threads = 4;
-  Stress.OpsPerThread = 8000;
-  Stress.ResidentPerThread = 16;
-  Stress.CrossFreeFraction = 0.4;
-  Stress.Seed = 91;
-  const ConcurrentStressResult R = runConcurrentStress(Alloc, Stress);
-
-  EXPECT_EQ(R.PatternFaults, 0u);
-  EXPECT_EQ(R.FailedAllocations, 0u);
-  EXPECT_EQ(R.Allocations, 4u * 8000u);
-
-  Alloc.flushAll();
-  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
-  EXPECT_EQ(Alloc.backend().liveObjectCount(), 0u);
-  const AllocatorStats &S = Alloc.stats();
-  EXPECT_EQ(S.Allocations, R.Allocations);
-  EXPECT_EQ(S.Deallocations, R.Allocations);
-  EXPECT_EQ(S.DoubleFrees, 0u);
-  EXPECT_EQ(S.InvalidFrees, 0u);
-}
-
-TEST(ConcurrentAllocator, CanaryStateSurvivesConcurrentChurn) {
-  // DieFast semantics under contention: no false corruption reports, and
-  // after quiescence every freed-and-drained slot (FreeTime > 0) holds an
-  // intact canary — the fill-at-drain path left exactly the state the
-  // single-threaded heap would have.
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap = testConfig(92);
-  Cfg.MagazineSize = 16;
-  Cfg.DieFastCanaries = true;
-  Cfg.CanaryFillProbability = 1.0;
-  ConcurrentAllocator Alloc(Cfg);
-
-  ConcurrentStressConfig Stress;
-  Stress.Threads = 4;
-  Stress.OpsPerThread = 4000;
-  Stress.ResidentPerThread = 16;
-  Stress.CrossFreeFraction = 0.4;
-  Stress.Seed = 92;
-  const ConcurrentStressResult R = runConcurrentStress(Alloc, Stress);
-  EXPECT_EQ(R.PatternFaults, 0u);
-  EXPECT_EQ(R.FailedAllocations, 0u);
-
-  Alloc.flushAll();
-  EXPECT_EQ(Alloc.errorsSignalled(), 0u);
-  EXPECT_EQ(Alloc.backend().liveObjectCount(), 0u);
-
-  size_t CanariedSlots = 0;
-  Alloc.backend().forEachMiniheap([&](unsigned, unsigned, Miniheap &Mini) {
-    for (size_t Slot = 0; Slot < Mini.numSlots(); ++Slot) {
-      const SlotMetadata &Meta = Mini.slot(Slot);
-      if (Meta.FreeTime == 0)
-        continue; // Never freed (or never allocated).
-      ASSERT_TRUE(Meta.Canaried) << "p = 1 fill skipped a drained slot";
-      ASSERT_TRUE(Alloc.canary().verify(Mini.slotPointer(Slot),
-                                        Mini.objectSize()))
-          << "canary damaged in class " << Mini.objectSize() << " slot "
-          << Slot;
-      ++CanariedSlots;
-    }
-  });
-  EXPECT_GT(CanariedSlots, 0u);
-}
-
-TEST(ConcurrentAllocator, CorruptedCanaryIsQuarantinedOnCachedPath) {
-  // A dangling write into a canaried slot must be caught at hand-out even
-  // when the slot arrives through a magazine: the slot is quarantined
-  // (never returned again) and exactly one error is signalled.
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap = testConfig(5);
-  Cfg.MagazineSize = 4;
-  Cfg.DieFastCanaries = true;
-  ConcurrentAllocator Alloc(Cfg);
-  ConcurrentAllocator::ThreadCache &Cache = Alloc.createCache();
-
-  void *Doomed = Alloc.allocateFrom(Cache, 16);
-  ASSERT_NE(Doomed, nullptr);
-  Alloc.deallocate(Doomed);
-  Alloc.flushCache(Cache); // Drain: the slot is canary-filled now.
-  static_cast<uint8_t *>(Doomed)[3] ^= 0xff; // The dangling write.
-
-  std::vector<void *> Kept;
-  for (int I = 0; I < 2000 && Alloc.errorsSignalled() == 0; ++I) {
-    void *Ptr = Alloc.allocateFrom(Cache, 16);
-    ASSERT_NE(Ptr, nullptr);
-    ASSERT_NE(Ptr, Doomed) << "corrupted slot was handed out";
-    Kept.push_back(Ptr);
-  }
-  EXPECT_EQ(Alloc.errorsSignalled(), 1u);
-
-  const auto Resolved = Alloc.backend().resolvePointer(Doomed);
-  ASSERT_TRUE(Resolved.has_value());
-  EXPECT_TRUE(Resolved->Heap->slot(Resolved->Ref.SlotIndex).Bad)
-      << "corrupted slot was not quarantined";
-  for (void *Ptr : Kept)
-    Alloc.deallocate(Ptr);
-}
-
-TEST(ConcurrentAllocator, DoubleAndInvalidFreesAreCountedLockFree) {
-  // The lock-free free path must detect bad frees without the backend
-  // lock: a second free of the same pointer bounces off the pending-free
-  // bit, and out-of-heap or mid-object pointers bounce off resolution.
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap = testConfig(17);
-  Cfg.MagazineSize = 8;
-  ConcurrentAllocator Alloc(Cfg);
-  ConcurrentAllocator::ThreadCache &Cache = Alloc.createCache();
-
-  void *Ptr = Alloc.allocateFrom(Cache, 32);
-  ASSERT_NE(Ptr, nullptr);
-  Alloc.deallocate(Ptr);
-  Alloc.deallocate(Ptr); // Double free: claimed already.
-  int Local = 0;
-  Alloc.deallocate(&Local); // Outside the heap entirely.
-  void *Mid = Alloc.allocateFrom(Cache, 32);
-  ASSERT_NE(Mid, nullptr);
-  Alloc.deallocate(static_cast<uint8_t *>(Mid) + 8); // Mid-object.
-  Alloc.deallocate(Mid);
-
-  const AllocatorStats &S = Alloc.stats();
-  EXPECT_EQ(S.DoubleFrees, 1u);
-  EXPECT_EQ(S.InvalidFrees, 2u);
-  EXPECT_EQ(S.Allocations, 2u);
-}
-
-TEST(ConcurrentAllocator, LockAcquisitionsAreAmortizedByMagazines) {
-  // The machine-independent decontention witness: the cached mode takes
-  // the backend lock ~2/MagazineSize times per alloc/free pair where a
-  // global lock pays exactly 2.  Wall-clock scaling depends on core
-  // count; this ratio does not.
-  constexpr uint64_t N = 6400;
-  constexpr size_t Magazine = 64;
-
-  ConcurrentAllocatorConfig Cached;
-  Cached.Heap = testConfig(55);
-  Cached.MagazineSize = Magazine;
-  ConcurrentAllocator Fast(Cached);
-  ConcurrentAllocator::ThreadCache &Cache = Fast.createCache();
-  std::vector<void *> Ptrs;
-  Ptrs.reserve(N);
-  for (uint64_t I = 0; I < N; ++I) {
-    void *Ptr = Fast.allocateFrom(Cache, 16);
-    ASSERT_NE(Ptr, nullptr);
-    Ptrs.push_back(Ptr);
-  }
-  for (void *Ptr : Ptrs)
-    Fast.deallocate(Ptr);
-  Fast.flushCache(Cache);
-  // Refills lock once per Magazine allocations; frees lock never (the
-  // flush drains them all in one acquisition).  Allow slack for growth.
-  EXPECT_LT(Fast.backendLockAcquires(), 2 * N / Magazine + 16);
-  EXPECT_EQ(Fast.backend().liveObjectCount(), 0u);
-}
-
-TEST(ConcurrentAllocator, ThreadExitFlushesItsCache) {
-  // A thread that allocates implicitly (allocate() -> TLS cache) and
-  // exits must leave nothing behind: its magazines return to the free
-  // pool and its queued frees drain, all from the TLS destructor.
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap = testConfig(31);
-  Cfg.MagazineSize = 16;
-  ConcurrentAllocator Alloc(Cfg);
-  std::thread Worker([&] {
-    void *Ptr = Alloc.allocate(64);
-    EXPECT_NE(Ptr, nullptr);
-    Alloc.deallocate(Ptr);
-  });
-  Worker.join();
-  EXPECT_EQ(Alloc.pendingRemoteFrees(), 0u);
-  EXPECT_EQ(Alloc.backend().liveObjectCount(), 0u);
-  EXPECT_EQ(Alloc.stats().Allocations, 1u);
-  EXPECT_EQ(Alloc.stats().Deallocations, 1u);
-}
-
-//===----------------------------------------------------------------------===//
 // Page retirement (PR 9)
 //===----------------------------------------------------------------------===//
 
@@ -932,36 +620,4 @@ TEST(PageRetirement, ForeignPageRetiresNothing) {
   EXPECT_TRUE(Heap.isPageRetired(0x12340000));
   // The heap still allocates normally.
   EXPECT_NE(Heap.allocate(64), nullptr);
-}
-
-TEST(PageRetirement, MagazinePathHonorsRetirement) {
-  // The concurrent front-end's magazines pre-draw slots; retirement must
-  // hold through refills, remote-free drains, and cache flushes.
-  ConcurrentAllocatorConfig Cfg;
-  Cfg.Heap = testConfig(88);
-  Cfg.MagazineSize = 8;
-  ConcurrentAllocator Front(Cfg);
-  ConcurrentAllocator::ThreadCache &Cache = Front.createCache();
-
-  std::vector<void *> Ptrs;
-  for (int I = 0; I < 64; ++I)
-    Ptrs.push_back(Front.allocateFrom(Cache, 64));
-  const uintptr_t Page =
-      reinterpret_cast<uintptr_t>(Ptrs[3]) & ~uintptr_t(0xfff);
-  Front.backend().retirePage(Page);
-
-  // Lock-free frees of retired-page objects drain into quarantine.
-  for (void *Ptr : Ptrs)
-    Front.deallocate(Ptr);
-  // Flush returns reserved magazine slots: retired ones must not rejoin.
-  Front.flushAll();
-  EXPECT_GT(Front.backend().retiredSlotCount(), 0u);
-
-  for (int I = 0; I < 2000; ++I) {
-    void *Ptr = Front.allocateFrom(Cache, 64);
-    ASSERT_NE(Ptr, nullptr);
-    EXPECT_FALSE(Front.backend().isPageRetired(
-        reinterpret_cast<uintptr_t>(Ptr)))
-        << "magazine handed out a retired-page slot at " << I;
-  }
 }

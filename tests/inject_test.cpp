@@ -2,7 +2,6 @@
 
 #include "inject/FaultInjector.h"
 
-#include "alloc/ConcurrentAllocator.h"
 #include "diefast/DieFastHeap.h"
 
 #include <gtest/gtest.h>
@@ -306,35 +305,6 @@ TEST(HardwareFault, RowClusterCorruptsMultipleObjects) {
   EXPECT_GE(Stats.RowObjectsCorrupted, 2u);
   EXPECT_EQ(Flips.size(), Stats.RowObjectsCorrupted);
   EXPECT_EQ(Stats.BitsFlipped, Stats.RowObjectsCorrupted);
-}
-
-TEST(HardwareFault, ConcurrentCaptureMatchesSequential) {
-  // The same fault against the PR 7 front-end (magazine of one, single
-  // cache: bit-identical backend placements) must inject the identical
-  // corruption — hardware injection is a property of the heap layout,
-  // not of which front-end drives it.
-  for (FaultKind Kind : {FaultKind::BitFlip, FaultKind::RowCluster}) {
-    DieFastConfig Sequential = testConfig(31);
-    DieFastHeap Direct(Sequential);
-    FaultInjector SeqInjector(Direct, hardwarePlan(Kind, 20, 17));
-    SeqInjector.attachHeap(&Direct.heap());
-    driveHardwareOps(SeqInjector);
-
-    ConcurrentAllocatorConfig Cfg;
-    Cfg.Heap = Sequential.Heap;
-    Cfg.MagazineSize = 1;
-    Cfg.DieFastCanaries = true;
-    Cfg.CanaryFillProbability = Sequential.CanaryFillProbability;
-    ConcurrentAllocator Front(Cfg);
-    FaultInjector ConcInjector(Front, hardwarePlan(Kind, 20, 17));
-    ConcInjector.attachHeap(&Front.backend());
-    driveHardwareOps(ConcInjector);
-
-    EXPECT_FALSE(SeqInjector.injectedFlips().empty()) << "kind " << int(Kind);
-    EXPECT_TRUE(
-        flipsEqual(SeqInjector.injectedFlips(), ConcInjector.injectedFlips()))
-        << "kind " << int(Kind);
-  }
 }
 
 TEST(HardwareFault, FallbackWithoutBackendStillReplays) {

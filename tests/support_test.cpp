@@ -2,8 +2,6 @@
 
 #include "support/Bitmap.h"
 #include "support/FlatU64Map.h"
-#include "support/MpscQueue.h"
-#include "support/PageTable.h"
 #include "support/RandomGenerator.h"
 #include "support/Executor.h"
 #include "support/Serializer.h"
@@ -289,183 +287,6 @@ TEST(Bitmap, FindNextSet) {
 TEST(Bitmap, FindNextSetOnEmptyMap) {
   Bitmap Map(64);
   EXPECT_EQ(Map.findNextSet(0), std::nullopt);
-}
-
-//===----------------------------------------------------------------------===//
-// PageTable
-//===----------------------------------------------------------------------===//
-
-TEST(PageTable, LookupMissesOnEmptyTable) {
-  PageTable Table;
-  EXPECT_EQ(Table.lookup(12345), PageTable::NotFound);
-  EXPECT_EQ(Table.lookup(0), PageTable::NotFound); // null page sentinel
-}
-
-TEST(PageTable, InsertAndLookup) {
-  PageTable Table;
-  auto [Value, Inserted] = Table.emplace(7, 42);
-  EXPECT_TRUE(Inserted);
-  EXPECT_EQ(Value, 42u);
-  EXPECT_EQ(Table.lookup(7), 42u);
-  EXPECT_EQ(Table.lookup(8), PageTable::NotFound);
-}
-
-TEST(PageTable, EmplaceReturnsExistingMapping) {
-  PageTable Table;
-  Table.emplace(7, 1);
-  auto [Value, Inserted] = Table.emplace(7, 2);
-  EXPECT_FALSE(Inserted);
-  EXPECT_EQ(Value, 1u);
-  EXPECT_EQ(Table.lookup(7), 1u);
-}
-
-TEST(PageTable, SurvivesGrowth) {
-  PageTable Table;
-  // Far past the initial capacity, with both consecutive pages (the heap
-  // registration pattern) and scattered ones.
-  for (uintptr_t Page = 1; Page <= 5000; ++Page)
-    Table.emplace(Page, static_cast<uint32_t>(Page * 3));
-  EXPECT_EQ(Table.size(), 5000u);
-  for (uintptr_t Page = 1; Page <= 5000; ++Page)
-    ASSERT_EQ(Table.lookup(Page), static_cast<uint32_t>(Page * 3));
-  EXPECT_EQ(Table.lookup(5001), PageTable::NotFound);
-}
-
-TEST(PageTable, ConcurrentLookupDuringGrowth) {
-  // One writer inserts pages 1..N — crossing several epoch
-  // republications — while readers continuously look up pages already
-  // published through an acquire-released watermark.  Readers must
-  // always hit with the right value: retired tables stay readable, and
-  // entries publish value-before-key.  (The TSan CI job runs this under
-  // the race detector.)
-  PageTable Table;
-  constexpr uintptr_t N = 40000;
-  std::atomic<uintptr_t> Watermark{0};
-  std::atomic<bool> Stop{false};
-  std::atomic<uint64_t> Mismatches{0};
-
-  std::vector<std::thread> Readers;
-  for (int R = 0; R < 3; ++R)
-    Readers.emplace_back([&, R] {
-      RandomGenerator Rng(0xbeef + R);
-      // Keep reading for a floor of lookups even after the writer stops:
-      // on a single-core host the writer can finish before a reader's
-      // first timeslice, and the post-stop lookups still validate every
-      // epoch's data.
-      for (uint64_t Hits = 0;
-           !Stop.load(std::memory_order_acquire) || Hits < 20000; ++Hits) {
-        const uintptr_t High = Watermark.load(std::memory_order_acquire);
-        if (High == 0)
-          continue;
-        const uintptr_t Page = 1 + Rng.nextBelow(High);
-        if (Table.lookup(Page) != static_cast<uint32_t>(Page * 7))
-          Mismatches.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-
-  for (uintptr_t Page = 1; Page <= N; ++Page) {
-    Table.emplace(Page, static_cast<uint32_t>(Page * 7));
-    Watermark.store(Page, std::memory_order_release);
-    // Give timesliced readers a chance to interleave with growth.
-    if ((Page & 4095) == 0)
-      std::this_thread::yield();
-  }
-  Stop.store(true, std::memory_order_release);
-  for (std::thread &Reader : Readers)
-    Reader.join();
-
-  EXPECT_EQ(Mismatches.load(), 0u);
-  EXPECT_EQ(Table.size(), N);
-  for (uintptr_t Page = 1; Page <= N; ++Page)
-    ASSERT_EQ(Table.lookup(Page), static_cast<uint32_t>(Page * 7));
-}
-
-//===----------------------------------------------------------------------===//
-// MpscQueue
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct QueueTestNode {
-  MpscNode Link; // first member: node pointer == payload pointer
-  unsigned Producer = 0;
-  uint64_t Sequence = 0;
-};
-
-} // namespace
-
-TEST(MpscQueue, DrainOnEmptyReturnsNull) {
-  MpscQueue Queue;
-  EXPECT_TRUE(Queue.empty());
-  EXPECT_EQ(Queue.drainAll(), nullptr);
-  // Still usable after an empty drain.
-  QueueTestNode Node;
-  Queue.push(&Node.Link);
-  EXPECT_FALSE(Queue.empty());
-  EXPECT_EQ(Queue.drainAll(), &Node.Link);
-  EXPECT_TRUE(Queue.empty());
-  EXPECT_EQ(Queue.drainAll(), nullptr);
-}
-
-TEST(MpscQueue, SingleProducerDrainsInFifoOrder) {
-  MpscQueue Queue;
-  QueueTestNode Nodes[16];
-  for (uint64_t I = 0; I < 16; ++I) {
-    Nodes[I].Sequence = I;
-    Queue.push(&Nodes[I].Link);
-  }
-  uint64_t Expected = 0;
-  for (MpscNode *Node = Queue.drainAll(); Node; Node = Node->Next) {
-    const auto *Payload = reinterpret_cast<const QueueTestNode *>(Node);
-    EXPECT_EQ(Payload->Sequence, Expected++);
-  }
-  EXPECT_EQ(Expected, 16u);
-}
-
-TEST(MpscQueue, MultiProducerStressKeepsPerProducerFifoAndLosesNothing) {
-  // 4 producers push pre-allocated tagged nodes while the consumer
-  // drains concurrently until all arrive.  Checks: no node lost or
-  // duplicated, and each producer's nodes arrive in push order even
-  // though drains interleave with pushes.
-  constexpr unsigned Producers = 4;
-  constexpr uint64_t PerProducer = 20000;
-  MpscQueue Queue;
-
-  std::vector<std::vector<QueueTestNode>> Nodes(Producers);
-  for (unsigned P = 0; P < Producers; ++P) {
-    Nodes[P].resize(PerProducer);
-    for (uint64_t I = 0; I < PerProducer; ++I) {
-      Nodes[P][I].Producer = P;
-      Nodes[P][I].Sequence = I;
-    }
-  }
-
-  std::vector<std::thread> Threads;
-  for (unsigned P = 0; P < Producers; ++P)
-    Threads.emplace_back([&, P] {
-      for (uint64_t I = 0; I < PerProducer; ++I)
-        Queue.push(&Nodes[P][I].Link);
-    });
-
-  uint64_t Received = 0;
-  uint64_t NextSequence[Producers] = {};
-  uint64_t OrderViolations = 0;
-  while (Received < Producers * PerProducer) {
-    for (MpscNode *Node = Queue.drainAll(); Node; Node = Node->Next) {
-      const auto *Payload = reinterpret_cast<const QueueTestNode *>(Node);
-      if (Payload->Sequence != NextSequence[Payload->Producer]++)
-        ++OrderViolations;
-      ++Received;
-    }
-  }
-  for (std::thread &Producer : Threads)
-    Producer.join();
-
-  EXPECT_EQ(OrderViolations, 0u);
-  EXPECT_EQ(Received, Producers * PerProducer);
-  for (unsigned P = 0; P < Producers; ++P)
-    EXPECT_EQ(NextSequence[P], PerProducer);
-  EXPECT_EQ(Queue.drainAll(), nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -783,12 +604,10 @@ TEST(Serializer, FileSinkSourceRoundTrip) {
 //===----------------------------------------------------------------------===//
 
 TEST(Executor, ParallelForCoversEveryIndexExactlyOnce) {
-  Executor Exec(4);
-  std::vector<std::atomic<int>> Hits(1000);
+  std::vector<std::atomic<int>> Hits(16);
   for (auto &Hit : Hits)
     Hit.store(0);
-  Exec.parallelFor(Hits.size(),
-                   [&](size_t I) { Hits[I].fetch_add(1); });
+  parallelFor(Hits.size(), [&](size_t I) { Hits[I].fetch_add(1); });
   for (size_t I = 0; I < Hits.size(); ++I)
     EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
 }
@@ -796,36 +615,34 @@ TEST(Executor, ParallelForCoversEveryIndexExactlyOnce) {
 TEST(Executor, JoinIsABarrier) {
   // Every write must be visible after parallelFor returns, without any
   // synchronization by the caller.
-  Executor Exec(3);
-  std::vector<uint64_t> Results(64, 0);
-  Exec.parallelFor(Results.size(), [&](size_t I) { Results[I] = I * I; });
+  std::vector<uint64_t> Results(8, 0);
+  parallelFor(Results.size(), [&](size_t I) { Results[I] = I * I; });
   for (size_t I = 0; I < Results.size(); ++I)
     EXPECT_EQ(Results[I], I * I);
 }
 
-TEST(Executor, ReusableAcrossJobs) {
-  Executor Exec(4);
-  for (int Round = 0; Round < 50; ++Round) {
-    std::atomic<size_t> Sum{0};
-    Exec.parallelFor(10, [&](size_t I) { Sum.fetch_add(I + 1); });
-    EXPECT_EQ(Sum.load(), 55u) << "round " << Round;
-  }
-}
+TEST(Executor, IndexZeroRunsOnTheCallingThread) {
+  // Body(0) runs on the caller and every other index on a thread of its
+  // own; one index is a plain call.
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::vector<std::thread::id> Ran(3);
+  parallelFor(Ran.size(),
+              [&](size_t I) { Ran[I] = std::this_thread::get_id(); });
+  EXPECT_EQ(Ran[0], Caller);
+  EXPECT_NE(Ran[1], Caller);
+  EXPECT_NE(Ran[2], Caller);
+  EXPECT_NE(Ran[1], Ran[2]);
 
-TEST(Executor, SingleThreadDegeneratesToLoop) {
-  Executor Exec(1);
-  EXPECT_EQ(Exec.threadCount(), 1u);
-  std::vector<int> Order;
-  Exec.parallelFor(5, [&](size_t I) { Order.push_back(static_cast<int>(I)); });
-  EXPECT_EQ(Order, (std::vector<int>{0, 1, 2, 3, 4}));
+  std::thread::id Single;
+  parallelFor(1, [&](size_t) { Single = std::this_thread::get_id(); });
+  EXPECT_EQ(Single, Caller);
 }
 
 TEST(Executor, ActuallyRunsConcurrently) {
   // Two tasks that each wait for the other can only finish if they
   // overlap in time.
-  Executor Exec(2);
   std::atomic<int> Arrived{0};
-  Exec.parallelFor(2, [&](size_t) {
+  parallelFor(2, [&](size_t) {
     Arrived.fetch_add(1);
     for (int Spin = 0; Spin < 100000000 && Arrived.load() < 2; ++Spin)
       std::this_thread::yield();
@@ -834,9 +651,8 @@ TEST(Executor, ActuallyRunsConcurrently) {
 }
 
 TEST(Executor, EmptyJobReturnsImmediately) {
-  Executor Exec(4);
   bool Ran = false;
-  Exec.parallelFor(0, [&](size_t) { Ran = true; });
+  parallelFor(0, [&](size_t) { Ran = true; });
   EXPECT_FALSE(Ran);
 }
 

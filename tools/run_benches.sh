@@ -4,10 +4,8 @@
 # Builds the tree and regenerates the machine-readable bench reports:
 #
 #   BENCH_hotpath.json   — micro_allocators: per-op malloc/free costs,
-#                          each heap's ratio to the glibc baseline, the
-#                          scalar vs dispatched canary kernels, and the
-#                          contended mt-* scenarios (per-thread caches
-#                          vs global lock, with lock-acquisitions-per-op)
+#                          each heap's ratio to the glibc baseline, and
+#                          the scalar vs dispatched canary kernels
 #                          (schema: ROADMAP.md)
 #   BENCH_exchange.json  — exp_collaborative: patch-exchange ingest
 #                          throughput and ImageBundle size ratio
@@ -27,9 +25,9 @@
 #   --full    also run the fig7 whole-program overhead suite (slower)
 #
 # The reports are written into the repository root, replacing the
-# committed captures.  A bench whose own check fails (a contended-run
-# pattern fault, diverging isolation, the Figure 7 shape) exits nonzero
-# and stops the script.
+# committed captures.  A bench whose own check fails (isolation that
+# derives no patches, the Figure 7 shape) exits nonzero and stops the
+# script.
 #
 # Environment:
 #   BUILD_DIR   build directory (default: build)
