@@ -16,19 +16,13 @@
 // decode → diagnose per item) and the ImageBundle saving (one
 // cross-image site dictionary vs N independent v2 images).
 //
-// PR 6 adds the replicated fleet: the same summary stream submitted
-// through a rotating FailoverTransport into a 3-server full mesh
-// (journal streaming + anti-entropy over loopback), measuring fleet
-// ingest throughput and the pump rounds until every server's patch
-// set serializes bit-identically.
-//
-// PR 8 adds the observability-plane overhead measurement: the same
-// 3-server fleet ingest run twice — once with a MetricsRegistry
-// attached to every server and replica set, once bare — in alternating
-// timed blocks.  PR 10 hardens the discipline: each side reports its
-// *best* block (noise and scheduler interference only ever slow a
-// block down, so best-of is the robust comparator), and a non-smoke
-// run exits nonzero when the overhead exceeds the 2% target.
+// The observability-plane overhead measurement submits one summary
+// stream over loopback into a fresh server, once bare and once with a
+// MetricsRegistry attached (plus one scrape), in alternating timed
+// blocks.  Each side reports its *best* block (noise and scheduler
+// interference only ever slow a block down, so best-of is the robust
+// comparator), and a non-smoke run exits nonzero when the overhead
+// exceeds the 2% target.
 //
 // PR 10 also adds the codec section: the LZ block codec's compression
 // ratio and encode/decode throughput over a representative evidence
@@ -38,8 +32,10 @@
 // delta-encoded bundle against the same images as independent v2 files.
 //
 // --json FILE writes BENCH_exchange.json (schema in ROADMAP.md):
-//   schema_version        5
-//   config                {smoke, images_per_submission, rounds}
+//   schema_version        6
+//   config                {smoke, hardware_threads, cpu_model,
+//                          images_per_submission, image_rounds,
+//                          summary_rounds}
 //   ingest[]              {kind, items, seconds, per_sec} for
 //                         kind ∈ {image-submission, image, summary}
 //   bundle                {images, bundle_bytes, independent_bytes,
@@ -47,10 +43,6 @@
 //   codec                 {raw_bytes, compressed_bytes, ratio,
 //                          encode_mb_per_sec, decode_mb_per_sec}
 //   collaboration         {users, pads_merged, all_protected}
-//   fleet                 {servers, summaries, seconds, per_sec,
-//                          pump_rounds, records_streamed,
-//                          replicated_summaries, duplicates_suppressed,
-//                          converged_identical, patch_bytes}
 //   stats_overhead        {rounds, summaries_per_round, base_per_sec,
 //                          instrumented_per_sec, overhead_pct,
 //                          target_pct}
@@ -60,10 +52,8 @@
 #include "BenchReport.h"
 
 #include "codec/BlockCodec.h"
-#include "exchange/FailoverTransport.h"
 #include "exchange/PatchClient.h"
 #include "exchange/PatchServer.h"
-#include "exchange/Replication.h"
 #include "heapimage/HeapImageIO.h"
 #include "observe/MetricsRegistry.h"
 #include "heapimage/ImageBundle.h"
@@ -76,8 +66,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <thread>
 
 using namespace exterminator;
 using namespace benchreport;
@@ -236,154 +226,38 @@ int main(int Argc, char **Argv) {
        static_cast<unsigned long long>(IngestStats.FramesRejected));
 
   //===--------------------------------------------------------------------===//
-  // Replicated fleet ingest (3-server mesh, rotating failover)
-  //===--------------------------------------------------------------------===//
-
-  heading("PR 6: replicated fleet ingest (3-server mesh, rotating failover)");
-  note("summaries enter round-robin through FailoverTransport; journal "
-       "streaming + anti-entropy converge the mesh");
-
-  const unsigned FleetSummaries = Smoke ? 150 : 1500;
-
-  // Each server starts from a *different* user's patches, so
-  // convergence below exercises real anti-entropy merging, not just
-  // identical-state no-ops.
-  PatchServer FleetServers[3];
-  for (unsigned I = 0; I < 3; ++I)
-    FleetServers[I].seedPatches(UserPatches[I]);
-
-  std::vector<std::unique_ptr<ReplicaSet>> FleetReplicas;
-  for (unsigned I = 0; I < 3; ++I) {
-    auto Replicas = std::make_unique<ReplicaSet>(FleetServers[I]);
-    for (unsigned J = 0; J < 3; ++J)
-      if (J != I)
-        Replicas->addPeer(fmt("s%u", J),
-                          std::make_unique<LoopbackTransport>(
-                              FleetServers[J]));
-    FleetReplicas.push_back(std::move(Replicas));
-  }
-
-  LoopbackTransport FleetLinks[3] = {LoopbackTransport(FleetServers[0]),
-                                     LoopbackTransport(FleetServers[1]),
-                                     LoopbackTransport(FleetServers[2])};
-  FailoverPolicy RotatePolicy;
-  RotatePolicy.Rotate = true;
-  FailoverTransport FleetTransport(
-      {&FleetLinks[0], &FleetLinks[1], &FleetLinks[2]}, RotatePolicy,
-      {"s0", "s1", "s2"});
-  PatchClient FleetClient(FleetTransport);
-
-  bool FleetOk = true;
-  const double FleetSeconds = timeSeconds([&] {
-    for (unsigned I = 0; I < FleetSummaries; ++I)
-      FleetOk &= FleetClient.submitSummary(Summary, 0);
-    for (auto &Replicas : FleetReplicas)
-      FleetOk &= Replicas->drainOnce();
-  });
-  const double FleetPerSec = FleetSummaries / FleetSeconds;
-
-  // Pump anti-entropy until every server's canonical serialization is
-  // bit-identical (the wire/on-disk convergence the chaos tests pin).
-  unsigned PumpRounds = 0;
-  bool ConvergedIdentical = false;
-  std::vector<uint8_t> FleetBytes;
-  for (; PumpRounds < 8 && !ConvergedIdentical; ) {
-    for (auto &Replicas : FleetReplicas)
-      Replicas->antiEntropyOnce();
-    ++PumpRounds;
-    FleetBytes = serializePatchSet(FleetServers[0].snapshot().Patches);
-    ConvergedIdentical =
-        FleetBytes ==
-            serializePatchSet(FleetServers[1].snapshot().Patches) &&
-        FleetBytes == serializePatchSet(FleetServers[2].snapshot().Patches);
-  }
-  uint64_t RecordsStreamed = 0, ReplicatedSummaries = 0,
-           DuplicatesSuppressed = 0, FleetRunsTotal = 0;
-  for (unsigned I = 0; I < 3; ++I) {
-    RecordsStreamed += FleetReplicas[I]->stats().RecordsStreamed;
-    const PatchServerStats Stats = FleetServers[I].stats();
-    ReplicatedSummaries += Stats.ReplicatedSummaries;
-    DuplicatesSuppressed += Stats.DuplicatesSuppressed;
-    FleetRunsTotal += FleetServers[I].cumulativeRuns();
-  }
-  // Every server must hold every summary exactly once: each one
-  // ingested at its entry server and streamed to the other two, never
-  // double-applied (dedup tokens).
-  if (!FleetOk || !ConvergedIdentical ||
-      FleetRunsTotal != 3ull * FleetSummaries) {
-    std::fprintf(stderr, "fleet ingest failed, mesh did not converge, or "
-                         "summary accounting is off\n");
-    return 1;
-  }
-
-  Table Fleet({"metric", "value"});
-  Fleet.addRow({"summaries via rotating failover",
-                fmt("%u", FleetSummaries)});
-  Fleet.addRow({"ingest+stream seconds", fmt("%.3f", FleetSeconds)});
-  Fleet.addRow({"summaries/sec (fleet-wide)", fmt("%.0f", FleetPerSec)});
-  Fleet.addRow({"anti-entropy rounds to converge", fmt("%u", PumpRounds)});
-  Fleet.addRow({"journal records streamed", fmt("%llu",
-                static_cast<unsigned long long>(RecordsStreamed))});
-  Fleet.addRow({"replicated summaries applied", fmt("%llu",
-                static_cast<unsigned long long>(ReplicatedSummaries))});
-  Fleet.addRow({"duplicate tokens suppressed", fmt("%llu",
-                static_cast<unsigned long long>(DuplicatesSuppressed))});
-  Fleet.addRow({"converged patch bytes", fmt("%zu", FleetBytes.size())});
-  Fleet.print();
-  note("every server holds all %u summaries exactly once (total runs "
-       "%llu = 3 x %u) and serializes the same merged set bit-for-bit",
-       FleetSummaries, static_cast<unsigned long long>(FleetRunsTotal),
-       FleetSummaries);
-
-  //===--------------------------------------------------------------------===//
   // Observability-plane overhead (registry vs no-op)
   //===--------------------------------------------------------------------===//
 
   heading("PR 8: observability-plane overhead (registry vs no-op)");
-  note("same 3-server fleet ingest, alternating bare and instrumented "
-       "blocks, best block per side; the pull-collector design touches "
-       "nothing on the ingest path, so the delta should be noise");
+  note("same summary stream into a fresh server over loopback, "
+       "alternating bare and instrumented blocks, best block per side; "
+       "the pull-collector design touches nothing on the ingest path, so "
+       "the delta should be noise");
 
   const unsigned OverheadRounds = Smoke ? 6 : 12;
-  const unsigned OverheadSummaries = Smoke ? 100 : 500;
+  // 1,500 summaries keep a block near 0.1 s, long enough that timer and
+  // scheduler noise stay well inside the 2% target.
+  const unsigned OverheadSummaries = Smoke ? 300 : 1500;
 
-  // One full fleet ingest block: fresh 3-server loopback mesh, summaries
-  // in round-robin, one stream drain.  When \p Instrumented, every
-  // server and replica set publishes into a registry and one scrape runs
-  // at the end — the steady-state shape of a monitored fleet.
-  auto fleetIngestSeconds = [&](bool Instrumented) -> double {
+  // One ingest block: a fresh server takes the summary stream over
+  // loopback.  When \p Instrumented, the server publishes into a
+  // registry and one scrape runs at the end — the steady-state shape of
+  // a monitored server.
+  auto ingestSeconds = [&](bool Instrumented) -> double {
     MetricsRegistry Registry;
-    PatchServer Servers[3];
-    std::vector<std::unique_ptr<ReplicaSet>> Mesh;
-    for (unsigned I = 0; I < 3; ++I) {
-      auto Replicas = std::make_unique<ReplicaSet>(Servers[I]);
-      for (unsigned J = 0; J < 3; ++J)
-        if (J != I)
-          Replicas->addPeer(fmt("s%u", J),
-                            std::make_unique<LoopbackTransport>(Servers[J]));
-      if (Instrumented) {
-        Servers[I].attachMetrics(Registry);
-        Replicas->attachMetrics(Registry);
-      }
-      Mesh.push_back(std::move(Replicas));
-    }
-    LoopbackTransport Links[3] = {LoopbackTransport(Servers[0]),
-                                  LoopbackTransport(Servers[1]),
-                                  LoopbackTransport(Servers[2])};
-    FailoverPolicy Rotate;
-    Rotate.Rotate = true;
-    FailoverTransport Transport({&Links[0], &Links[1], &Links[2]}, Rotate,
-                                {"s0", "s1", "s2"});
+    PatchServer Server;
+    if (Instrumented)
+      Server.attachMetrics(Registry);
+    LoopbackTransport Transport(Server);
     PatchClient Client(Transport);
     bool Ok = true;
     const double Seconds = timeSeconds([&] {
       for (unsigned I = 0; I < OverheadSummaries; ++I)
         Ok &= Client.submitSummary(Summary, 0);
-      for (auto &Replicas : Mesh)
-        Ok &= Replicas->drainOnce();
     });
     if (Instrumented && Registry.snapshot().Samples.empty())
-      Ok = false; // scrape must actually see the fleet
+      Ok = false; // scrape must actually see the server
     return Ok ? Seconds : -1.0;
   };
 
@@ -394,19 +268,19 @@ int main(int Argc, char **Argv) {
   // level "overhead" out of thin air (the committed 7.58% artifact),
   // while interference can only ever make a block slower, never faster
   // — so min-of-rounds converges on the true cost from above.
-  fleetIngestSeconds(false);
-  fleetIngestSeconds(true);
+  ingestSeconds(false);
+  ingestSeconds(true);
   double BestBase = 0.0, BestInstr = 0.0;
   bool OverheadOk = true;
   for (unsigned Round = 0; Round < OverheadRounds; ++Round) {
-    const double Base = fleetIngestSeconds(false);
-    const double Instr = fleetIngestSeconds(true);
+    const double Base = ingestSeconds(false);
+    const double Instr = ingestSeconds(true);
     OverheadOk &= Base > 0.0 && Instr > 0.0;
     BestBase = Round == 0 ? Base : std::min(BestBase, Base);
     BestInstr = Round == 0 ? Instr : std::min(BestInstr, Instr);
   }
   if (!OverheadOk) {
-    std::fprintf(stderr, "overhead measurement fleet failed\n");
+    std::fprintf(stderr, "overhead measurement ingest failed\n");
     return 1;
   }
   const double OverheadTargetPct = 2.0;
@@ -414,7 +288,7 @@ int main(int Argc, char **Argv) {
   const double InstrPerSec = OverheadSummaries / BestInstr;
   const double OverheadPct = (BestInstr / BestBase - 1.0) * 100.0;
 
-  Table Overhead({"fleet", "summaries/block", "best block (s)",
+  Table Overhead({"server", "summaries/block", "best block (s)",
                   "per second"});
   Overhead.addRow({"bare (no registry)", fmt("%u", OverheadSummaries),
                    fmt("%.3f", BestBase), fmt("%.0f", BasePerSec)});
@@ -543,13 +417,15 @@ int main(int Argc, char **Argv) {
   if (!JsonPath.empty()) {
     JsonWriter Json;
     Json.beginObject();
-    Json.field("schema_version", 5);
+    Json.field("schema_version", 6);
     Json.beginObject("config");
     Json.field("smoke", Smoke);
+    Json.field("hardware_threads",
+               static_cast<uint64_t>(std::thread::hardware_concurrency()));
+    Json.field("cpu_model", cpuModel());
     Json.field("images_per_submission", int(ImagesPerSubmission));
     Json.field("image_rounds", int(ImageRounds));
     Json.field("summary_rounds", int(SummaryRounds));
-    Json.field("fleet_summaries", int(FleetSummaries));
     Json.endObject();
     Json.beginArray("ingest");
     Json.beginObject();
@@ -588,18 +464,6 @@ int main(int Argc, char **Argv) {
     Json.field("users", 3);
     Json.field("pads_merged", uint64_t(Merged.padCount()));
     Json.field("all_protected", AllFixed == 3);
-    Json.endObject();
-    Json.beginObject("fleet");
-    Json.field("servers", 3);
-    Json.field("summaries", uint64_t(FleetSummaries));
-    Json.field("seconds", FleetSeconds);
-    Json.field("per_sec", FleetPerSec);
-    Json.field("pump_rounds", uint64_t(PumpRounds));
-    Json.field("records_streamed", RecordsStreamed);
-    Json.field("replicated_summaries", ReplicatedSummaries);
-    Json.field("duplicates_suppressed", DuplicatesSuppressed);
-    Json.field("converged_identical", ConvergedIdentical);
-    Json.field("patch_bytes", uint64_t(FleetBytes.size()));
     Json.endObject();
     Json.beginObject("stats_overhead");
     Json.field("rounds", uint64_t(OverheadRounds));

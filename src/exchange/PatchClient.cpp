@@ -12,9 +12,9 @@
 using namespace exterminator;
 
 /// Nonzero token identifying one summary submission.  Generated when the
-/// submission is encoded, so every retry of that frame — by a failover
-/// transport or a flaky network — carries the same token and the server
-/// applies the summary exactly once.
+/// submission is encoded, so a transport that re-sends the frame after
+/// losing the reply sends the same token and the server applies the
+/// summary exactly once.
 ///
 /// Tokens are a process-wide atomic counter passed through SplitMix64
 /// (a bijection) keyed by one random value per process: two calls in

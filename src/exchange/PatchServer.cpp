@@ -17,8 +17,6 @@ static uint64_t randomInstanceId() {
   return Id ? Id : 1;
 }
 
-ReplicationSink::~ReplicationSink() = default;
-
 PatchServer::PatchServer(const DiagnosisConfig &Config)
     : Pipeline(Config), Instance(randomInstanceId()) {}
 
@@ -65,32 +63,6 @@ void PatchServer::seedPatches(const PatchSet &Initial) {
   }
   if (Changed && Store)
     persistQueued();
-  // A seed is a local origin (an operator handed this server a patch
-  // file), so it streams to peers like any accepted submission.
-  if (Changed && Replica)
-    Replica->onPatchDelta(Initial);
-}
-
-bool PatchServer::mergePatches(const PatchSet &Delta) {
-  bool Changed = false;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    const uint64_t Before = Pipeline.epoch();
-    Pipeline.seedPatches(Delta);
-    Changed = Pipeline.epoch() != Before;
-    ++Stats.MergesIngested;
-    if (Store && Changed) {
-      StateStore::JournalRecord Record;
-      Record.RecordKind = StateStore::JournalRecord::PatchesKind;
-      Record.EpochAfter = Pipeline.epoch();
-      Record.PatchDelta = Delta;
-      Store->enqueue(Record);
-    }
-  }
-  if (Changed && Store)
-    persistQueued();
-  // Remote origin: no replication-sink forward (no-restream rule).
-  return Changed;
 }
 
 bool PatchServer::attachState(StateStore &NewStore, unsigned Interval,
@@ -202,11 +174,6 @@ PatchServerStats PatchServer::stats() const {
   return Stats;
 }
 
-uint64_t PatchServer::epoch() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Pipeline.epoch();
-}
-
 void PatchServer::attachMetrics(MetricsRegistry &Registry) {
   Metrics = &Registry;
   SummaryIngestLatency = Registry.histogram("xterm_summary_ingest_seconds");
@@ -232,10 +199,6 @@ void PatchServer::collectMetrics(std::vector<MetricSample> &Out) const {
                               double(Stats.SnapshotsWritten));
   MetricsRegistry::addCounter(Out, "xterm_persist_failures_total", {},
                               double(Stats.PersistFailures));
-  MetricsRegistry::addCounter(Out, "xterm_merges_ingested_total", {},
-                              double(Stats.MergesIngested));
-  MetricsRegistry::addCounter(Out, "xterm_replicated_summaries_total", {},
-                              double(Stats.ReplicatedSummaries));
   MetricsRegistry::addCounter(Out, "xterm_duplicates_suppressed_total", {},
                               double(Stats.DuplicatesSuppressed));
   MetricsRegistry::addCounter(Out, "xterm_stats_served_total", {},
@@ -315,8 +278,6 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
     }
     if (Changed && Store)
       persistQueued();
-    if (Changed && Replica)
-      Replica->onPatchDelta(Result.Patches);
     return encodeFrame(MessageType::SubmitImagesReply,
                        encodeImagesReply(Reply));
   }
@@ -337,11 +298,10 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
         Reply.Diagnosis = ingestSummary(Summary, CleanStreak);
         ++Stats.SummariesIngested;
       } else {
-        // A retry of a summary this server (or a replica that forwarded
-        // it here) already counted: acknowledge with the current state
-        // and an empty diagnosis, but do not grow the trial history
-        // again — that is the epoch-idempotence the duplicate tests
-        // pin.
+        // A retry of a summary this server already counted:
+        // acknowledge with the current state and an empty diagnosis,
+        // but do not grow the trial history again — that is the
+        // epoch-idempotence the duplicate tests pin.
         ++Stats.DuplicatesSuppressed;
       }
       Reply.Epoch = Pipeline.epoch();
@@ -360,59 +320,8 @@ std::vector<uint8_t> PatchServer::dispatch(const Frame &Request) {
     }
     if (Applied && Store)
       persistQueued();
-    if (Applied && Replica)
-      Replica->onSummary(Summary, CleanStreak, Token);
     return encodeFrame(MessageType::SubmitSummaryReply,
                        encodeSummaryReply(Reply));
-  }
-
-  case MessageType::MergePatches: {
-    PatchSet Delta;
-    if (!decodeMergePatches(Request.Payload, Delta))
-      return Reject("malformed patch delta");
-    MergeReply Reply;
-    Reply.Changed = mergePatches(Delta);
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Reply.Instance = Instance;
-      Reply.Epoch = Pipeline.epoch();
-    }
-    return encodeFrame(MessageType::MergePatchesReply, encodeMergeReply(Reply));
-  }
-
-  case MessageType::ReplicateSummary: {
-    RunSummary Summary;
-    unsigned CleanStreak = 0;
-    uint64_t Token = 0;
-    if (!decodeSubmitSummary(Request.Payload, Summary, CleanStreak, Token))
-      return Reject("malformed run summary");
-    ReplicateAck Reply;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Reply.Instance = Instance;
-      Reply.Applied = noteToken(Token);
-      if (Reply.Applied) {
-        ingestSummary(Summary, CleanStreak);
-        ++Stats.ReplicatedSummaries;
-      } else {
-        ++Stats.DuplicatesSuppressed;
-      }
-      Reply.Epoch = Pipeline.epoch();
-      if (Store && Reply.Applied) {
-        StateStore::JournalRecord Record;
-        Record.RecordKind = StateStore::JournalRecord::SummaryKind;
-        Record.EpochAfter = Reply.Epoch;
-        Record.Summary = Summary;
-        Record.CleanStreak = CleanStreak;
-        Record.Token = Token;
-        Store->enqueue(Record);
-      }
-    }
-    if (Reply.Applied && Store)
-      persistQueued();
-    // Remote origin: never re-forwarded (no-restream rule).
-    return encodeFrame(MessageType::ReplicateReply,
-                       encodeReplicateReply(Reply));
   }
 
   case MessageType::FetchPatches: {

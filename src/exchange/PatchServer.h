@@ -6,10 +6,12 @@
 ///
 /// \file
 /// The patch server: a DiagnosisPipeline behind the wire protocol.  It is
-/// the fleet-scale form of §6.4's collaborative correction — many
+/// the networked form of §6.4's collaborative correction — many
 /// processes observe errors independently, ship their evidence here, and
 /// every client pulls back one merged, versioned patch set covering all
-/// observed errors.
+/// observed errors.  A state directory (StateStore) makes its restarts
+/// lossless; a client that cannot reach it keeps running under the
+/// patches it already holds.
 ///
 /// The server core is transport-agnostic: handleFrame maps one request
 /// frame to one response frame.  The in-process loopback transport calls
@@ -36,27 +38,6 @@ namespace exterminator {
 
 class StateStore;
 
-/// Where a server forwards its locally accepted state changes so replica
-/// peers can apply them too (implemented by ReplicaSet).  Only *local*
-/// origins stream — a change that arrived via MergePatches or
-/// ReplicateSummary is never re-forwarded, which is what keeps a full
-/// mesh loop-free; transitive propagation is anti-entropy's job.
-/// Callbacks run outside the server mutex and must not re-enter the
-/// server synchronously on the same thread.
-class ReplicationSink {
-public:
-  virtual ~ReplicationSink();
-
-  /// A patch-set delta the local server just merged (an image
-  /// submission's isolation result, or a seed file).
-  virtual void onPatchDelta(const PatchSet &Delta) = 0;
-
-  /// A run summary the local server just accepted from a client,
-  /// with the client's dedup token (0 if the client sent none).
-  virtual void onSummary(const RunSummary &Summary, unsigned CleanStreak,
-                         uint64_t Token) = 0;
-};
-
 /// Ingestion counters (observability for the bench and the CLI).
 struct PatchServerStats {
   uint64_t ImagesIngested = 0;
@@ -68,9 +49,6 @@ struct PatchServerStats {
   uint64_t JournalAppends = 0;
   uint64_t SnapshotsWritten = 0;
   uint64_t PersistFailures = 0;
-  /// Replication counters (zero unless this server has peers).
-  uint64_t MergesIngested = 0;       ///< MergePatches frames accepted
-  uint64_t ReplicatedSummaries = 0;  ///< ReplicateSummary frames applied
   uint64_t DuplicatesSuppressed = 0; ///< summary tokens seen twice
   /// Observability counters.
   uint64_t StatsServed = 0; ///< Stats frames answered
@@ -104,18 +82,6 @@ public:
   /// current again.
   bool attachState(StateStore &Store, unsigned SnapshotInterval = 64,
                    std::string *ErrorOut = nullptr);
-
-  /// Attaches the replication sink that receives locally accepted state
-  /// changes (see ReplicationSink).  Attach before serving; pass
-  /// nullptr to detach.
-  void attachReplication(ReplicationSink *Sink) { Replica = Sink; }
-
-  /// Max-merges \p Delta into the active set as a *remote-origin*
-  /// change: journaled like any submission but never forwarded to the
-  /// replication sink (the anti-entropy pull path; the wire-side
-  /// MergePatches handler is the same logic).  Returns true when the
-  /// merge changed the active set.
-  bool mergePatches(const PatchSet &Delta);
 
   /// Snapshots the current state to the attached store (shutdown path,
   /// and the every-N compaction); true when no store is attached or the
@@ -157,19 +123,14 @@ public:
 
   PatchServerStats stats() const;
 
-  /// Current epoch of the active patch set (one mutex acquisition; the
-  /// cheap accessor observability collectors read *before* taking their
-  /// own locks — see ReplicaSet::attachMetrics).
-  uint64_t epoch() const;
-
   /// Attaches the observability plane: registers a collector exporting
   /// this server's counters and its pipeline's diagnostic metrics, arms
   /// the xterm_summary_ingest_seconds histogram (the §5 fold and
-  /// classification of every applied client or replicated summary), and
-  /// makes Stats requests answer with \p Registry's full snapshot
-  /// (every subsystem that attached to it) instead of only this
-  /// server's own samples.  Attach before serving; this server must
-  /// outlive the registry's last snapshot.
+  /// classification of every applied summary), and makes Stats
+  /// requests answer with \p Registry's full snapshot (every subsystem
+  /// that attached to it) instead of only this server's own samples.
+  /// Attach before serving; this server must outlive the registry's
+  /// last snapshot.
   void attachMetrics(MetricsRegistry &Registry);
 
   /// Appends this server's samples (ingestion counters plus the
@@ -211,8 +172,6 @@ private:
   /// internally synchronized for enqueue/drain).
   StateStore *Store = nullptr;
   unsigned SnapshotInterval = 64;
-  /// Replication sink (optional; set before serving).
-  ReplicationSink *Replica = nullptr;
   /// Observability registry (optional; set before serving).  Stats
   /// requests snapshot it *outside* Mutex — collectors take their own
   /// subsystem locks, this server's included.
@@ -222,7 +181,9 @@ private:
   /// Two-generation token window: lookups hit both sets, inserts go to
   /// Current; when Current fills, Previous is dropped and the sets
   /// rotate.  Bounds memory while keeping any token for at least
-  /// TokenWindow further submissions — far past any retry budget.
+  /// TokenWindow further submissions: a duplicate is a frame that a
+  /// transport re-sent after losing the reply, which arrives long
+  /// before 4096 other submissions do.
   static constexpr size_t TokenWindow = 4096;
   std::unordered_set<uint64_t> TokensCurrent, TokensPrevious;
 };

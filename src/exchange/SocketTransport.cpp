@@ -61,25 +61,6 @@ bool exterminator::parseEndpoint(const std::string &Spec, Endpoint &Out) {
   return false;
 }
 
-bool exterminator::parseEndpointList(const std::string &Spec,
-                                     std::vector<Endpoint> &Out) {
-  Out.clear();
-  size_t Begin = 0;
-  while (Begin <= Spec.size()) {
-    size_t End = Spec.find(',', Begin);
-    if (End == std::string::npos)
-      End = Spec.size();
-    Endpoint Ep;
-    if (!parseEndpoint(Spec.substr(Begin, End - Begin), Ep))
-      return false;
-    Out.push_back(Ep);
-    Begin = End + 1;
-    if (End == Spec.size())
-      break;
-  }
-  return !Out.empty();
-}
-
 std::string exterminator::endpointToString(const Endpoint &Ep) {
   if (Ep.Family == Endpoint::Unix)
     return "unix:" + Ep.Path;

@@ -55,11 +55,6 @@ struct Endpoint {
 /// anything else.
 bool parseEndpoint(const std::string &Spec, Endpoint &Out);
 
-/// Parses a comma-separated endpoint list — the failover spelling the
-/// CLI accepts ("unix:/a.sock,tcp:7302,tcp:10.0.0.3:7303"); order is
-/// preference order.  False on an empty list or any bad element.
-bool parseEndpointList(const std::string &Spec, std::vector<Endpoint> &Out);
-
 /// Renders an endpoint back to its string spelling.
 std::string endpointToString(const Endpoint &Ep);
 
@@ -68,14 +63,7 @@ std::string endpointToString(const Endpoint &Ep);
 /// frame per request, and closes.
 class SocketClientTransport : public ClientTransport {
 public:
-  /// \param ConnectRetries extra connect attempts (50 ms apart) before
-  ///        giving up — absorbs the server-startup race in scripted use
-  ///        (CI starts `xtermtool serve` in the background and submits
-  ///        immediately).  Pass 0 when a failover wrapper owns the
-  ///        retry policy.
-  explicit SocketClientTransport(const Endpoint &Server,
-                                 unsigned ConnectRetries = 40)
-      : Server(Server), ConnectRetries(ConnectRetries) {}
+  explicit SocketClientTransport(const Endpoint &Server) : Server(Server) {}
 
   bool exchange(const std::vector<std::vector<uint8_t>> &Requests,
                 std::vector<std::vector<uint8_t>> &ResponsesOut) override;
@@ -84,13 +72,17 @@ public:
   std::string lastError() const override { return LastError; }
 
 private:
+  /// Extra connect attempts, 50 ms apart, before an exchange fails:
+  /// they absorb the server-startup race in scripted use (CI starts
+  /// `xtermtool serve` in the background and submits at once).
+  static constexpr unsigned ConnectRetries = 40;
+
   int connectToServer();
   /// Records "<endpoint>: <Context>[: strerror(Errno)]"; returns false
   /// so failure paths read `return fail(...)`.
   bool fail(const std::string &Context, int Errno);
 
   Endpoint Server;
-  unsigned ConnectRetries;
   std::string LastError;
 };
 

@@ -47,10 +47,9 @@ public:
                         std::vector<std::vector<uint8_t>> &ResponsesOut) = 0;
 
   /// Human-readable reason for the most recent exchange() failure —
-  /// endpoint and errno for sockets, the per-endpoint roll-up for
-  /// failover — so a failed submission names what broke instead of a
-  /// bare false.  Empty when nothing failed (or the transport cannot
-  /// say).
+  /// endpoint and errno for sockets — so a failed submission names what
+  /// broke instead of a bare false.  Empty when nothing failed (or the
+  /// transport cannot say).
   virtual std::string lastError() const { return {}; }
 };
 

@@ -25,16 +25,12 @@ static bool isKnownType(uint8_t Type) {
   case MessageType::SubmitSummary:
   case MessageType::FetchPatches:
   case MessageType::Shutdown:
-  case MessageType::MergePatches:
-  case MessageType::ReplicateSummary:
   case MessageType::Stats:
   case MessageType::SubmitImagesReply:
   case MessageType::SubmitSummaryReply:
   case MessageType::PatchesReply:
   case MessageType::ShutdownReply:
   case MessageType::ErrorReply:
-  case MessageType::MergePatchesReply:
-  case MessageType::ReplicateReply:
   case MessageType::StatsReply:
     return true;
   }
@@ -408,81 +404,6 @@ bool exterminator::decodePatchesReply(const std::vector<uint8_t> &Payload,
     if (!deserializePatchSet(Blob, ReplyOut.Patches))
       return false;
   }
-  return Source.remaining() == 0;
-}
-
-std::vector<uint8_t>
-exterminator::encodeMergePatches(const PatchSet &Delta) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
-  const std::vector<uint8_t> Blob = serializePatchSet(Delta);
-  Writer.writeVarU64(Blob.size());
-  Writer.writeBytes(Blob.data(), Blob.size());
-  return Payload;
-}
-
-bool exterminator::decodeMergePatches(const std::vector<uint8_t> &Payload,
-                                      PatchSet &DeltaOut) {
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
-  const uint64_t BlobSize = Reader.readVarU64();
-  if (Reader.failed() || BlobSize > Payload.size())
-    return false;
-  std::vector<uint8_t> Blob(BlobSize);
-  if (!Reader.readBytes(Blob.data(), Blob.size()))
-    return false;
-  if (Source.remaining() != 0)
-    return false;
-  DeltaOut.clear();
-  return deserializePatchSet(Blob, DeltaOut);
-}
-
-std::vector<uint8_t>
-exterminator::encodeMergeReply(const MergeReply &Reply) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
-  Writer.writeU64(Reply.Instance);
-  Writer.writeU64(Reply.Epoch);
-  Writer.writeU8(Reply.Changed ? 1 : 0);
-  return Payload;
-}
-
-bool exterminator::decodeMergeReply(const std::vector<uint8_t> &Payload,
-                                    MergeReply &ReplyOut) {
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
-  ReplyOut.Instance = Reader.readU64();
-  ReplyOut.Epoch = Reader.readU64();
-  const uint8_t Changed = Reader.readU8();
-  if (Reader.failed() || Changed > 1)
-    return false;
-  ReplyOut.Changed = Changed != 0;
-  return Source.remaining() == 0;
-}
-
-std::vector<uint8_t>
-exterminator::encodeReplicateReply(const ReplicateAck &Reply) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
-  Writer.writeU64(Reply.Instance);
-  Writer.writeU64(Reply.Epoch);
-  Writer.writeU8(Reply.Applied ? 1 : 0);
-  return Payload;
-}
-
-bool exterminator::decodeReplicateReply(const std::vector<uint8_t> &Payload,
-                                        ReplicateAck &ReplyOut) {
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
-  ReplyOut.Instance = Reader.readU64();
-  ReplyOut.Epoch = Reader.readU64();
-  const uint8_t Applied = Reader.readU8();
-  if (Reader.failed() || Applied > 1)
-    return false;
-  ReplyOut.Applied = Applied != 0;
   return Source.remaining() == 0;
 }
 

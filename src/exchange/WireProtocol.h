@@ -7,7 +7,7 @@
 /// \file
 /// The patch-exchange wire protocol: how a community of Exterminator
 /// processes ships error evidence to a patch server and pulls back the
-/// merged patch set (§6.4 at fleet scale).
+/// merged patch set (§6.4 across many processes).
 ///
 /// Every message is one *frame*:
 ///
@@ -32,10 +32,9 @@
 /// The token is what makes summaries safe to retry: patch merges are
 /// idempotent under max-merge, but a run summary grows the Bayesian
 /// trial history every time it is applied, so a client retry after a
-/// lost reply (or a replica forwarding a summary the origin also
-/// retried) would double-count trials.  Servers remember recently seen
-/// tokens and answer a duplicate with their current state instead of
-/// re-applying it.
+/// lost reply would double-count trials.  The server remembers recently
+/// seen tokens and answers a duplicate with its current state instead
+/// of re-applying it.
 ///
 /// The payload is an *envelope*:
 ///
@@ -52,13 +51,12 @@
 /// incompressible payloads ride as encoding 0 with one byte of
 /// overhead.
 ///
-/// Version history: v1 was the single-server protocol; v2 added the
-/// replication messages and submission tokens; v3 the observability
-/// pair (Stats, StatsReply); v4 the payload envelope.  Only v4 is
-/// spoken or accepted: a frame carrying any other version byte is
-/// answered with an "unknown protocol version" ErrorReply and the
-/// connection closes.  There is no negotiation — a fleet upgrades as a
-/// whole.
+/// Version history: v1 was the first protocol; v2 added submission
+/// tokens; v3 the observability pair (Stats, StatsReply); v4 the
+/// payload envelope.  Only v4 is spoken or accepted: a frame carrying
+/// any other version byte is answered with an "unknown protocol
+/// version" ErrorReply and the connection closes.  There is no
+/// negotiation — the server and its clients upgrade together.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,23 +90,15 @@ inline constexpr size_t FrameHeaderBytes = 10;
 /// batch (v2 images are ~100 KiB, summaries are KiB).
 inline constexpr uint32_t MaxFramePayload = 64u << 20;
 
-/// Frame message types.  Requests < 64, replies >= 64.
+/// Frame message types.  Requests < 64, replies >= 64.  Types 5, 6, 69
+/// and 70 carried peer-to-peer replication messages in earlier v4
+/// servers; they stay unassigned, so such a frame is BadType.
 enum class MessageType : uint8_t {
   // Requests.
   SubmitImages = 1,  ///< payload: ImageBundle primary ++ ImageBundle fallback
   SubmitSummary = 2, ///< payload: u64 token ++ varint CleanStreak ++ blob
   FetchPatches = 3,  ///< payload: u64 instance ++ u64 epoch the client holds
   Shutdown = 4,      ///< payload: empty (admin; server stops serving)
-  /// Peer-to-peer: max-merge a serialized PatchSet into the active set.
-  /// Carries either one journaled delta (streaming replication) or a
-  /// peer's full set (anti-entropy); max-merge makes the two
-  /// indistinguishable and the message idempotent.
-  MergePatches = 5, ///< payload: length-prefixed PatchSet
-  /// Peer-to-peer: a run summary forwarded by the server that accepted
-  /// it.  Same payload as SubmitSummary; a separate type because the
-  /// receiver must *not* forward it again (no-restream rule, see
-  /// Replication.h) and answers with a cheap ack, not a diagnosis.
-  ReplicateSummary = 6, ///< payload: u64 token ++ varint CleanStreak ++ blob
   /// Scrape the server's metrics snapshot (observability; read-only).
   Stats = 7, ///< payload: u8 format (see StatsFormat)
 
@@ -119,8 +109,6 @@ enum class MessageType : uint8_t {
   PatchesReply = 66,       ///< ++ u8 modified, [length-prefixed PatchSet]
   ShutdownReply = 67,      ///< payload: empty
   ErrorReply = 68,         ///< payload: length-prefixed message string
-  MergePatchesReply = 69,  ///< ++ u8 changed
-  ReplicateReply = 70,     ///< ++ u8 applied (0: duplicate suppressed)
   StatsReply = 71,         ///< ++ u8 format ++ samples or text blob
 };
 
@@ -187,9 +175,7 @@ bool decodeSubmitImages(const std::vector<uint8_t> &Payload,
 /// SubmitSummary: the §5 per-run statistics plus the client's clean-run
 /// streak (drives the §6.2 deferral-doubling rule server-side).
 /// \p Token is the submission's random retry-dedup identity (see the
-/// file comment); 0 means "untracked" and is never suppressed.  The
-/// same codec carries ReplicateSummary, which forwards the origin's
-/// token so a retry suppressed anywhere is suppressed everywhere.
+/// file comment); 0 means "untracked" and is never suppressed.
 std::vector<uint8_t> encodeSubmitSummary(const RunSummary &Summary,
                                          unsigned CleanStreak,
                                          uint64_t Token);
@@ -245,35 +231,6 @@ struct PatchesReply {
 std::vector<uint8_t> encodePatchesReply(const PatchesReply &Reply);
 bool decodePatchesReply(const std::vector<uint8_t> &Payload,
                         PatchesReply &ReplyOut);
-
-/// MergePatches: a patch-set delta (or full set) to max-merge into the
-/// receiver's active set.
-std::vector<uint8_t> encodeMergePatches(const PatchSet &Delta);
-bool decodeMergePatches(const std::vector<uint8_t> &Payload,
-                        PatchSet &DeltaOut);
-
-/// MergePatchesReply: the receiver's identity/epoch after the merge and
-/// whether the merge changed anything (what lets an anti-entropy pusher
-/// cache "this peer already holds my set").
-struct MergeReply {
-  uint64_t Instance = 0;
-  uint64_t Epoch = 0;
-  bool Changed = false;
-};
-std::vector<uint8_t> encodeMergeReply(const MergeReply &Reply);
-bool decodeMergeReply(const std::vector<uint8_t> &Payload,
-                      MergeReply &ReplyOut);
-
-/// ReplicateReply: ack for a forwarded summary.  Applied=false means
-/// the token was a known duplicate and the summary was suppressed.
-struct ReplicateAck {
-  uint64_t Instance = 0;
-  uint64_t Epoch = 0;
-  bool Applied = false;
-};
-std::vector<uint8_t> encodeReplicateReply(const ReplicateAck &Reply);
-bool decodeReplicateReply(const std::vector<uint8_t> &Payload,
-                          ReplicateAck &ReplyOut);
 
 /// ErrorReply: a short human-readable reason.
 std::vector<uint8_t> encodeErrorReply(const std::string &Message);

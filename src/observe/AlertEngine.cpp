@@ -43,15 +43,8 @@ void AlertEngine::addBuiltinRules() {
   Persist.Crit = 0.0;
   addRule(Persist);
 
-  AlertRule Overflow;
-  Overflow.Name = "replication_queue_overflow";
-  Overflow.Metric = "xterm_replication_queue_overflows_total";
-  Overflow.Cmp = AlertRule::Compare::GreaterThan;
-  Overflow.Crit = 0.0;
-  addRule(Overflow);
-
   // A hardware-fault report means a physical page is corrupting memory
-  // right now — software patches cannot fix it and every fleet member
+  // right now — software patches cannot fix it and every process
   // sharing the DIMM is at risk, so it pages immediately (PR 9).
   AlertRule Hardware;
   Hardware.Name = "hardware_fault_detected";

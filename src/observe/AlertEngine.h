@@ -16,7 +16,7 @@
 /// proposed severity must stay below the held severity for
 /// ClearDelayTicks consecutive ticks before the alert steps down, and
 /// any re-crossing in between resets the countdown.  This gives the
-/// fleet operator the netdata property that a posterior oscillating
+/// operator the netdata property that a posterior oscillating
 /// around the classification bar shows one steady WARNING, not a
 /// raise/clear pair per oscillation.
 ///
@@ -51,8 +51,7 @@ struct AlertRule {
   /// Rule identity, e.g. "site_posterior_classified".
   std::string Name;
   /// Snapshot sample name it watches; a labelled family is aggregated
-  /// by max over its samples (any one bad site / peer / path trips the
-  /// rule).
+  /// by max over its samples (any one bad site trips the rule).
   std::string Metric;
   /// Comparison applied to the aggregated value at each threshold.
   enum class Compare : uint8_t {
@@ -77,8 +76,8 @@ struct AlertStatus {
   /// Last aggregated value seen; meaningless until HasValue.
   double LastValue = 0.0;
   bool HasValue = false;
-  /// Labels of the sample that drove the aggregate (the worst site /
-  /// peer), for rendering.
+  /// Labels of the sample that drove the aggregate (the worst site),
+  /// for rendering.
   std::string WorstLabels;
   /// Count of Clear -> raised transitions — the "exactly one alert"
   /// number the hysteresis tests pin.
@@ -96,10 +95,10 @@ class AlertEngine {
 public:
   void addRule(const AlertRule &Rule);
 
-  /// Installs the built-in fleet rules: warn when any site's corruption
+  /// Installs the built-in rules: warn when any site's corruption
   /// posterior (xterm_site_posterior, the margin over the §5.1
   /// classification bar) reaches 0; crit on any journal persist
-  /// failure or replication queue overflow.
+  /// failure or hardware-fault report.
   void addBuiltinRules();
 
   /// Advances every due rule against \p Snap at \p Tick.  Ticks must be

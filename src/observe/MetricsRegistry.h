@@ -7,7 +7,7 @@
 /// \file
 /// The live observability plane's measurement half: a registry of
 /// counters, gauges, and fixed-bucket latency histograms that every
-/// fleet subsystem publishes into.
+/// subsystem publishes into.
 ///
 /// Two publication models coexist, chosen by call-site cost budget:
 ///
@@ -20,8 +20,8 @@
 ///    no-op comparator).
 ///
 ///  - Pull collectors: callbacks that read a subsystem's existing stats
-///    struct (PatchServerStats, ReplicaSetStats, AllocatorStats, the
-///    Bayes accumulators) only at snapshot time.  The hot path pays
+///    struct (PatchServerStats, AllocatorStats, the Bayes accumulators)
+///    only at snapshot time.  The hot path pays
 ///    nothing; the scrape pays one mutex acquisition per subsystem.
 ///
 /// snapshot() flattens both into a point-in-time MetricsSnapshot.
@@ -69,7 +69,7 @@ enum class SampleKind : uint8_t {
 /// One flattened metric observation.
 struct MetricSample {
   std::string Name;
-  /// Rendered label body without the braces, e.g. `peer="S1"` or
+  /// Rendered label body without the braces, e.g.
   /// `kind="overflow",site="0x00000abc"`; empty for unlabelled metrics.
   /// Compose pairs with MetricsRegistry::label so values are escaped.
   std::string Labels;
@@ -247,7 +247,7 @@ void registerRetirementMetrics(MetricsRegistry &Registry,
 /// (codec/BlockCodec.h) as xterm_codec_* samples (PR 10): compressed
 /// bytes in/out, decode expansions, stored-raw blocks, and rejected
 /// (bomb/corrupt) blocks — what lets an operator see both the
-/// compression ratio the fleet is getting and whether anyone is feeding
+/// compression ratio the exchange is getting and whether anyone is feeding
 /// it garbage.
 void registerCodecMetrics(MetricsRegistry &Registry);
 

@@ -71,7 +71,7 @@ enum HardwareFaultKindMask : uint32_t {
 /// sense — no allocation site is to blame — but it rides in the PatchSet
 /// because its merge laws (OR the kind mask, max the evidence count) are
 /// idempotent/commutative/associative like the patch tables', so epochs,
-/// journaling, replication, and snapshots work unchanged.  The
+/// journaling and snapshots work unchanged.  The
 /// correcting allocator's response is page retirement, not padding.
 struct HardwareFaultReport {
   /// Page-aligned address of the implicated page (the unit DRAM-style

@@ -4,8 +4,9 @@
 // taxonomy, the acceptance criterion that evidence submitted through
 // PatchClient→PatchServer yields a patch set bit-identical to a local
 // DiagnosisPipeline (over both the loopback and the socket transport),
-// epoch/incremental fetch semantics, batching, server survival under
-// hostile bytes, and the exchange-backed CumulativeDriver.
+// epoch/incremental fetch semantics, redelivered frames and transport
+// faults, batching, server survival under hostile bytes, durable state,
+// and the exchange-backed CumulativeDriver.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include "TestHelpers.h"
 #include "codec/DeltaCodec.h"
 #include "heapimage/ImageBundle.h"
+#include "patch/PatchIO.h"
 #include "runtime/CumulativeDriver.h"
 #include "support/Serializer.h"
 #include "workload/EspressoWorkload.h"
@@ -36,6 +38,7 @@
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 
 using namespace exterminator;
 using namespace exterminator::testing_support;
@@ -139,10 +142,24 @@ TEST(WireProtocol, DetectsBadMagicVersionTypeLengthChecksum) {
       decodeFrame(BadVersion.data(), BadVersion.size(), Decoded, Consumed),
       FrameError::BadVersion);
 
-  std::vector<uint8_t> BadType = Good;
-  BadType[5] = 250;
-  EXPECT_EQ(decodeFrame(BadType.data(), BadType.size(), Decoded, Consumed),
-            FrameError::BadType);
+  // 5, 6, 69 and 70 are the retired peer-to-peer types: the decoder
+  // and the server treat them like any unknown type.
+  PatchServer Server;
+  uint64_t Rejected = 0;
+  for (const int Type : {250, 5, 6, 69, 70}) {
+    std::vector<uint8_t> BadType = Good;
+    BadType[5] = static_cast<uint8_t>(Type);
+    EXPECT_EQ(decodeFrame(BadType.data(), BadType.size(), Decoded, Consumed),
+              FrameError::BadType)
+        << Type;
+    std::vector<uint8_t> Response;
+    EXPECT_FALSE(Server.handleFrame(BadType, Response)) << Type;
+    Frame Reply;
+    ASSERT_EQ(decodeFrame(Response.data(), Response.size(), Reply, Consumed),
+              FrameError::None);
+    EXPECT_EQ(Reply.Type, MessageType::ErrorReply) << Type;
+    EXPECT_EQ(Server.stats().FramesRejected, ++Rejected) << Type;
+  }
 
   std::vector<uint8_t> Oversized = Good;
   const uint32_t Huge = MaxFramePayload + 1;
@@ -173,6 +190,22 @@ TEST(WireProtocol, SubmitImagesPayloadRoundTrip) {
     EXPECT_TRUE(Decoded.Primary[I] == Evidence.Primary[I]);
     EXPECT_TRUE(Decoded.Fallback[I] == Evidence.Fallback[I]);
   }
+}
+
+TEST(WireProtocol, SummaryCarriesDedupToken) {
+  DiagnosisPipeline Scratch;
+  const RunSummary Summary = Scratch.summarize(
+      imagesFromTrace(overflowTrace(6), 3).front(), /*Failed=*/true);
+  const std::vector<uint8_t> Payload =
+      encodeSubmitSummary(Summary, /*CleanStreak=*/3,
+                          /*Token=*/0xdeadbeefcafef00dull);
+  RunSummary Out;
+  unsigned Streak = 0;
+  uint64_t Token = 0;
+  ASSERT_TRUE(decodeSubmitSummary(Payload, Out, Streak, Token));
+  EXPECT_EQ(Token, 0xdeadbeefcafef00dull);
+  EXPECT_EQ(Streak, 3u);
+  EXPECT_EQ(serializeRunSummary(Out), serializeRunSummary(Summary));
 }
 
 TEST(WireProtocol, SummaryReplyRoundTrip) {
@@ -367,6 +400,128 @@ TEST(DiagnosisPipeline, EpochCountsDistinctChanges) {
   // Different error, new patches, new epoch.
   Pipeline.submitImages({imagesFromTrace(danglingTrace(), 3), {}});
   EXPECT_EQ(Pipeline.epoch(), 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// Redelivery and transport faults
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A loopback whose next exchange fails: before reaching the server, or
+/// after it with the last reply cut in half.  Later exchanges pass.
+struct FlakyLoopback : ClientTransport {
+  enum class Fault { None, FailConnect, TruncateReply } Next = Fault::None;
+  PatchServer &Server;
+  explicit FlakyLoopback(PatchServer &Server) : Server(Server) {}
+  bool exchange(const std::vector<std::vector<uint8_t>> &Requests,
+                std::vector<std::vector<uint8_t>> &ResponsesOut) override {
+    const Fault Now = std::exchange(Next, Fault::None);
+    LoopbackTransport Inner(Server);
+    if (Now == Fault::FailConnect || !Inner.exchange(Requests, ResponsesOut))
+      return false;
+    if (Now == Fault::TruncateReply && !ResponsesOut.empty())
+      ResponsesOut.back().resize(ResponsesOut.back().size() / 2);
+    return true;
+  }
+};
+
+} // namespace
+
+TEST(FaultMatrix, RedeliveredFramesApplyOnce) {
+  const ImageEvidence Evidence{imagesFromTrace(overflowTrace(6), 3), {}};
+  DiagnosisPipeline Scratch;
+  const RunSummary Summary =
+      Scratch.summarize(Evidence.Primary.front(), /*Failed=*/true);
+  const std::vector<uint8_t> Images =
+      encodeFrame(MessageType::SubmitImages, encodeSubmitImages(Evidence));
+  const std::vector<uint8_t> Tokened = encodeFrame(
+      MessageType::SubmitSummary,
+      encodeSubmitSummary(Summary, /*CleanStreak=*/0, /*Token=*/0x5eed));
+
+  // What a transport that re-sends after a lost reply delivers: every
+  // frame twice.  Max-merge makes the second image frame a no-op, and
+  // the summary's token suppresses its second copy.
+  PatchServer Server;
+  std::vector<uint8_t> Response;
+  for (const std::vector<uint8_t> *Request : {&Images, &Images, &Tokened,
+                                              &Tokened})
+    ASSERT_TRUE(Server.handleFrame(*Request, Response));
+  EXPECT_EQ(Server.snapshot().Epoch, 1u);
+  EXPECT_EQ(Server.cumulativeRuns(), 1u);
+  EXPECT_EQ(Server.stats().SummariesIngested, 1u);
+  EXPECT_EQ(Server.stats().DuplicatesSuppressed, 1u);
+
+  // Bit-identical to one delivery each: the copies left no trace.
+  PatchServer Reference;
+  ASSERT_TRUE(Reference.handleFrame(Images, Response));
+  ASSERT_TRUE(Reference.handleFrame(Tokened, Response));
+  EXPECT_EQ(Server.serializeState(), Reference.serializeState());
+}
+
+TEST(FaultMatrix, TruncatedReplyIsRejectedCleanly) {
+  PatchServer Server;
+  {
+    LoopbackTransport Direct(Server);
+    PatchClient Seeder(Direct);
+    ASSERT_TRUE(
+        Seeder.submitImages({imagesFromTrace(overflowTrace(6), 3), {}}));
+  }
+  FlakyLoopback Flaky(Server);
+  PatchClient Client(Flaky);
+
+  Flaky.Next = FlakyLoopback::Fault::TruncateReply;
+  EXPECT_FALSE(Client.fetchPatches());
+  EXPECT_TRUE(Client.patches().empty()); // no half-decoded mirror
+
+  // The connection-level fault is transient: the plain retry succeeds.
+  ASSERT_TRUE(Client.fetchPatches());
+  EXPECT_FALSE(Client.patches().empty());
+}
+
+TEST(FaultMatrix, FailConnectDeliversNothing) {
+  PatchServer Server;
+  FlakyLoopback Flaky(Server);
+  PatchClient Client(Flaky);
+  DiagnosisPipeline Scratch;
+  const RunSummary Summary = Scratch.summarize(
+      imagesFromTrace(overflowTrace(6), 3).front(), /*Failed=*/true);
+
+  Flaky.Next = FlakyLoopback::Fault::FailConnect;
+  EXPECT_FALSE(Client.submitSummary(Summary, 0));
+  EXPECT_EQ(Server.stats().SummariesIngested, 0u);
+  EXPECT_EQ(Server.cumulativeRuns(), 0u);
+}
+
+TEST(PatchExchange, SoftwareAndHardwareEvidenceMergeIntoOneSet) {
+  // One client sees an overflow, another sees physical bit damage: the
+  // server's set carries both the site pad and the hardware-page
+  // report, under the same max-merge as the site tables.
+  PatchServer Server;
+  LoopbackTransport Transport(Server);
+  PatchClient Software(Transport);
+  PatchClient Hardware(Transport);
+  const ImageEvidence Overflow{imagesFromTrace(overflowTrace(6), 3), {}};
+  FaultPlan Fault;
+  Fault.Kind = FaultKind::BitFlip;
+  Fault.TriggerAllocation = 150;
+  Fault.PatternSeed = 7;
+  const ImageEvidence Damage{scriptedHardwareEvidenceImages(3, Fault), {}};
+  ASSERT_TRUE(Software.submitImages(Overflow));
+  ASSERT_TRUE(Hardware.submitImages(Damage));
+
+  CallContext Context;
+  Context.pushFrame(ScriptedBugSites().Culprit);
+  const PatchSnapshot Merged = Server.snapshot();
+  EXPECT_GE(Merged.Patches.padFor(Context.currentSite()), 6u);
+  EXPECT_GT(Merged.Patches.hardwareReportCount(), 0u);
+
+  // Re-delivering either evidence set changes nothing.
+  const std::vector<uint8_t> Bytes = serializePatchSet(Merged.Patches);
+  ASSERT_TRUE(Hardware.submitImages(Damage));
+  ASSERT_TRUE(Software.submitImages(Overflow));
+  EXPECT_EQ(Server.snapshot().Epoch, Merged.Epoch);
+  EXPECT_EQ(serializePatchSet(Server.snapshot().Patches), Bytes);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1447,6 +1602,34 @@ TEST(StatePersistence, RestartReplaysJournalToBitIdenticalState) {
     EXPECT_EQ(FromRecovered.Danglings[I].LogBayesFactor,
               FromLocal.Danglings[I].LogBayesFactor);
   EXPECT_EQ(Recovered.serializeState(), Local.serializeState());
+}
+
+TEST(StatePersistence, RetentionKeepsLastK) {
+  const std::string Dir = freshStateDir("retain");
+  StateStore Store(Dir);
+  Store.setSnapshotKeep(3);
+  PatchServer Server;
+  ASSERT_TRUE(Server.attachState(Store, /*SnapshotInterval=*/1000));
+  {
+    LoopbackTransport Transport(Server);
+    PatchClient Client(Transport);
+    ASSERT_TRUE(
+        Client.submitImages({imagesFromTrace(overflowTrace(6), 3), {}}));
+  }
+  for (int I = 0; I < 4; ++I)
+    ASSERT_TRUE(Server.persistNow());
+
+  const std::vector<std::string> Ring = Store.snapshotFiles();
+  EXPECT_EQ(Ring.size(), 3u);
+  // Newest-first, and the head is what snapshotPath() serves.
+  ASSERT_FALSE(Ring.empty());
+  EXPECT_EQ(Ring.front(), Store.snapshotPath());
+
+  // The pruned directory still recovers the full state.
+  PatchServer Recovered;
+  StateStore Reopened(Dir);
+  ASSERT_TRUE(Recovered.attachState(Reopened));
+  EXPECT_EQ(Recovered.serializeState(), Server.serializeState());
 }
 
 TEST(StatePersistence, SnapshotIntervalCompactsAndStillRecovers) {

@@ -376,7 +376,7 @@ TEST(ServerStats, TextFormatUsesAttachedRegistry) {
             std::string::npos);
 }
 
-TEST(ServerStats, SummaryIngestHistogramTimesClientAndReplicatedSummaries) {
+TEST(ServerStats, SummaryIngestHistogramTimesClientAndFixedTokenSummaries) {
   MetricsRegistry Registry;
   PatchServer Server;
   Server.attachMetrics(Registry);
@@ -384,25 +384,23 @@ TEST(ServerStats, SummaryIngestHistogramTimesClientAndReplicatedSummaries) {
   PatchClient Client(Transport);
   for (SiteId Site = 1; Site <= 3; ++Site)
     ASSERT_TRUE(Client.submitSummary(corruptSummary(Site), 0));
-  // Summaries a replica forwards take the same ingest path; a token
+  // Frames with fixed tokens take the same ingest path; a token
   // delivered twice is suppressed and never reaches the pipeline.
   for (uint64_t Token : {101u, 102u, 101u}) {
     std::vector<uint8_t> Response;
     ASSERT_TRUE(Server.handleFrame(
-        encodeFrame(MessageType::ReplicateSummary,
+        encodeFrame(MessageType::SubmitSummary,
                     encodeSubmitSummary(corruptSummary(9), 0, Token)),
         Response));
   }
 
   const PatchServerStats Stats = Server.stats();
-  ASSERT_EQ(Stats.SummariesIngested, 3u);
-  ASSERT_EQ(Stats.ReplicatedSummaries, 2u);
+  ASSERT_EQ(Stats.SummariesIngested, 5u);
   ASSERT_EQ(Stats.DuplicatesSuppressed, 1u);
   const MetricsSnapshot Snap = Registry.snapshot();
   const MetricSample *Count = Snap.find("xterm_summary_ingest_seconds_count");
   ASSERT_NE(Count, nullptr);
-  EXPECT_EQ(Count->Value,
-            double(Stats.SummariesIngested + Stats.ReplicatedSummaries));
+  EXPECT_EQ(Count->Value, double(Stats.SummariesIngested));
 }
 
 TEST(ServerStats, MalformedStatsRequestRejected) {

@@ -12,13 +12,13 @@
 //   xtermtool image    <dump.xhi>              summarize a heap image (§3.4)
 //   xtermtool diagnose <out.xpt> <dump.xhi>... run isolation over images
 //
-// Patch-exchange commands (the fleet-scale form of §6.4; endpoints are
+// Patch-exchange commands (the networked form of §6.4; an endpoint is
 // "unix:/path.sock", "tcp:PORT", or "tcp:HOST:PORT"):
 //
 //   xtermtool serve         <endpoint> [--workers N] [--seed patch.xpt]
 //                           [--state-dir DIR] [--snapshot-every N]
-//                           [--snapshot-keep K] [--peer endpoint]...
-//                           [--anti-entropy-ms N]
+//                           [--snapshot-keep K]
+//       --workers is the number of connection handlers, 1..64 (default 2).
 //       --state-dir makes restarts lossless: the server restores its full
 //       diagnostic state (patches, epoch, Bayes trial history) from DIR's
 //       snapshot + journal on start, journals every accepted submission,
@@ -27,26 +27,19 @@
 //       torn head snapshot falls back to the previous one.
 //       With both --state-dir and --seed, the state dir is authoritative
 //       (it keeps its epoch); the seed max-merges into the restored set.
-//       Each --peer names another server of the same fleet: accepted
-//       local submissions stream to every peer, and an anti-entropy
-//       round every N ms (default 1000) repairs whatever streaming
-//       missed, so the fleet converges without a leader.
-//   xtermtool submit        <endpoints> <dump.xhi|summary.xrs>...
-//   xtermtool fetch-patches <endpoints> <out.xpt> [--require-nonempty]
-//   xtermtool shutdown      <endpoints>
-//       <endpoints> is a comma-separated list; clients fail over down
-//       the list with jittered exponential backoff (shutdown instead
-//       addresses *every* listed server).
-//   xtermtool stats         <endpoints>
-//       Scrapes every listed server's metrics snapshot and prints the
-//       text exposition (`name{label="v"} value`) each one rendered,
-//       prefixed with a `# server` banner per endpoint.
-//   xtermtool watch         <endpoints> [--once] [--interval-ms N]
-//       Polls every listed server's metrics and renders a terse
-//       per-server line plus any active threshold alerts (built-in
-//       rules: corruption posterior over the classification bar,
-//       persist failures, replication queue overflow — with netdata-
-//       style hysteresis so a flapping metric alerts once).
+//   xtermtool submit        <endpoint> <dump.xhi|summary.xrs>...
+//   xtermtool fetch-patches <endpoint> <out.xpt> [--require-nonempty]
+//   xtermtool shutdown      <endpoint>
+//   xtermtool stats         <endpoint>
+//       Scrapes the server's metrics snapshot and prints the text
+//       exposition (`name{label="v"} value`) it rendered, prefixed with
+//       a `# server` banner.
+//   xtermtool watch         <endpoint> [--once] [--interval-ms N]
+//       Polls the server's metrics and renders a terse line plus any
+//       active threshold alerts (built-in rules: corruption posterior
+//       over the classification bar, persist failures, hardware-fault
+//       reports — with netdata-style hysteresis so a flapping metric
+//       alerts once).
 //   xtermtool record        <outdir> [--hardware]  write demo evidence
 //       files: scripted-overflow images by default, row-cluster
 //       DRAM-fault images with --hardware
@@ -61,10 +54,8 @@
 #include "codec/BlockCodec.h"
 #include "diagnose/DiagnosisPipeline.h"
 #include "diefast/Canary.h"
-#include "exchange/FailoverTransport.h"
 #include "exchange/PatchClient.h"
 #include "exchange/PatchServer.h"
-#include "exchange/Replication.h"
 #include "exchange/SocketTransport.h"
 #include "exchange/StateStore.h"
 #include "heapimage/HeapImageIO.h"
@@ -77,7 +68,9 @@
 #include "runtime/Exterminator.h"
 #include "workload/ScriptedBugs.h"
 
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -102,22 +95,17 @@ static int usage() {
                "[--seed patch.xpt]\n"
                "                          [--state-dir DIR] "
                "[--snapshot-every N] [--snapshot-keep K]\n"
-               "                          [--peer endpoint]... "
-               "[--anti-entropy-ms N]\n"
-               "       xtermtool submit   <endpoints> "
+               "       xtermtool submit   <endpoint> "
                "<dump.xhi|summary.xrs>...\n"
-               "       xtermtool fetch-patches <endpoints> <out.xpt> "
+               "       xtermtool fetch-patches <endpoint> <out.xpt> "
                "[--require-nonempty]\n"
-               "       xtermtool shutdown <endpoints>\n"
-               "       xtermtool stats    <endpoints>\n"
-               "       xtermtool watch    <endpoints> [--once] "
+               "       xtermtool shutdown <endpoint>\n"
+               "       xtermtool stats    <endpoint>\n"
+               "       xtermtool watch    <endpoint> [--once] "
                "[--interval-ms N]\n"
                "       xtermtool record   <outdir> [--hardware]\n"
-               "endpoints: unix:/path.sock | tcp:PORT | tcp:HOST:PORT\n"
-               "  submit/fetch-patches/shutdown accept a comma-separated\n"
-               "  endpoint list (a replicated fleet; clients fail over\n"
-               "  down the list; shutdown/stats/watch address every\n"
-               "  server)\n");
+               "endpoint: unix:/path.sock | tcp:PORT | tcp:HOST:PORT\n"
+               "--workers: 1..64\n");
   return 2;
 }
 
@@ -485,17 +473,31 @@ static bool parseEndpointArg(const std::string &Spec, Endpoint &Out) {
   return true;
 }
 
-static bool parseEndpointListArg(const std::string &Spec,
-                                 std::vector<Endpoint> &Out) {
-  if (!parseEndpointList(Spec, Out)) {
-    std::fprintf(stderr,
-                 "error: bad endpoint list '%s' (want a comma-separated "
-                 "list of unix:/path.sock, tcp:PORT, or tcp:HOST:PORT)\n",
-                 Spec.c_str());
+/// Parses \p Text as a whole decimal number in [Min, Max]: digits only,
+/// so a sign, a blank, a suffix or an overflowing value is an error
+/// rather than whatever strtoul would make of it.
+static bool parseCountArg(const char *Option, const std::string &Text,
+                          unsigned Min, unsigned Max, unsigned &Out) {
+  unsigned long long Value = 0;
+  const char *End = Text.data() + Text.size();
+  const auto [Ptr, Error] = std::from_chars(Text.data(), End, Value);
+  if (Text.empty() || Error != std::errc() || Ptr != End || Value < Min ||
+      Value > Max) {
+    std::fprintf(stderr, "error: %s wants a whole number in %u..%u, got "
+                 "'%s'\n",
+                 Option, Min, Max, Text.c_str());
     return false;
   }
+  Out = static_cast<unsigned>(Value);
   return true;
 }
+
+/// Most connection handlers `serve --workers` accepts.  SocketPatchServer
+/// runs one thread per handler plus the acceptor for the whole serve, so
+/// an unchecked count starts that many threads (and UINT_MAX wraps the
+/// thread count to 0).  The default is 2, and the end-to-end benchmark
+/// serves with 2; 64 leaves ample room above that.
+static constexpr unsigned MaxServeWorkers = 64;
 
 static int serveCommand(const std::string &Spec,
                         const std::vector<std::string> &Options) {
@@ -504,32 +506,26 @@ static int serveCommand(const std::string &Spec,
   std::string StateDir;
   unsigned SnapshotEvery = 64;
   unsigned SnapshotKeep = 2;
-  unsigned AntiEntropyMs = 1000;
-  std::vector<Endpoint> PeerEndpoints;
   for (size_t I = 0; I < Options.size(); ++I) {
-    if (Options[I] == "--workers" && I + 1 < Options.size())
-      Workers = static_cast<unsigned>(std::strtoul(Options[++I].c_str(),
-                                                   nullptr, 10));
-    else if (Options[I] == "--seed" && I + 1 < Options.size())
+    if (Options[I] == "--workers" && I + 1 < Options.size()) {
+      if (!parseCountArg("--workers", Options[++I], 1, MaxServeWorkers,
+                         Workers))
+        return 2;
+    } else if (Options[I] == "--seed" && I + 1 < Options.size()) {
       SeedFile = Options[++I];
-    else if (Options[I] == "--state-dir" && I + 1 < Options.size())
+    } else if (Options[I] == "--state-dir" && I + 1 < Options.size()) {
       StateDir = Options[++I];
-    else if (Options[I] == "--snapshot-every" && I + 1 < Options.size())
-      SnapshotEvery = static_cast<unsigned>(
-          std::strtoul(Options[++I].c_str(), nullptr, 10));
-    else if (Options[I] == "--snapshot-keep" && I + 1 < Options.size())
-      SnapshotKeep = static_cast<unsigned>(
-          std::strtoul(Options[++I].c_str(), nullptr, 10));
-    else if (Options[I] == "--anti-entropy-ms" && I + 1 < Options.size())
-      AntiEntropyMs = static_cast<unsigned>(
-          std::strtoul(Options[++I].c_str(), nullptr, 10));
-    else if (Options[I] == "--peer" && I + 1 < Options.size()) {
-      Endpoint Peer;
-      if (!parseEndpointArg(Options[++I], Peer))
-        return 1;
-      PeerEndpoints.push_back(Peer);
-    } else
+    } else if (Options[I] == "--snapshot-every" && I + 1 < Options.size()) {
+      if (!parseCountArg("--snapshot-every", Options[++I], 0, UINT_MAX,
+                         SnapshotEvery))
+        return 2;
+    } else if (Options[I] == "--snapshot-keep" && I + 1 < Options.size()) {
+      if (!parseCountArg("--snapshot-keep", Options[++I], 0, UINT_MAX,
+                         SnapshotKeep))
+        return 2;
+    } else {
       return usage();
+    }
   }
 
   Endpoint Ep;
@@ -543,18 +539,6 @@ static int serveCommand(const std::string &Spec,
   registerCodecMetrics(Registry);
   PatchServer Server;
   Server.attachMetrics(Registry);
-
-  // Replication links attach before any state arrives, so a --seed
-  // file streams to the peers like any other local-origin change, and
-  // restored state reaches them in the first anti-entropy push (a peer
-  // that is down just queues; anti-entropy repairs it once it is back).
-  std::unique_ptr<ReplicaSet> Replicas;
-  if (!PeerEndpoints.empty()) {
-    Replicas = std::make_unique<ReplicaSet>(Server);
-    for (const Endpoint &Peer : PeerEndpoints)
-      Replicas->addPeer(Peer);
-    Replicas->attachMetrics(Registry);
-  }
 
   // Durable state restores first: the state directory is authoritative
   // (it keeps its epoch and the accumulated Bayes history), and a --seed
@@ -596,19 +580,12 @@ static int serveCommand(const std::string &Spec,
     std::fprintf(stderr, "error: cannot listen on %s\n", Spec.c_str());
     return 1;
   }
-  if (Replicas) {
-    Replicas->start(AntiEntropyMs);
-    std::printf("replicating to %zu peer(s), anti-entropy every %u ms\n",
-                Replicas->peerCount(), AntiEntropyMs);
-  }
   std::printf("patch server listening on %s (%u worker(s)); stop with "
               "`xtermtool shutdown %s`\n",
               endpointToString(Front.endpoint()).c_str(), Workers,
               endpointToString(Front.endpoint()).c_str());
   std::fflush(stdout);
   Front.serve();
-  if (Replicas)
-    Replicas->stop();
 
   // Snapshot-on-shutdown: fold the journal into one fresh snapshot so
   // the next start replays nothing.
@@ -626,8 +603,8 @@ static int serveCommand(const std::string &Spec,
 
 static int submitEvidence(const std::string &Spec,
                           const std::vector<std::string> &Inputs) {
-  std::vector<Endpoint> Fleet;
-  if (!parseEndpointListArg(Spec, Fleet))
+  Endpoint Ep;
+  if (!parseEndpointArg(Spec, Ep))
     return 1;
 
   // Images group into one evidence set (isolation needs the whole set);
@@ -656,7 +633,7 @@ static int submitEvidence(const std::string &Spec,
     Evidence.Primary.push_back(std::move(Image));
   }
 
-  FailoverTransport Transport(Fleet);
+  SocketClientTransport Transport(Ep);
   PatchClient Client(Transport);
   if (!Evidence.Primary.empty() && !Client.queueImages(Evidence)) {
     std::fprintf(stderr,
@@ -680,10 +657,10 @@ static int submitEvidence(const std::string &Spec,
 static int fetchPatchesCommand(const std::string &Spec,
                                const std::string &Out,
                                bool RequireNonEmpty) {
-  std::vector<Endpoint> Fleet;
-  if (!parseEndpointListArg(Spec, Fleet))
+  Endpoint Ep;
+  if (!parseEndpointArg(Spec, Ep))
     return 1;
-  FailoverTransport Transport(Fleet);
+  SocketClientTransport Transport(Ep);
   PatchClient Client(Transport);
   if (!Client.fetchPatches()) {
     std::fprintf(stderr, "error: fetch from %s failed: %s\n", Spec.c_str(),
@@ -708,26 +685,18 @@ static int fetchPatchesCommand(const std::string &Spec,
 }
 
 static int shutdownCommand(const std::string &Spec) {
-  // Shutdown is the one command that must NOT fail over — it addresses
-  // every listed server individually, and reports which ones failed.
-  std::vector<Endpoint> Fleet;
-  if (!parseEndpointListArg(Spec, Fleet))
+  Endpoint Ep;
+  if (!parseEndpointArg(Spec, Ep))
     return 1;
-  int Failures = 0;
-  for (const Endpoint &Ep : Fleet) {
-    SocketClientTransport Transport(Ep);
-    PatchClient Client(Transport);
-    if (!Client.shutdownServer()) {
-      std::fprintf(stderr, "error: shutdown of %s failed: %s\n",
-                   endpointToString(Ep).c_str(),
-                   Transport.lastError().c_str());
-      ++Failures;
-      continue;
-    }
-    std::printf("server at %s shutting down\n",
-                endpointToString(Ep).c_str());
+  SocketClientTransport Transport(Ep);
+  PatchClient Client(Transport);
+  if (!Client.shutdownServer()) {
+    std::fprintf(stderr, "error: shutdown of %s failed: %s\n",
+                 endpointToString(Ep).c_str(), Transport.lastError().c_str());
+    return 1;
   }
-  return Failures ? 1 : 0;
+  std::printf("server at %s shutting down\n", endpointToString(Ep).c_str());
+  return 0;
 }
 
 /// One Stats exchange with one server.  Returns false (with stderr
@@ -758,31 +727,23 @@ static bool fetchStats(const Endpoint &Ep, StatsFormat Format,
 }
 
 static int statsCommand(const std::string &Spec) {
-  // Like shutdown, stats addresses every listed server individually —
-  // a scrape that silently failed over would attribute one server's
-  // metrics to another.
-  std::vector<Endpoint> Fleet;
-  if (!parseEndpointListArg(Spec, Fleet))
+  Endpoint Ep;
+  if (!parseEndpointArg(Spec, Ep))
     return 1;
-  int Failures = 0;
-  for (const Endpoint &Ep : Fleet) {
-    StatsReply Stats;
-    if (!fetchStats(Ep, StatsFormat::Text, Stats)) {
-      ++Failures;
-      continue;
-    }
-    std::printf("# server %s instance=%016llx epoch=%llu\n%s",
-                endpointToString(Ep).c_str(),
-                (unsigned long long)Stats.Instance,
-                (unsigned long long)Stats.Epoch, Stats.Text.c_str());
-  }
-  return Failures ? 1 : 0;
+  StatsReply Stats;
+  if (!fetchStats(Ep, StatsFormat::Text, Stats))
+    return 1;
+  std::printf("# server %s instance=%016llx epoch=%llu\n%s",
+              endpointToString(Ep).c_str(),
+              (unsigned long long)Stats.Instance,
+              (unsigned long long)Stats.Epoch, Stats.Text.c_str());
+  return 0;
 }
 
 static int watchCommand(const std::string &Spec,
                         const std::vector<std::string> &Options) {
-  std::vector<Endpoint> Fleet;
-  if (!parseEndpointListArg(Spec, Fleet))
+  Endpoint Ep;
+  if (!parseEndpointArg(Spec, Ep))
     return 1;
   bool Once = false;
   unsigned IntervalMs = 1000;
@@ -790,7 +751,9 @@ static int watchCommand(const std::string &Spec,
     if (Options[I] == "--once") {
       Once = true;
     } else if (Options[I] == "--interval-ms" && I + 1 < Options.size()) {
-      IntervalMs = (unsigned)std::strtoul(Options[++I].c_str(), nullptr, 10);
+      if (!parseCountArg("--interval-ms", Options[++I], 0, UINT_MAX,
+                         IntervalMs))
+        return 2;
     } else {
       std::fprintf(stderr, "error: unknown watch option '%s'\n",
                    Options[I].c_str());
@@ -798,32 +761,29 @@ static int watchCommand(const std::string &Spec,
     }
   }
 
-  // One engine per endpoint, persistent across rounds: hysteresis state
-  // (pending de-escalations, raise counts) lives in the engine, so a
-  // fresh engine each round would re-raise every alert every tick.
-  std::vector<AlertEngine> Engines(Fleet.size());
-  for (AlertEngine &Engine : Engines)
-    Engine.addBuiltinRules();
+  // One engine, persistent across rounds: hysteresis state (pending
+  // de-escalations, raise counts) lives in the engine, so a fresh
+  // engine each round would re-raise every alert every tick.
+  AlertEngine Engine;
+  Engine.addBuiltinRules();
 
   for (uint64_t Round = 0;; ++Round) {
-    for (size_t I = 0; I < Fleet.size(); ++I) {
-      StatsReply Stats;
-      if (!fetchStats(Fleet[I], StatsFormat::Samples, Stats))
-        continue; // engine holds state across a missed scrape
+    StatsReply Stats;
+    // On a missed scrape the engine holds its state until the next.
+    if (fetchStats(Ep, StatsFormat::Samples, Stats)) {
       MetricsSnapshot Snap;
       Snap.Samples = std::move(Stats.Samples);
-      Engines[I].evaluate(Snap, Round);
+      Engine.evaluate(Snap, Round);
       const auto Summaries = Snap.find("xterm_ingest_summaries_total");
       const auto Posterior = Snap.maxValue("xterm_site_posterior");
       std::printf("[%llu] %s epoch=%llu summaries=%.0f top_posterior=%s "
                   "active_alerts=%zu\n",
-                  (unsigned long long)Round,
-                  endpointToString(Fleet[I]).c_str(),
+                  (unsigned long long)Round, endpointToString(Ep).c_str(),
                   (unsigned long long)Stats.Epoch,
                   Summaries ? Summaries->Value : 0.0,
                   Posterior ? std::to_string(*Posterior).c_str() : "n/a",
-                  Engines[I].active().size());
-      const std::string Alerts = Engines[I].renderText();
+                  Engine.active().size());
+      const std::string Alerts = Engine.renderText();
       if (!Alerts.empty())
         std::printf("%s", Alerts.c_str());
     }
