@@ -2,8 +2,7 @@
 
 #include "codec/BlockCodec.h"
 
-#include "support/Serializer.h"
-
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -60,16 +59,6 @@ CodecStatsSnapshot exterminator::codecStats() {
   S.IncompressibleBlocks = C.IncompressibleBlocks.load(std::memory_order_relaxed);
   S.RejectedBlocks = C.RejectedBlocks.load(std::memory_order_relaxed);
   return S;
-}
-
-const char *exterminator::codecName(CodecId Id) {
-  switch (Id) {
-  case CodecId::Raw:
-    return "raw";
-  case CodecId::Lz:
-    return "lz";
-  }
-  return "unknown";
 }
 
 //===----------------------------------------------------------------------===//
@@ -259,7 +248,7 @@ std::vector<uint8_t> exterminator::encodeCodecBlock(const uint8_t *Data,
     Writer.writeBytes(Lz.data(), CompSize);
   }
   codecdetail::noteCompress(Size, Writer.size(), Stored);
-  return Writer.buffer();
+  return Writer.take();
 }
 
 std::vector<uint8_t>
@@ -306,4 +295,74 @@ bool exterminator::decodeCodecBlock(const std::vector<uint8_t> &Envelope,
                                     uint64_t MaxRawSize) {
   return decodeCodecBlock(Envelope.data(), Envelope.size(), RawOut,
                           MaxRawSize);
+}
+
+//===----------------------------------------------------------------------===//
+// Stream
+//===----------------------------------------------------------------------===//
+
+void exterminator::encodeCodecStream(const uint8_t *Data, size_t Size,
+                                     ByteWriter &Out) {
+  std::vector<uint8_t> Lz;
+  for (size_t Offset = 0; Offset < Size; Offset += CodecStreamBlockCap) {
+    const size_t RawLen = std::min(Size - Offset, CodecStreamBlockCap);
+    const size_t CompSize = lzCompress(Data + Offset, RawLen, Lz);
+    Out.writeVarU64(RawLen);
+    Out.writeVarU64(CompSize); // 0: stored, RawLen bytes follow verbatim.
+    if (CompSize != 0)
+      Out.writeBytes(Lz.data(), CompSize);
+    else
+      Out.writeBytes(Data + Offset, RawLen);
+    codecdetail::noteCompress(RawLen, CompSize != 0 ? CompSize : RawLen,
+                              CompSize == 0);
+  }
+  Out.writeVarU64(0); // Terminator.
+}
+
+/// Reads one stream block header and locates its body; false on a
+/// truncated or over-cap block.  RawLen 0 is the terminator.
+static bool readStreamBlock(ByteReader &In, uint64_t &RawLen,
+                            uint64_t &EncLen, const uint8_t *&Body) {
+  RawLen = In.readVarU64();
+  if (In.failed() || RawLen == 0)
+    return !In.failed();
+  EncLen = In.readVarU64();
+  if (In.failed() || RawLen > CodecStreamBlockCap ||
+      EncLen > lzMaxCompressedSize(CodecStreamBlockCap))
+    return false;
+  Body = In.readSpan(EncLen != 0 ? EncLen : RawLen);
+  return !In.failed();
+}
+
+bool exterminator::decodeCodecStream(ByteReader &In,
+                                     std::vector<uint8_t> &RawOut,
+                                     uint64_t MaxRawSize) {
+  // Walk the headers on a copy of the reader first, so every declared
+  // length — and the running total against the budget — is checked
+  // before RawOut is sized from them.
+  uint64_t RawLen = 0, EncLen = 0, Total = 0;
+  const uint8_t *Body = nullptr;
+  ByteReader Walk = In;
+  do {
+    if (!readStreamBlock(Walk, RawLen, EncLen, Body) ||
+        RawLen > MaxRawSize - Total) {
+      codecdetail::noteReject();
+      return false;
+    }
+    Total += RawLen;
+  } while (RawLen != 0);
+
+  RawOut.resize(Total);
+  uint8_t *Out = RawOut.data();
+  while (readStreamBlock(In, RawLen, EncLen, Body) && RawLen != 0) {
+    if (EncLen == 0) {
+      std::memcpy(Out, Body, RawLen);
+    } else if (!lzDecompress(Body, EncLen, Out, RawLen)) {
+      codecdetail::noteReject();
+      return false;
+    }
+    codecdetail::noteDecompress(RawLen);
+    Out += RawLen;
+  }
+  return true;
 }

@@ -34,14 +34,17 @@
 /// emit a block that fails to shrink (they return 0 instead and the
 /// envelope stores raw bytes).
 ///
-/// Consumers: WireProtocol v4 frame payloads, StateStore snapshots and
-/// journal records, the bundle file container (CodecStream.h), and the
-/// delta-encoded image bundles (DeltaCodec.h).
+/// Consumers: WireProtocol v4 frame payloads (their own one-byte
+/// envelope over lzCompress), StateStore snapshot and journal blobs
+/// (encodeCodecBlock), and the bundle file container "XIC1"
+/// (encodeCodecStream, ImageBundle.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXTERMINATOR_CODEC_BLOCKCODEC_H
 #define EXTERMINATOR_CODEC_BLOCKCODEC_H
+
+#include "support/Serializer.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -56,8 +59,6 @@ enum class CodecId : uint8_t {
   /// The LZ77 block codec above.
   Lz = 1,
 };
-
-const char *codecName(CodecId Id);
 
 /// Worst-case compressed size the LZ encoder may produce for \p RawSize
 /// input bytes (incompressible data degenerates to literal runs with one
@@ -96,6 +97,29 @@ bool decodeCodecBlock(const uint8_t *Data, size_t Size,
 bool decodeCodecBlock(const std::vector<uint8_t> &Envelope,
                       std::vector<uint8_t> &RawOut, uint64_t MaxRawSize);
 
+/// Raw bytes per block of a codec stream: large enough to give the LZ
+/// window real context, small enough that decode buffers stay modest.
+inline constexpr size_t CodecStreamBlockCap = size_t(256) * 1024;
+
+/// Appends \p Size bytes to \p Out as a codec *stream*: the input cut
+/// into CodecStreamBlockCap-byte blocks, each compressed on its own,
+/// then a terminator:
+///
+///   varint RawLen      block's decompressed size; 0 terminates the stream
+///   varint EncLen      compressed size; 0 ==> RawLen stored bytes follow
+///   body               EncLen LZ bytes, or RawLen stored bytes
+void encodeCodecStream(const uint8_t *Data, size_t Size, ByteWriter &Out);
+
+/// Decodes one codec stream from \p In, through its terminator, into
+/// \p RawOut.  Every block header is validated before any block is
+/// decompressed — each RawLen against CodecStreamBlockCap, each EncLen
+/// against the LZ bound of a full block, and the running raw total
+/// against \p MaxRawSize — so a stream declaring more than the budget
+/// costs a header walk, never an allocation.  Returns false on
+/// truncation, oversized declared lengths or corrupt LZ bytes.
+bool decodeCodecStream(ByteReader &In, std::vector<uint8_t> &RawOut,
+                       uint64_t MaxRawSize);
+
 /// Process-wide codec counters (relaxed atomics underneath; this is the
 /// snapshot shape).  Scraped as xterm_codec_* via registerCodecMetrics
 /// (observe/MetricsRegistry.h).
@@ -114,7 +138,7 @@ struct CodecStatsSnapshot {
 CodecStatsSnapshot codecStats();
 
 namespace codecdetail {
-/// Internal stat hooks shared by the envelope and stream codecs.
+/// Internal stat hooks shared by the envelope, stream and frame codecs.
 void noteCompress(uint64_t InBytes, uint64_t OutBytes, bool Stored);
 void noteDecompress(uint64_t OutBytes);
 void noteReject();

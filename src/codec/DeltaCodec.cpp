@@ -4,7 +4,6 @@
 
 #include "diefast/Canary.h"
 
-#include <algorithm>
 #include <cstring>
 
 using namespace exterminator;
@@ -14,24 +13,6 @@ using namespace exterminator::imagedetail;
 /// CanaryRun records and the substitution key of full references.
 static uint64_t canaryWordOf(const HeapImage &Image) {
   return Canary::fromValue(Image.CanaryValue).patternWord();
-}
-
-/// True when slot \p Loc can join a virgin region run (mirrors the plain
-/// body encoder's predicate).
-static bool isVirginSlot(const HeapImage &Image, const ImageLocation &Loc,
-                         uint64_t &WordOut) {
-  if (Image.slotFlags(Loc) != 0 || Image.objectId(Loc) != 0 ||
-      Image.freeTime(Loc) != 0 || Image.allocSite(Loc) != 0 ||
-      Image.freeSite(Loc) != 0 || Image.requestedSize(Loc) != 0)
-    return false;
-  const SlotContents Contents = Image.contents(Loc);
-  if (Contents.runCount() != 1)
-    return false;
-  const ContentsRun &Run = Contents.run(0);
-  if (Run.RunKind != ContentsRun::Pattern)
-    return false;
-  WordOut = Run.Word;
-  return true;
 }
 
 /// Metadata equality between \p Loc in \p Image and \p BaseLoc in the
@@ -81,9 +62,10 @@ static bool runsEqualSubstituted(const HeapImage &Base,
   return true;
 }
 
-/// writeSlotContents with the delta-body extension: pattern runs of the
-/// image's own canary word become CanaryRun records (no word byte).
-static void writeSlotContentsDelta(StreamWriter &Writer,
+/// The v2 contents-run encoding with the delta-body extension: pattern
+/// runs of the image's own canary word become CanaryRun records (no word
+/// bytes).
+static void writeSlotContentsDelta(ByteWriter &Writer,
                                    const HeapImage &Image,
                                    const SlotContents &Contents,
                                    uint64_t CanaryWord) {
@@ -116,11 +98,11 @@ static bool chargeContents(BundleBudget &Budget, uint64_t Runs,
   return true;
 }
 
-/// readSlotContents accepting CanaryRun records, charging each run to
-/// \p Budget before it is appended.
-static bool readSlotContentsDelta(StreamReader &Reader, HeapImage &Image,
+/// Reads one slot's contents runs, CanaryRun records included, charging
+/// each run to \p Budget before it is appended; the total decoded length
+/// must be exactly \p ObjectSize.
+static bool readSlotContentsDelta(ByteReader &Reader, HeapImage &Image,
                                   uint64_t ObjectSize, uint64_t CanaryWord,
-                                  std::vector<uint8_t> &Scratch,
                                   BundleBudget &Budget) {
   const uint64_t RunCount = Reader.readVarU64();
   if (Reader.failed() || RunCount > ObjectSize / 8 + 1)
@@ -145,10 +127,10 @@ static bool readSlotContentsDelta(StreamReader &Reader, HeapImage &Image,
       }
       Image.addPatternRun(Word, static_cast<uint32_t>(Length));
     } else if (Kind == ContentsRun::Literal) {
-      Scratch.resize(Length);
-      if (!Reader.readBytes(Scratch.data(), Length))
+      const uint8_t *Bytes = Reader.readSpan(Length);
+      if (Reader.failed())
         return false;
-      Image.addLiteralRun(Scratch.data(), Length);
+      Image.addLiteralRun(Bytes, Length);
     } else {
       return false;
     }
@@ -157,7 +139,7 @@ static bool readSlotContentsDelta(StreamReader &Reader, HeapImage &Image,
   return Total == ObjectSize;
 }
 
-void exterminator::writeDeltaImageBody(StreamWriter &Writer,
+void exterminator::writeDeltaImageBody(ByteWriter &Writer,
                                        const HeapImage &Image,
                                        const SiteDictionary &Sites,
                                        const HeapImageView *Base) {
@@ -168,12 +150,7 @@ void exterminator::writeDeltaImageBody(StreamWriter &Writer,
 
   for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
     const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
-    Writer.writeVarU64(Mini.SizeClassIndex);
-    Writer.writeVarU64(Mini.ObjectSize);
-    Writer.writeU64(Mini.BaseAddress);
-    Writer.writeVarU64(Mini.CreationTime);
-    Writer.writeVarU64(Mini.NumSlots);
-
+    writeMiniheapDescriptor(Writer, Image, M);
     for (uint32_t S = 0; S < Mini.NumSlots;) {
       const ImageLocation Loc{M, S};
       uint64_t Word = 0;
@@ -216,19 +193,7 @@ void exterminator::writeDeltaImageBody(StreamWriter &Writer,
         }
       }
 
-      const uint8_t Flags = Image.slotFlags(Loc);
-      const bool HasMeta =
-          Image.objectId(Loc) != 0 || Image.freeTime(Loc) != 0 ||
-          Image.allocSite(Loc) != 0 || Image.freeSite(Loc) != 0 ||
-          Image.requestedSize(Loc) != 0;
-      Writer.writeU8(Flags | (HasMeta ? HasMetaBit : 0));
-      if (HasMeta) {
-        Writer.writeVarU64(Image.objectId(Loc));
-        Writer.writeVarU64(Image.freeTime(Loc));
-        Writer.writeVarU64(Sites.indexOf(Image.allocSite(Loc)));
-        Writer.writeVarU64(Sites.indexOf(Image.freeSite(Loc)));
-        Writer.writeVarU64(Image.requestedSize(Loc));
-      }
+      writePlainSlotRecord(Writer, Image, Loc, Sites);
       writeSlotContentsDelta(Writer, Image, Image.contents(Loc), CanaryWord);
       ++S;
     }
@@ -261,7 +226,7 @@ static bool copyBaseContents(HeapImage &Image, const HeapImage &Base,
 
 /// Resolves a reference tag's object id against the base; false on a
 /// corrupt reference (unknown id, size mismatch).
-static bool resolveBaseRef(StreamReader &Reader, const HeapImageView &Base,
+static bool resolveBaseRef(ByteReader &Reader, const HeapImageView &Base,
                            uint64_t ObjectSize, ImageLocation &BaseLocOut) {
   const uint64_t ObjectId = Reader.readVarU64();
   if (Reader.failed() || ObjectId == 0)
@@ -273,7 +238,7 @@ static bool resolveBaseRef(StreamReader &Reader, const HeapImageView &Base,
   return true;
 }
 
-bool exterminator::readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
+bool exterminator::readDeltaImageBody(ByteReader &Reader, HeapImage &Image,
                                       const std::vector<SiteId> &SiteTable,
                                       const HeapImageView *Base,
                                       BundleBudget &Budget) {
@@ -284,22 +249,11 @@ bool exterminator::readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
   if (Reader.failed() || NumMiniheaps > MaxMiniheaps)
     return false;
 
-  std::vector<uint8_t> Scratch;
   for (uint64_t M = 0; M < NumMiniheaps; ++M) {
-    const uint64_t SizeClassIndex = Reader.readVarU64();
-    const uint64_t ObjectSize = Reader.readVarU64();
-    const uint64_t BaseAddress = Reader.readU64();
-    const uint64_t CreationTime = Reader.readVarU64();
-    const uint64_t NumSlots = Reader.readVarU64();
-    if (Reader.failed() || NumSlots > MaxSlotsPerMiniheap ||
-        NumSlots > Budget.Slots || ObjectSize == 0 ||
-        ObjectSize > MaxObjectSizeBound || ObjectSize % 8 != 0)
+    uint64_t ObjectSize = 0, NumSlots = 0;
+    if (!readMiniheapDescriptor(Reader, Image, Budget.Slots, ObjectSize,
+                                NumSlots))
       return false;
-    Budget.Slots -= NumSlots;
-    Image.beginMiniheap(static_cast<uint32_t>(SizeClassIndex), ObjectSize,
-                        BaseAddress, CreationTime);
-    Image.reserveSlots(std::min(NumSlots, ReserveCap));
-
     for (uint64_t S = 0; S < NumSlots;) {
       const uint8_t Tag = Reader.readU8();
       if (Reader.failed())
@@ -333,32 +287,15 @@ bool exterminator::readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
                 ? copyBaseContents(Image, B, BaseLoc, BaseCanaryWord,
                                    CanaryWord, Budget)
                 : readSlotContentsDelta(Reader, Image, ObjectSize, CanaryWord,
-                                        Scratch, Budget);
+                                        Budget);
         if (!Contents)
           return false;
         ++S;
         continue;
       }
-      if (Tag & ~(FlagsMask | HasMetaBit))
-        return false;
-      uint64_t ObjectId = 0, FreeTime = 0, RequestedSize = 0;
-      SiteId AllocSite = 0, FreeSite = 0;
-      if (Tag & HasMetaBit) {
-        ObjectId = Reader.readVarU64();
-        FreeTime = Reader.readVarU64();
-        const uint64_t AllocIndex = Reader.readVarU64();
-        const uint64_t FreeIndex = Reader.readVarU64();
-        RequestedSize = Reader.readVarU64();
-        if (Reader.failed() || AllocIndex >= SiteTable.size() ||
-            FreeIndex >= SiteTable.size() || RequestedSize > ~uint32_t(0))
-          return false;
-        AllocSite = SiteTable[AllocIndex];
-        FreeSite = SiteTable[FreeIndex];
-      }
-      Image.addSlot(Tag & FlagsMask, ObjectId, FreeTime, AllocSite,
-                    FreeSite, static_cast<uint32_t>(RequestedSize));
-      if (!readSlotContentsDelta(Reader, Image, ObjectSize, CanaryWord,
-                                 Scratch, Budget))
+      if (!readPlainSlotRecord(Reader, Tag, Image, SiteTable) ||
+          !readSlotContentsDelta(Reader, Image, ObjectSize, CanaryWord,
+                                 Budget))
         return false;
       ++S;
     }

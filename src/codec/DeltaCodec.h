@@ -71,10 +71,10 @@ inline constexpr uint8_t CanaryRunKind = 2;
 
 /// Writes \p Image's body delta-encoded against \p Base (null for the
 /// bundle's first image: CanaryRun encoding only, no references).  Site
-/// references index \p Sites, same as writeImageBody.  Slots whose
+/// references index \p Sites, as in the v2 image body.  Slots whose
 /// object id is absent from the base or whose metadata diverges fall
 /// back to plain records.
-void writeDeltaImageBody(StreamWriter &Writer, const HeapImage &Image,
+void writeDeltaImageBody(ByteWriter &Writer, const HeapImage &Image,
                          const imagedetail::SiteDictionary &Sites,
                          const HeapImageView *Base);
 
@@ -83,7 +83,7 @@ void writeDeltaImageBody(StreamWriter &Writer, const HeapImage &Image,
 /// on malformed input: unknown ids, object-size mismatches, slots or
 /// contents bytes past \p Budget (which is decremented by what the body
 /// materializes), or any of the plain-body malformations.
-bool readDeltaImageBody(StreamReader &Reader, HeapImage &Image,
+bool readDeltaImageBody(ByteReader &Reader, HeapImage &Image,
                         const std::vector<SiteId> &SiteTable,
                         const HeapImageView *Base, BundleBudget &Budget);
 

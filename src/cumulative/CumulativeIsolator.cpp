@@ -218,7 +218,7 @@ std::vector<uint8_t> CumulativeIsolator::serialize() const {
     }
     State.Accum.serialize(Writer);
   }
-  return Writer.buffer();
+  return Writer.take();
 }
 
 bool CumulativeIsolator::deserialize(const std::vector<uint8_t> &Buffer) {

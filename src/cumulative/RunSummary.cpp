@@ -39,7 +39,7 @@ exterminator::serializeRunSummary(const RunSummary &Summary) {
     Writer.writeU8(Trial.Observed ? 1 : 0);
     Writer.writeU64(Trial.FreeToFailure);
   }
-  return Writer.buffer();
+  return Writer.take();
 }
 
 bool exterminator::deserializeRunSummary(const std::vector<uint8_t> &Buffer,

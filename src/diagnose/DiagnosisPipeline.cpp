@@ -91,7 +91,7 @@ std::vector<uint8_t> DiagnosisPipeline::serializeState() const {
   Writer.writeU64(Epoch);
   Writer.writeBlob(serializePatchSet(Active));
   Writer.writeBlob(Cumulative.serialize());
-  return Writer.buffer();
+  return Writer.take();
 }
 
 bool DiagnosisPipeline::restoreState(const std::vector<uint8_t> &Buffer) {

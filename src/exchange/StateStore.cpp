@@ -146,7 +146,7 @@ encodeRecord(const StateStore::JournalRecord &Record) {
     Writer.writeBlob(serializeRunSummary(Record.Summary));
     Writer.writeU64(Record.Token);
   }
-  std::vector<uint8_t> Plain = Writer.buffer();
+  std::vector<uint8_t> Plain = Writer.take();
   // Big records (full patch-set seeds, summary batches) ship through
   // the codec when that actually shrinks them; the marker byte keeps
   // plain and compressed records distinguishable per record.

@@ -42,23 +42,21 @@ static bool isKnownType(uint8_t Type) {
 /// raw ++ its one-byte tag.
 static std::vector<uint8_t>
 buildEnvelope(const std::vector<uint8_t> &Payload) {
-  std::vector<uint8_t> Envelope;
   std::vector<uint8_t> Compressed;
   const size_t CompSize =
       lzCompress(Payload.data(), Payload.size(), Compressed);
   if (CompSize != 0) {
-    VectorSink Sink(Envelope);
-    StreamWriter Writer(Sink);
+    ByteWriter Writer;
     Writer.writeU8(PayloadEncodingLz);
     Writer.writeVarU64(Payload.size());
     Writer.writeBytes(Compressed.data(), CompSize);
-    if (Envelope.size() < 1 + Payload.size()) {
-      codecdetail::noteCompress(Payload.size(), Envelope.size(),
+    if (Writer.size() < 1 + Payload.size()) {
+      codecdetail::noteCompress(Payload.size(), Writer.size(),
                                 /*Stored=*/false);
-      return Envelope;
+      return Writer.take();
     }
-    Envelope.clear();
   }
+  std::vector<uint8_t> Envelope;
   Envelope.reserve(1 + Payload.size());
   Envelope.push_back(PayloadEncodingRaw);
   Envelope.insert(Envelope.end(), Payload.begin(), Payload.end());
@@ -79,20 +77,18 @@ exterminator::encodeFrame(MessageType Type,
   const std::vector<uint8_t> Envelope = buildEnvelope(Payload);
   if (Envelope.size() > MaxFramePayload)
     return {};
-  std::vector<uint8_t> Out;
-  VectorSink Sink(Out);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU32(FrameMagic);
   Writer.writeU8(ProtocolVersion);
   Writer.writeU8(static_cast<uint8_t>(Type));
   Writer.writeU32(static_cast<uint32_t>(Envelope.size()));
   Writer.writeBytes(Envelope.data(), Envelope.size());
   Writer.writeU32(frameChecksum(Envelope.data(), Envelope.size()));
-  return Out;
+  return Writer.take();
 }
 
 uint32_t exterminator::readFrameU32(const uint8_t *Data) {
-  // Explicit little-endian, matching StreamWriter::writeU32 — the frame
+  // Explicit little-endian, matching ByteWriter::writeU32 — the frame
   // must decode identically on any host the TCP endpoint reaches.
   return uint32_t(Data[0]) | uint32_t(Data[1]) << 8 |
          uint32_t(Data[2]) << 16 | uint32_t(Data[3]) << 24;
@@ -195,47 +191,41 @@ const char *exterminator::frameErrorName(FrameError Error) {
 
 std::vector<uint8_t>
 exterminator::encodeSubmitImages(const ImageEvidence &Evidence) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  serializeImageBundle(Evidence.Primary, Sink);
-  serializeImageBundle(Evidence.Fallback, Sink);
-  return Payload;
+  ByteWriter Writer;
+  serializeImageBundle(Evidence.Primary, Writer);
+  serializeImageBundle(Evidence.Fallback, Writer);
+  return Writer.take();
 }
 
 bool exterminator::decodeSubmitImages(const std::vector<uint8_t> &Payload,
                                       ImageEvidence &EvidenceOut) {
-  MemorySource Source(Payload);
+  ByteReader Reader(Payload);
   // One wire budget across both bundles: the server materializes at
   // most MaxWireSlots decoded slots and MaxFramePayload contents bytes
   // per submission no matter what the frame declares.
   BundleBudget Budget{MaxWireSlots, MaxFramePayload};
-  if (!deserializeImageBundle(Source, EvidenceOut.Primary, Budget))
-    return false;
-  if (!deserializeImageBundle(Source, EvidenceOut.Fallback, Budget))
-    return false;
-  return Source.remaining() == 0;
+  return deserializeImageBundle(Reader, EvidenceOut.Primary, Budget) &&
+         deserializeImageBundle(Reader, EvidenceOut.Fallback, Budget) &&
+         Reader.atEnd();
 }
 
 std::vector<uint8_t>
 exterminator::encodeSubmitSummary(const RunSummary &Summary,
                                   unsigned CleanStreak, uint64_t Token) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU64(Token);
   Writer.writeVarU64(CleanStreak);
   const std::vector<uint8_t> Blob = serializeRunSummary(Summary);
   Writer.writeVarU64(Blob.size());
   Writer.writeBytes(Blob.data(), Blob.size());
-  return Payload;
+  return Writer.take();
 }
 
 bool exterminator::decodeSubmitSummary(const std::vector<uint8_t> &Payload,
                                        RunSummary &SummaryOut,
                                        unsigned &CleanStreakOut,
                                        uint64_t &TokenOut) {
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
+  ByteReader Reader(Payload);
   TokenOut = Reader.readU64();
   const uint64_t Streak = Reader.readVarU64();
   const uint64_t BlobSize = Reader.readVarU64();
@@ -244,7 +234,7 @@ bool exterminator::decodeSubmitSummary(const std::vector<uint8_t> &Payload,
   std::vector<uint8_t> Blob(BlobSize);
   if (!Reader.readBytes(Blob.data(), Blob.size()))
     return false;
-  if (Source.remaining() != 0)
+  if (!Reader.atEnd())
     return false;
   CleanStreakOut = static_cast<unsigned>(Streak);
   return deserializeRunSummary(Blob, SummaryOut);
@@ -253,12 +243,10 @@ bool exterminator::decodeSubmitSummary(const std::vector<uint8_t> &Payload,
 std::vector<uint8_t>
 exterminator::encodeFetchPatches(uint64_t KnownEpoch,
                                  uint64_t KnownInstance) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU64(KnownInstance);
   Writer.writeU64(KnownEpoch);
-  return Payload;
+  return Writer.take();
 }
 
 bool exterminator::decodeFetchPatches(const std::vector<uint8_t> &Payload,
@@ -266,8 +254,7 @@ bool exterminator::decodeFetchPatches(const std::vector<uint8_t> &Payload,
                                       uint64_t &KnownInstanceOut) {
   if (Payload.size() != 16)
     return false;
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
+  ByteReader Reader(Payload);
   KnownInstanceOut = Reader.readU64();
   KnownEpochOut = Reader.readU64();
   return !Reader.failed();
@@ -275,25 +262,22 @@ bool exterminator::decodeFetchPatches(const std::vector<uint8_t> &Payload,
 
 std::vector<uint8_t>
 exterminator::encodeImagesReply(const ImagesReply &Reply) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU64(Reply.Instance);
   Writer.writeU64(Reply.Epoch);
   Writer.writeVarU64(Reply.OverflowFindings);
   Writer.writeVarU64(Reply.DanglingFindings);
-  return Payload;
+  return Writer.take();
 }
 
 bool exterminator::decodeImagesReply(const std::vector<uint8_t> &Payload,
                                      ImagesReply &ReplyOut) {
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
+  ByteReader Reader(Payload);
   ReplyOut.Instance = Reader.readU64();
   ReplyOut.Epoch = Reader.readU64();
   ReplyOut.OverflowFindings = Reader.readVarU64();
   ReplyOut.DanglingFindings = Reader.readVarU64();
-  return !Reader.failed() && Source.remaining() == 0;
+  return !Reader.failed() && Reader.atEnd();
 }
 
 /// Finding counts in a reply are bounded by the sites a program can
@@ -302,9 +286,7 @@ static constexpr uint64_t MaxReplyFindings = uint64_t(1) << 20;
 
 std::vector<uint8_t>
 exterminator::encodeSummaryReply(const SummaryReply &Reply) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU64(Reply.Instance);
   Writer.writeU64(Reply.Epoch);
   Writer.writeVarU64(Reply.Diagnosis.Overflows.size());
@@ -326,13 +308,12 @@ exterminator::encodeSummaryReply(const SummaryReply &Reply) {
     Writer.writeU32(F.TrialCount);
     Writer.writeU32(F.ObservedCount);
   }
-  return Payload;
+  return Writer.take();
 }
 
 bool exterminator::decodeSummaryReply(const std::vector<uint8_t> &Payload,
                                       SummaryReply &ReplyOut) {
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
+  ByteReader Reader(Payload);
   ReplyOut.Instance = Reader.readU64();
   ReplyOut.Epoch = Reader.readU64();
   const uint64_t NumOverflows = Reader.readVarU64();
@@ -364,14 +345,12 @@ bool exterminator::decodeSummaryReply(const std::vector<uint8_t> &Payload,
     F.ObservedCount = Reader.readU32();
     ReplyOut.Diagnosis.Danglings.push_back(F);
   }
-  return !Reader.failed() && Source.remaining() == 0;
+  return !Reader.failed() && Reader.atEnd();
 }
 
 std::vector<uint8_t>
 exterminator::encodePatchesReply(const PatchesReply &Reply) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU64(Reply.Instance);
   Writer.writeU64(Reply.Epoch);
   Writer.writeU8(Reply.Modified ? 1 : 0);
@@ -380,13 +359,12 @@ exterminator::encodePatchesReply(const PatchesReply &Reply) {
     Writer.writeVarU64(Blob.size());
     Writer.writeBytes(Blob.data(), Blob.size());
   }
-  return Payload;
+  return Writer.take();
 }
 
 bool exterminator::decodePatchesReply(const std::vector<uint8_t> &Payload,
                                       PatchesReply &ReplyOut) {
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
+  ByteReader Reader(Payload);
   ReplyOut.Instance = Reader.readU64();
   ReplyOut.Epoch = Reader.readU64();
   const uint8_t Modified = Reader.readU8();
@@ -404,30 +382,27 @@ bool exterminator::decodePatchesReply(const std::vector<uint8_t> &Payload,
     if (!deserializePatchSet(Blob, ReplyOut.Patches))
       return false;
   }
-  return Source.remaining() == 0;
+  return Reader.atEnd();
 }
 
 std::vector<uint8_t>
 exterminator::encodeErrorReply(const std::string &Message) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeVarU64(Message.size());
   Writer.writeBytes(Message.data(), Message.size());
-  return Payload;
+  return Writer.take();
 }
 
 bool exterminator::decodeErrorReply(const std::vector<uint8_t> &Payload,
                                     std::string &MessageOut) {
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
+  ByteReader Reader(Payload);
   const uint64_t Size = Reader.readVarU64();
   if (Reader.failed() || Size > Payload.size())
     return false;
   MessageOut.resize(Size);
   if (!Reader.readBytes(MessageOut.data(), Size))
     return false;
-  return Source.remaining() == 0;
+  return Reader.atEnd();
 }
 
 std::vector<uint8_t> exterminator::encodeStatsRequest(StatsFormat Format) {
@@ -449,16 +424,14 @@ bool exterminator::decodeStatsRequest(const std::vector<uint8_t> &Payload,
 static constexpr uint64_t MaxStatsSamples = uint64_t(1) << 16;
 
 std::vector<uint8_t> exterminator::encodeStatsReply(const StatsReply &Reply) {
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU64(Reply.Instance);
   Writer.writeU64(Reply.Epoch);
   Writer.writeU8(static_cast<uint8_t>(Reply.Format));
   if (Reply.Format == StatsFormat::Text) {
     Writer.writeVarU64(Reply.Text.size());
     Writer.writeBytes(Reply.Text.data(), Reply.Text.size());
-    return Payload;
+    return Writer.take();
   }
   Writer.writeVarU64(Reply.Samples.size());
   for (const MetricSample &S : Reply.Samples) {
@@ -469,13 +442,12 @@ std::vector<uint8_t> exterminator::encodeStatsReply(const StatsReply &Reply) {
     Writer.writeF64(S.Value);
     Writer.writeU8(static_cast<uint8_t>(S.Kind));
   }
-  return Payload;
+  return Writer.take();
 }
 
 bool exterminator::decodeStatsReply(const std::vector<uint8_t> &Payload,
                                     StatsReply &ReplyOut) {
-  MemorySource Source(Payload);
-  StreamReader Reader(Source);
+  ByteReader Reader(Payload);
   ReplyOut.Instance = Reader.readU64();
   ReplyOut.Epoch = Reader.readU64();
   const uint8_t Format = Reader.readU8();
@@ -489,7 +461,7 @@ bool exterminator::decodeStatsReply(const std::vector<uint8_t> &Payload,
     ReplyOut.Text.resize(TextSize);
     if (!Reader.readBytes(ReplyOut.Text.data(), TextSize))
       return false;
-    return Source.remaining() == 0;
+    return Reader.atEnd();
   }
   const uint64_t Count = Reader.readVarU64();
   if (Reader.failed() || Count > MaxStatsSamples)
@@ -517,5 +489,5 @@ bool exterminator::decodeStatsReply(const std::vector<uint8_t> &Payload,
     S.Kind = static_cast<SampleKind>(Kind);
     ReplyOut.Samples.push_back(std::move(S));
   }
-  return Source.remaining() == 0;
+  return Reader.atEnd();
 }

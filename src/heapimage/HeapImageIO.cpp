@@ -4,19 +4,17 @@
 
 #include "heapimage/ImageFormatDetail.h"
 
+#include <algorithm>
+
 using namespace exterminator;
 using namespace exterminator::imagedetail;
 
 // Format magic: "XHI2" (columnar).
 static constexpr uint32_t ImageMagicV2 = 0x58484932;
 
-// The slot-record tag constants (VirginRunTag, HasMetaBit, FlagsMask)
-// live in ImageFormatDetail.h since PR 10: the delta body codec shares
-// them.
-
 //===----------------------------------------------------------------------===//
-// Shared v2 body codec (ImageFormatDetail.h) — used by this file's
-// single-image format and by ImageBundle's multi-image format.
+// Shared building blocks (ImageFormatDetail.h) — used by this file's
+// single-image format and by the delta body of every bundle image.
 //===----------------------------------------------------------------------===//
 
 void imagedetail::SiteDictionary::collect(const HeapImage &Image) {
@@ -30,7 +28,7 @@ void imagedetail::SiteDictionary::collect(const HeapImage &Image) {
   }
 }
 
-void imagedetail::writeImageHeader(StreamWriter &Writer,
+void imagedetail::writeImageHeader(ByteWriter &Writer,
                                    const HeapImage &Image) {
   Writer.writeU64(Image.AllocationTime);
   Writer.writeU32(Image.CanaryValue);
@@ -39,7 +37,7 @@ void imagedetail::writeImageHeader(StreamWriter &Writer,
   Writer.writeU64(Image.HeapSeed);
 }
 
-void imagedetail::readImageHeader(StreamReader &Reader, HeapImage &Image) {
+void imagedetail::readImageHeader(ByteReader &Reader, HeapImage &Image) {
   Image.AllocationTime = Reader.readU64();
   Image.CanaryValue = Reader.readU32();
   Image.CanaryFillProbability = Reader.readF64();
@@ -47,14 +45,14 @@ void imagedetail::readImageHeader(StreamReader &Reader, HeapImage &Image) {
   Image.HeapSeed = Reader.readU64();
 }
 
-void imagedetail::writeSiteTable(StreamWriter &Writer,
+void imagedetail::writeSiteTable(ByteWriter &Writer,
                                  const std::vector<SiteId> &Table) {
   Writer.writeVarU64(Table.size());
   for (SiteId Site : Table)
     Writer.writeU32(Site);
 }
 
-bool imagedetail::readSiteTable(StreamReader &Reader,
+bool imagedetail::readSiteTable(ByteReader &Reader,
                                 std::vector<SiteId> &TableOut) {
   const uint64_t NumSites = Reader.readVarU64();
   if (Reader.failed() || NumSites == 0 || NumSites > MaxSites)
@@ -66,10 +64,42 @@ bool imagedetail::readSiteTable(StreamReader &Reader,
   return !Reader.failed();
 }
 
-/// True when slot \p Loc can join a virgin region run: never allocated,
-/// no recorded history, and contents a single repeated word.
-static bool isVirginSlot(const HeapImage &Image, const ImageLocation &Loc,
-                         uint64_t &WordOut) {
+void imagedetail::writeMiniheapDescriptor(ByteWriter &Writer,
+                                          const HeapImage &Image,
+                                          uint32_t M) {
+  const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
+  Writer.writeVarU64(Mini.SizeClassIndex);
+  Writer.writeVarU64(Mini.ObjectSize);
+  Writer.writeU64(Mini.BaseAddress);
+  Writer.writeVarU64(Mini.CreationTime);
+  Writer.writeVarU64(Mini.NumSlots);
+}
+
+bool imagedetail::readMiniheapDescriptor(ByteReader &Reader,
+                                         HeapImage &Image,
+                                         uint64_t &SlotBudget,
+                                         uint64_t &ObjectSizeOut,
+                                         uint64_t &NumSlotsOut) {
+  const uint64_t SizeClassIndex = Reader.readVarU64();
+  const uint64_t ObjectSize = Reader.readVarU64();
+  const uint64_t BaseAddress = Reader.readU64();
+  const uint64_t CreationTime = Reader.readVarU64();
+  const uint64_t NumSlots = Reader.readVarU64();
+  if (Reader.failed() || NumSlots > MaxSlotsPerMiniheap ||
+      NumSlots > SlotBudget || ObjectSize == 0 ||
+      ObjectSize > MaxObjectSizeBound || ObjectSize % 8 != 0)
+    return false;
+  SlotBudget -= NumSlots;
+  Image.beginMiniheap(static_cast<uint32_t>(SizeClassIndex), ObjectSize,
+                      BaseAddress, CreationTime);
+  Image.reserveSlots(std::min(NumSlots, ReserveCap));
+  ObjectSizeOut = ObjectSize;
+  NumSlotsOut = NumSlots;
+  return true;
+}
+
+bool imagedetail::isVirginSlot(const HeapImage &Image,
+                               const ImageLocation &Loc, uint64_t &WordOut) {
   if (Image.slotFlags(Loc) != 0 || Image.objectId(Loc) != 0 ||
       Image.freeTime(Loc) != 0 || Image.allocSite(Loc) != 0 ||
       Image.freeSite(Loc) != 0 || Image.requestedSize(Loc) != 0)
@@ -84,9 +114,56 @@ static bool isVirginSlot(const HeapImage &Image, const ImageLocation &Loc,
   return true;
 }
 
-void imagedetail::writeSlotContents(StreamWriter &Writer,
-                                    const HeapImage &Image,
-                                    const SlotContents &Contents) {
+void imagedetail::writePlainSlotRecord(ByteWriter &Writer,
+                                       const HeapImage &Image,
+                                       const ImageLocation &Loc,
+                                       const SiteDictionary &Sites) {
+  const bool HasMeta =
+      Image.objectId(Loc) != 0 || Image.freeTime(Loc) != 0 ||
+      Image.allocSite(Loc) != 0 || Image.freeSite(Loc) != 0 ||
+      Image.requestedSize(Loc) != 0;
+  Writer.writeU8(Image.slotFlags(Loc) | (HasMeta ? HasMetaBit : 0));
+  if (!HasMeta)
+    return;
+  Writer.writeVarU64(Image.objectId(Loc));
+  Writer.writeVarU64(Image.freeTime(Loc));
+  Writer.writeVarU64(Sites.indexOf(Image.allocSite(Loc)));
+  Writer.writeVarU64(Sites.indexOf(Image.freeSite(Loc)));
+  Writer.writeVarU64(Image.requestedSize(Loc));
+}
+
+bool imagedetail::readPlainSlotRecord(ByteReader &Reader, uint8_t Tag,
+                                      HeapImage &Image,
+                                      const std::vector<SiteId> &SiteTable) {
+  if (Tag & ~(FlagsMask | HasMetaBit))
+    return false;
+  uint64_t ObjectId = 0, FreeTime = 0, RequestedSize = 0;
+  SiteId AllocSite = 0, FreeSite = 0;
+  if (Tag & HasMetaBit) {
+    ObjectId = Reader.readVarU64();
+    FreeTime = Reader.readVarU64();
+    const uint64_t AllocIndex = Reader.readVarU64();
+    const uint64_t FreeIndex = Reader.readVarU64();
+    RequestedSize = Reader.readVarU64();
+    if (Reader.failed() || AllocIndex >= SiteTable.size() ||
+        FreeIndex >= SiteTable.size() || RequestedSize > ~uint32_t(0))
+      return false;
+    AllocSite = SiteTable[AllocIndex];
+    FreeSite = SiteTable[FreeIndex];
+  }
+  Image.addSlot(Tag & FlagsMask, ObjectId, FreeTime, AllocSite, FreeSite,
+                static_cast<uint32_t>(RequestedSize));
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// v2 body
+//===----------------------------------------------------------------------===//
+
+/// Writes one slot's contents as run records (varint run count, then per
+/// run: kind byte, varint length, repeated word or literal bytes).
+static void writeSlotContents(ByteWriter &Writer, const HeapImage &Image,
+                              const SlotContents &Contents) {
   Writer.writeVarU64(Contents.runCount());
   for (size_t R = 0; R < Contents.runCount(); ++R) {
     const ContentsRun &Run = Contents.run(R);
@@ -99,19 +176,17 @@ void imagedetail::writeSlotContents(StreamWriter &Writer,
   }
 }
 
-void imagedetail::writeImageBody(StreamWriter &Writer, const HeapImage &Image,
-                                 const SiteDictionary &Sites) {
+/// Writes the image body: miniheap count, then per-miniheap descriptors
+/// and slot records (virgin regions collapsed, metadata varint-packed,
+/// contents run-encoded).
+static void writeImageBody(ByteWriter &Writer, const HeapImage &Image,
+                           const SiteDictionary &Sites) {
   Writer.writeVarU64(Image.miniheapCount());
 
   for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
-    const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
-    Writer.writeVarU64(Mini.SizeClassIndex);
-    Writer.writeVarU64(Mini.ObjectSize);
-    Writer.writeU64(Mini.BaseAddress);
-    Writer.writeVarU64(Mini.CreationTime);
-    Writer.writeVarU64(Mini.NumSlots);
-
-    for (uint32_t S = 0; S < Mini.NumSlots;) {
+    writeMiniheapDescriptor(Writer, Image, M);
+    const uint32_t NumSlots = Image.miniheapInfo(M).NumSlots;
+    for (uint32_t S = 0; S < NumSlots;) {
       const ImageLocation Loc{M, S};
       uint64_t Word = 0;
       if (isVirginSlot(Image, Loc, Word)) {
@@ -119,7 +194,7 @@ void imagedetail::writeImageBody(StreamWriter &Writer, const HeapImage &Image,
         // record — the dominant population of an over-provisioned heap.
         uint32_t Count = 1;
         uint64_t NextWord = 0;
-        while (S + Count < Mini.NumSlots &&
+        while (S + Count < NumSlots &&
                isVirginSlot(Image, ImageLocation{M, S + Count}, NextWord) &&
                NextWord == Word)
           ++Count;
@@ -129,29 +204,17 @@ void imagedetail::writeImageBody(StreamWriter &Writer, const HeapImage &Image,
         S += Count;
         continue;
       }
-
-      const uint8_t Flags = Image.slotFlags(Loc);
-      const bool HasMeta =
-          Image.objectId(Loc) != 0 || Image.freeTime(Loc) != 0 ||
-          Image.allocSite(Loc) != 0 || Image.freeSite(Loc) != 0 ||
-          Image.requestedSize(Loc) != 0;
-      Writer.writeU8(Flags | (HasMeta ? HasMetaBit : 0));
-      if (HasMeta) {
-        Writer.writeVarU64(Image.objectId(Loc));
-        Writer.writeVarU64(Image.freeTime(Loc));
-        Writer.writeVarU64(Sites.indexOf(Image.allocSite(Loc)));
-        Writer.writeVarU64(Sites.indexOf(Image.freeSite(Loc)));
-        Writer.writeVarU64(Image.requestedSize(Loc));
-      }
+      writePlainSlotRecord(Writer, Image, Loc, Sites);
       writeSlotContents(Writer, Image, Image.contents(Loc));
       ++S;
     }
   }
 }
 
-bool imagedetail::readSlotContents(StreamReader &Reader, HeapImage &Image,
-                                   uint64_t ObjectSize,
-                                   std::vector<uint8_t> &Scratch) {
+/// Reads one slot's contents runs into the current slot of \p Image;
+/// the total decoded length must be exactly \p ObjectSize.
+static bool readSlotContents(ByteReader &Reader, HeapImage &Image,
+                             uint64_t ObjectSize) {
   const uint64_t RunCount = Reader.readVarU64();
   if (Reader.failed() || RunCount > ObjectSize / 8 + 1)
     return false;
@@ -171,10 +234,10 @@ bool imagedetail::readSlotContents(StreamReader &Reader, HeapImage &Image,
         return false;
       Image.addPatternRun(Word, static_cast<uint32_t>(Length));
     } else if (Kind == ContentsRun::Literal) {
-      Scratch.resize(Length);
-      if (!Reader.readBytes(Scratch.data(), Length))
+      const uint8_t *Bytes = Reader.readSpan(Length);
+      if (Reader.failed())
         return false;
-      Image.addLiteralRun(Scratch.data(), Length);
+      Image.addLiteralRun(Bytes, Length);
     } else {
       return false;
     }
@@ -183,29 +246,20 @@ bool imagedetail::readSlotContents(StreamReader &Reader, HeapImage &Image,
   return Total == ObjectSize;
 }
 
-bool imagedetail::readImageBody(StreamReader &Reader, HeapImage &Image,
-                                const std::vector<SiteId> &SiteTable,
-                                uint64_t &SlotBudget) {
+/// Reads an image body, resolving site indexes through \p SiteTable;
+/// false on malformed input.  Decodes at most MaxTotalSlots slots.
+static bool readImageBody(ByteReader &Reader, HeapImage &Image,
+                          const std::vector<SiteId> &SiteTable) {
   const uint64_t NumMiniheaps = Reader.readVarU64();
   if (Reader.failed() || NumMiniheaps > MaxMiniheaps)
     return false;
 
-  std::vector<uint8_t> Scratch;
+  uint64_t SlotBudget = MaxTotalSlots;
   for (uint64_t M = 0; M < NumMiniheaps; ++M) {
-    const uint64_t SizeClassIndex = Reader.readVarU64();
-    const uint64_t ObjectSize = Reader.readVarU64();
-    const uint64_t BaseAddress = Reader.readU64();
-    const uint64_t CreationTime = Reader.readVarU64();
-    const uint64_t NumSlots = Reader.readVarU64();
-    if (Reader.failed() || NumSlots > MaxSlotsPerMiniheap ||
-        NumSlots > SlotBudget || ObjectSize == 0 ||
-        ObjectSize > MaxObjectSizeBound || ObjectSize % 8 != 0)
+    uint64_t ObjectSize = 0, NumSlots = 0;
+    if (!readMiniheapDescriptor(Reader, Image, SlotBudget, ObjectSize,
+                                NumSlots))
       return false;
-    SlotBudget -= NumSlots;
-    Image.beginMiniheap(static_cast<uint32_t>(SizeClassIndex), ObjectSize,
-                        BaseAddress, CreationTime);
-    Image.reserveSlots(std::min(NumSlots, ReserveCap));
-
     for (uint64_t S = 0; S < NumSlots;) {
       const uint8_t Tag = Reader.readU8();
       if (Reader.failed())
@@ -223,25 +277,8 @@ bool imagedetail::readImageBody(StreamReader &Reader, HeapImage &Image,
         S += Count;
         continue;
       }
-      if (Tag & ~(FlagsMask | HasMetaBit))
-        return false;
-      uint64_t ObjectId = 0, FreeTime = 0, RequestedSize = 0;
-      SiteId AllocSite = 0, FreeSite = 0;
-      if (Tag & HasMetaBit) {
-        ObjectId = Reader.readVarU64();
-        FreeTime = Reader.readVarU64();
-        const uint64_t AllocIndex = Reader.readVarU64();
-        const uint64_t FreeIndex = Reader.readVarU64();
-        RequestedSize = Reader.readVarU64();
-        if (Reader.failed() || AllocIndex >= SiteTable.size() ||
-            FreeIndex >= SiteTable.size() || RequestedSize > ~uint32_t(0))
-          return false;
-        AllocSite = SiteTable[AllocIndex];
-        FreeSite = SiteTable[FreeIndex];
-      }
-      Image.addSlot(Tag & FlagsMask, ObjectId, FreeTime, AllocSite,
-                    FreeSite, static_cast<uint32_t>(RequestedSize));
-      if (!readSlotContents(Reader, Image, ObjectSize, Scratch))
+      if (!readPlainSlotRecord(Reader, Tag, Image, SiteTable) ||
+          !readSlotContents(Reader, Image, ObjectSize))
         return false;
       ++S;
     }
@@ -250,12 +287,11 @@ bool imagedetail::readImageBody(StreamReader &Reader, HeapImage &Image,
 }
 
 //===----------------------------------------------------------------------===//
-// v2 serialization
+// Entry points
 //===----------------------------------------------------------------------===//
 
-bool exterminator::serializeHeapImage(const HeapImage &Image,
-                                      ByteSink &Sink) {
-  StreamWriter Writer(Sink);
+void exterminator::serializeHeapImage(const HeapImage &Image,
+                                      ByteWriter &Writer) {
   Writer.writeU32(ImageMagicV2);
   Writer.writeU32(HeapImageFormatV2);
   writeImageHeader(Writer, Image);
@@ -268,73 +304,42 @@ bool exterminator::serializeHeapImage(const HeapImage &Image,
   Sites.collect(Image);
   writeSiteTable(Writer, Sites.table());
   writeImageBody(Writer, Image, Sites);
-  return !Writer.failed();
 }
 
 std::vector<uint8_t>
 exterminator::serializeHeapImage(const HeapImage &Image) {
-  std::vector<uint8_t> Buffer;
-  VectorSink Sink(Buffer);
-  serializeHeapImage(Image, Sink);
-  return Buffer;
+  ByteWriter Writer;
+  serializeHeapImage(Image, Writer);
+  return Writer.take();
 }
 
-//===----------------------------------------------------------------------===//
-// v2 deserialization
-//===----------------------------------------------------------------------===//
-
-static bool deserializeV2(StreamReader &Reader, HeapImage &Image) {
-  if (Reader.readU32() != HeapImageFormatV2)
-    return false;
-  readImageHeader(Reader, Image);
-
-  std::vector<SiteId> SiteTable;
-  if (!readSiteTable(Reader, SiteTable))
-    return false;
-  uint64_t SlotBudget = MaxTotalSlots;
-  return readImageBody(Reader, Image, SiteTable, SlotBudget);
-}
-
-//===----------------------------------------------------------------------===//
-// Entry points
-//===----------------------------------------------------------------------===//
-
-bool exterminator::deserializeHeapImage(ByteSource &Source,
+bool exterminator::deserializeHeapImage(ByteReader &Reader,
                                         HeapImage &ImageOut) {
-  StreamReader Reader(Source);
   const uint32_t Magic = Reader.readU32();
   if (Reader.failed())
     return false;
   ImageOut = HeapImage();
-  if (Magic != ImageMagicV2)
+  if (Magic != ImageMagicV2 || Reader.readU32() != HeapImageFormatV2)
     return false;
-  return deserializeV2(Reader, ImageOut);
+  readImageHeader(Reader, ImageOut);
+  std::vector<SiteId> SiteTable;
+  return readSiteTable(Reader, SiteTable) &&
+         readImageBody(Reader, ImageOut, SiteTable);
 }
 
 bool exterminator::deserializeHeapImage(const std::vector<uint8_t> &Buffer,
                                         HeapImage &ImageOut) {
-  MemorySource Source(Buffer);
-  if (!deserializeHeapImage(Source, ImageOut))
-    return false;
-  return Source.remaining() == 0;
+  ByteReader Reader(Buffer);
+  return deserializeHeapImage(Reader, ImageOut) && Reader.atEnd();
 }
 
 bool exterminator::saveHeapImage(const HeapImage &Image,
                                  const std::string &Path) {
-  FileSink Sink(Path);
-  if (!Sink.ok())
-    return false;
-  if (!serializeHeapImage(Image, Sink))
-    return false;
-  return Sink.close();
+  return writeFileBytes(Path, serializeHeapImage(Image));
 }
 
 bool exterminator::loadHeapImage(const std::string &Path,
                                  HeapImage &ImageOut) {
-  FileSource Source(Path);
-  if (!Source.ok())
-    return false;
-  if (!deserializeHeapImage(Source, ImageOut))
-    return false;
-  return Source.exhausted();
+  std::vector<uint8_t> Bytes;
+  return readFileBytes(Path, Bytes) && deserializeHeapImage(Bytes, ImageOut);
 }

@@ -11,10 +11,10 @@
 ///
 /// The format ("XHI2", version 2) is columnar: an explicit version
 /// header, varint-packed metadata (virgin slots collapse to region runs),
-/// and run-length-encoded contents.  Writes stream through a ByteSink, so
-/// saving never materializes a second copy of the image.  Readers refuse
-/// any other magic or version, the array-of-structs "XHI1" layout
-/// included.
+/// and run-length-encoded contents.  An image encodes into one buffer,
+/// and a save hands it to writeFileBytes, so a failed save leaves the
+/// file it would replace intact.  Readers refuse any other magic or
+/// version, the array-of-structs "XHI1" layout included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,21 +37,20 @@ inline constexpr uint32_t HeapImageFormatV2 = 2;
 /// Encodes \p Image into a self-describing v2 byte buffer.
 std::vector<uint8_t> serializeHeapImage(const HeapImage &Image);
 
-/// Streams \p Image in v2 format into \p Sink; returns false on write
-/// failure.
-bool serializeHeapImage(const HeapImage &Image, ByteSink &Sink);
+/// Appends \p Image in v2 format to \p Writer.
+void serializeHeapImage(const HeapImage &Image, ByteWriter &Writer);
 
 /// Decodes a v2 image; returns false (leaving \p ImageOut unspecified)
-/// on a malformed buffer or any other format.
+/// on a malformed buffer, trailing bytes or any other format.
 bool deserializeHeapImage(const std::vector<uint8_t> &Buffer,
                           HeapImage &ImageOut);
 
-/// Streaming decode of a v2 image.  Does not check for trailing bytes —
-/// callers owning the stream decide what follows.
-bool deserializeHeapImage(ByteSource &Source, HeapImage &ImageOut);
+/// Decodes one v2 image from \p Reader.  Does not check for trailing
+/// bytes — callers owning the buffer decide what follows.
+bool deserializeHeapImage(ByteReader &Reader, HeapImage &ImageOut);
 
-/// Saves \p Image (v2, streamed) to \p Path; returns false on I/O
-/// failure.
+/// Saves \p Image (v2) to \p Path through writeFileBytes: a failed save
+/// returns false and leaves any existing file at \p Path intact.
 bool saveHeapImage(const HeapImage &Image, const std::string &Path);
 
 /// Loads a v2 image from \p Path; returns false on I/O or format failure

@@ -2,9 +2,8 @@
 
 #include "heapimage/ImageBundle.h"
 
-#include "codec/CodecStream.h"
+#include "codec/BlockCodec.h"
 #include "codec/DeltaCodec.h"
-#include "heapimage/HeapImageIO.h"
 #include "heapimage/ImageFormatDetail.h"
 
 #include <memory>
@@ -15,9 +14,8 @@ using namespace exterminator::imagedetail;
 // "XIB1": image bundle, cross-image dictionary.
 static constexpr uint32_t BundleMagic = 0x58494231;
 
-bool exterminator::serializeImageBundle(const std::vector<HeapImage> &Images,
-                                        ByteSink &Sink) {
-  StreamWriter Writer(Sink);
+void exterminator::serializeImageBundle(const std::vector<HeapImage> &Images,
+                                        ByteWriter &Writer) {
   Writer.writeU32(BundleMagic);
   Writer.writeU32(ImageBundleFormatV2);
   Writer.writeVarU64(Images.size());
@@ -40,23 +38,20 @@ bool exterminator::serializeImageBundle(const std::vector<HeapImage> &Images,
     if (!Base)
       Base = std::make_unique<HeapImageView>(Images.front());
   }
-  return !Writer.failed();
 }
 
 std::vector<uint8_t>
 exterminator::serializeImageBundle(const std::vector<HeapImage> &Images) {
-  std::vector<uint8_t> Buffer;
-  VectorSink Sink(Buffer);
-  if (!serializeImageBundle(Images, Sink))
-    Buffer.clear();
-  return Buffer;
+  ByteWriter Writer;
+  serializeImageBundle(Images, Writer);
+  return Writer.take();
 }
 
-/// Decodes a bundle after its magic: version, count, site table, images.
-static bool deserializeBundleBody(StreamReader &Reader,
-                                  std::vector<HeapImage> &ImagesOut,
-                                  BundleBudget &Budget) {
-  if (Reader.readU32() != ImageBundleFormatV2)
+bool exterminator::deserializeImageBundle(ByteReader &Reader,
+                                          std::vector<HeapImage> &ImagesOut,
+                                          BundleBudget &Budget) {
+  if (Reader.readU32() != BundleMagic ||
+      Reader.readU32() != ImageBundleFormatV2)
     return false;
   const uint64_t NumImages = Reader.readVarU64();
   if (Reader.failed() || NumImages > MaxBundleImages)
@@ -88,54 +83,32 @@ static bool deserializeBundleBody(StreamReader &Reader,
   return !Reader.failed();
 }
 
-bool exterminator::deserializeImageBundle(ByteSource &Source,
-                                          std::vector<HeapImage> &ImagesOut,
-                                          BundleBudget &Budget) {
-  StreamReader Reader(Source);
-  if (Reader.readU32() != BundleMagic)
-    return false;
-  return deserializeBundleBody(Reader, ImagesOut, Budget);
-}
-
 bool exterminator::deserializeImageBundle(const std::vector<uint8_t> &Buffer,
                                           std::vector<HeapImage> &ImagesOut,
                                           BundleBudget &Budget) {
-  MemorySource Source(Buffer);
-  if (!deserializeImageBundle(Source, ImagesOut, Budget))
-    return false;
-  return Source.remaining() == 0;
+  ByteReader Reader(Buffer);
+  return deserializeImageBundle(Reader, ImagesOut, Budget) && Reader.atEnd();
 }
 
 bool exterminator::saveImageBundle(const std::vector<HeapImage> &Images,
                                    const std::string &Path) {
-  FileSink Sink(Path);
-  if (!Sink.ok())
-    return false;
-  StreamWriter Header(Sink);
-  Header.writeU32(CompressedBundleMagic);
-  if (Header.failed())
-    return false;
-  CompressingSink Zip(Sink);
-  if (!serializeImageBundle(Images, Zip))
-    return false;
-  if (!Zip.finish())
-    return false;
-  return Sink.close();
+  const std::vector<uint8_t> Bundle = serializeImageBundle(Images);
+  ByteWriter Writer;
+  Writer.writeU32(CompressedBundleMagic);
+  encodeCodecStream(Bundle.data(), Bundle.size(), Writer);
+  return writeFileBytes(Path, Writer.buffer());
 }
 
 bool exterminator::loadImageBundle(const std::string &Path,
                                    std::vector<HeapImage> &ImagesOut) {
-  FileSource Source(Path);
-  if (!Source.ok())
-    return false;
-  StreamReader Header(Source);
-  if (Header.readU32() != CompressedBundleMagic)
+  std::vector<uint8_t> File;
+  if (!readFileBytes(Path, File))
     return false;
   // The container's stream is exactly one bare bundle, then the codec
   // terminator and the end of the file.
-  DecompressingSource Unzip(Source);
-  if (!deserializeImageBundle(Unzip, ImagesOut))
-    return false;
-  uint8_t Tail = 0;
-  return Unzip.read(&Tail, 1) == 0 && Unzip.finished() && Source.exhausted();
+  ByteReader Reader(File);
+  std::vector<uint8_t> Bundle;
+  return Reader.readU32() == CompressedBundleMagic &&
+         decodeCodecStream(Reader, Bundle, MaxBundleFileRawBytes) &&
+         Reader.atEnd() && deserializeImageBundle(Bundle, ImagesOut);
 }

@@ -24,11 +24,12 @@
 /// version 1 (standalone bodies, no delta) is refused.
 ///
 /// A bundle *file* is always the compressed container ("XIC1"): the
-/// bundle byte stream passes through the LZ block codec
-/// (codec/CodecStream.h), and loadImageBundle reads nothing else.  The
-/// stream and buffer decoders read bare "XIB1" bundles only — what a
-/// SubmitImages frame carries, whose payload the frame envelope already
-/// compresses, so no frame can nest a second LZ stream inside its own.
+/// bare bundle's bytes encoded as a codec stream (encodeCodecStream,
+/// codec/BlockCodec.h), written whole through writeFileBytes, and
+/// loadImageBundle reads nothing else.  The ByteReader and buffer
+/// decoders read bare "XIB1" bundles only — what a SubmitImages frame
+/// carries, whose payload the frame envelope already compresses, so no
+/// frame can nest a second LZ stream inside its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,6 +68,18 @@ inline constexpr uint64_t MaxBundleSlots = uint64_t(1) << 24;
 /// contents far past any real capture.
 inline constexpr uint64_t MaxBundleContentsBytes = uint64_t(1) << 30;
 
+/// Most raw bytes a bundle file's container may expand to, derived from
+/// the default budget: every literal byte and run record a bundle
+/// decodes is charged to MaxBundleContentsBytes (a run record charges
+/// more than its encoded size), and each of at most MaxBundleSlots slot
+/// records carries under 64 bytes of tag, metadata and run count, so
+/// apart from headers, descriptors and the site table a bundle the
+/// budget admits fits.  loadImageBundle holds the whole decoded stream
+/// before parsing it, so the container decoder refuses a stream that
+/// declares more before sizing any buffer from it.
+inline constexpr uint64_t MaxBundleFileRawBytes =
+    MaxBundleContentsBytes + MaxBundleSlots * 64;
+
 /// The tighter budget the patch server applies to bundles arriving over
 /// the wire (2M slots ≈ two orders of magnitude above any real evidence
 /// set: MaxImages ≤ 8 captures of thousands of slots).  Keeps a forged
@@ -89,29 +102,29 @@ struct BundleBudget {
   uint64_t ContentsBytes = MaxBundleContentsBytes;
 };
 
-/// Streams \p Images as one bundle into \p Sink; returns false on write
-/// failure.  An empty set encodes as a valid zero-image bundle.
-bool serializeImageBundle(const std::vector<HeapImage> &Images,
-                          ByteSink &Sink);
+/// Appends \p Images as one bundle to \p Writer.  An empty set encodes
+/// as a valid zero-image bundle.
+void serializeImageBundle(const std::vector<HeapImage> &Images,
+                          ByteWriter &Writer);
 
 /// Encodes \p Images into a self-describing bundle byte buffer.
 std::vector<uint8_t> serializeImageBundle(const std::vector<HeapImage> &Images);
 
-/// Streaming decode of one bare bundle.  Returns false (leaving
+/// Decodes one bare bundle from \p Reader.  Returns false (leaving
 /// \p ImagesOut unspecified) on malformed input — truncation, bad
 /// magic/version (the "XIC1" container included), oversized counts,
 /// slots or contents bytes past \p Budget, or slot records referencing
 /// out-of-range dictionary entries.  \p Budget is decremented by what
 /// the decode materializes, so one budget can span several bundles.
-/// Does not check for trailing bytes — callers owning the stream decide
+/// Does not check for trailing bytes — callers owning the buffer decide
 /// what follows.
-bool deserializeImageBundle(ByteSource &Source,
+bool deserializeImageBundle(ByteReader &Reader,
                             std::vector<HeapImage> &ImagesOut,
                             BundleBudget &Budget);
-inline bool deserializeImageBundle(ByteSource &Source,
+inline bool deserializeImageBundle(ByteReader &Reader,
                                    std::vector<HeapImage> &ImagesOut) {
   BundleBudget Budget;
-  return deserializeImageBundle(Source, ImagesOut, Budget);
+  return deserializeImageBundle(Reader, ImagesOut, Budget);
 }
 
 /// Buffer decode; additionally rejects trailing garbage.
@@ -124,8 +137,9 @@ inline bool deserializeImageBundle(const std::vector<uint8_t> &Buffer,
   return deserializeImageBundle(Buffer, ImagesOut, Budget);
 }
 
-/// Saves \p Images as a bundle file (the "XIC1" container); returns
-/// false on I/O failure.
+/// Saves \p Images as a bundle file (the "XIC1" container) through
+/// writeFileBytes: a failed save returns false and leaves any existing
+/// file at \p Path intact.
 bool saveImageBundle(const std::vector<HeapImage> &Images,
                      const std::string &Path);
 

@@ -5,16 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Internal building blocks shared by the two columnar wire formats: the
-/// single-image v2 format (HeapImageIO) and the multi-image bundle format
-/// (ImageBundle).  Both encode the same header fields and miniheap/slot
-/// body; they differ only in where the call-site dictionary lives — per
+/// Internal building blocks shared by the two columnar formats: the
+/// single-image v2 format (HeapImageIO) and the delta-encoded bundle
+/// body (codec/DeltaCodec, the body of every "XIB1" bundle image).  Both
+/// encode the same header fields, call-site table, miniheap descriptors,
+/// virgin-region predicate and plain slot records; each keeps its own
+/// slot loop and contents-run codec, so the single-image format never
+/// writes or accepts the delta codec's reference tags or CanaryRun
+/// records.  They differ in where the call-site dictionary lives — per
 /// image for v2, one table across all images for a bundle (replicated
 /// dumps share almost all sites, so the bundle amortizes the table).
 ///
 /// Not installed API: only the format translation units (HeapImageIO,
-/// ImageBundle) and the codec layer's delta body codec (codec/DeltaCodec)
-/// include this.
+/// ImageBundle) and the delta body codec (codec/DeltaCodec) include it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,47 +84,52 @@ private:
 
 /// Writes the per-image scalar header fields (allocation time, canary,
 /// p, M, seed) — everything that differs between replicated dumps.
-void writeImageHeader(StreamWriter &Writer, const HeapImage &Image);
+void writeImageHeader(ByteWriter &Writer, const HeapImage &Image);
 
 /// Reads the scalar header fields written by writeImageHeader.
-void readImageHeader(StreamReader &Reader, HeapImage &Image);
+void readImageHeader(ByteReader &Reader, HeapImage &Image);
 
 /// Writes the dictionary's site table (varint count + 32-bit hashes).
-void writeSiteTable(StreamWriter &Writer, const std::vector<SiteId> &Table);
+void writeSiteTable(ByteWriter &Writer, const std::vector<SiteId> &Table);
 
 /// Reads a site table; returns false on a malformed or oversized one.
-bool readSiteTable(StreamReader &Reader, std::vector<SiteId> &TableOut);
+bool readSiteTable(ByteReader &Reader, std::vector<SiteId> &TableOut);
 
-/// Writes one slot's contents as run records (varint run count, then per
-/// run: kind byte, varint length, repeated word or literal bytes).
-void writeSlotContents(StreamWriter &Writer, const HeapImage &Image,
-                       const SlotContents &Contents);
+/// Writes miniheap \p M's descriptor: size class, object size, base
+/// address, creation time and slot count.
+void writeMiniheapDescriptor(ByteWriter &Writer, const HeapImage &Image,
+                             uint32_t M);
 
-/// Reads one slot's contents runs into the current slot of \p Image;
-/// the total decoded length must be exactly \p ObjectSize.
-bool readSlotContents(StreamReader &Reader, HeapImage &Image,
-                      uint64_t ObjectSize, std::vector<uint8_t> &Scratch);
+/// Reads a miniheap descriptor and begins that miniheap in \p Image.
+/// Returns false on an out-of-bounds object size or slot count,
+/// including more slots than \p SlotBudget, which is decremented by the
+/// slots the miniheap declares — virgin-run records amplify (a dozen
+/// bytes expand to Count decoded slots), so the budget is what keeps a
+/// tiny forged body from materializing gigabytes of columns.
+bool readMiniheapDescriptor(ByteReader &Reader, HeapImage &Image,
+                            uint64_t &SlotBudget, uint64_t &ObjectSizeOut,
+                            uint64_t &NumSlotsOut);
 
-/// Writes the image body: miniheap count, then per-miniheap descriptors
-/// and slot records (virgin regions collapsed, metadata varint-packed,
-/// contents run-encoded).  Site references are indexes into \p Sites,
-/// which must already contain every site the image uses.
-void writeImageBody(StreamWriter &Writer, const HeapImage &Image,
-                    const SiteDictionary &Sites);
+/// True when slot \p Loc can join a virgin region run: never allocated,
+/// no recorded history, and contents a single repeated word (returned
+/// in \p WordOut).
+bool isVirginSlot(const HeapImage &Image, const ImageLocation &Loc,
+                  uint64_t &WordOut);
 
-/// Reads an image body, resolving site indexes through \p SiteTable.
-/// Returns false on malformed input, including out-of-range dictionary
-/// references; \p Image must be freshly constructed apart from its
-/// header fields.  \p SlotBudget bounds the slots this body may declare
-/// and is decremented by what it consumes — virgin-run records amplify
-/// (a dozen wire bytes expand to Count decoded slots), so the budget is
-/// what keeps a tiny forged body from materializing gigabytes of
-/// columns.  Single-image formats pass MaxTotalSlots; a bundle shares
-/// one budget across all its images, and the wire path shrinks it
-/// further (MaxWireSlots).
-bool readImageBody(StreamReader &Reader, HeapImage &Image,
-                   const std::vector<SiteId> &SiteTable,
-                   uint64_t &SlotBudget);
+/// Writes a plain slot record's tag (flags, HasMetaBit when any
+/// metadata is set) and varint metadata, site references as indexes
+/// into \p Sites.  The slot's contents runs follow, in the writing
+/// codec's own run encoding.
+void writePlainSlotRecord(ByteWriter &Writer, const HeapImage &Image,
+                          const ImageLocation &Loc,
+                          const SiteDictionary &Sites);
+
+/// Reads the metadata of a plain slot record whose tag byte \p Tag was
+/// already consumed, and appends the slot to \p Image, resolving site
+/// indexes through \p SiteTable.  Returns false on unknown tag bits,
+/// out-of-range dictionary references or oversized requested sizes.
+bool readPlainSlotRecord(ByteReader &Reader, uint8_t Tag, HeapImage &Image,
+                         const std::vector<SiteId> &SiteTable);
 
 } // namespace imagedetail
 } // namespace exterminator

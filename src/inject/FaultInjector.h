@@ -103,9 +103,6 @@ public:
   /// Whether the fault has fired this run.
   bool faultFired() const { return Fired; }
 
-  /// Allocation index observed so far (application clock).
-  uint64_t allocationCount() const { return AllocCount; }
-
   /// The pointer prematurely freed (PrematureFree) or the hardware
   /// victim cell's object start, for tests.
   const void *injectedVictim() const { return Victim; }

@@ -45,7 +45,7 @@ std::vector<uint8_t> exterminator::serializePatchSet(const PatchSet &Patches) {
       Writer.writeU64(Report.EvidenceRegions);
     }
   }
-  return Writer.buffer();
+  return Writer.take();
 }
 
 bool exterminator::deserializePatchSet(const std::vector<uint8_t> &Buffer,

@@ -2,6 +2,7 @@
 
 #include "support/Serializer.h"
 
+#include <cstdio>
 #include <cstring>
 
 #include <unistd.h>
@@ -25,47 +26,14 @@ void ByteWriter::writeF64(double Value) {
   writeU64(Bits);
 }
 
-/// Shared LEB128 encoder: returns the number of bytes written to \p Out
-/// (at most 10).
-static size_t encodeVarU64(uint64_t Value, uint8_t Out[10]) {
-  size_t Count = 0;
+void ByteWriter::writeVarU64(uint64_t Value) {
   do {
     uint8_t Byte = Value & 0x7f;
     Value >>= 7;
     if (Value)
       Byte |= 0x80;
-    Out[Count++] = Byte;
+    Buffer.push_back(Byte);
   } while (Value);
-  return Count;
-}
-
-/// Shared LEB128 decoder.  \p ReadByte returns the next byte or -1 on
-/// stream failure; \p Malformed is set on an overlong encoding: more
-/// than 10 bytes, or a tenth byte carrying bits past bit 63 — silently
-/// shifting those out would decode a corrupt field to a wrong value
-/// instead of failing.
-template <typename ReadByteFn>
-static uint64_t decodeVarU64(ReadByteFn &&ReadByte, bool &Malformed) {
-  uint64_t Value = 0;
-  for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-    const int Byte = ReadByte();
-    if (Byte < 0)
-      return 0;
-    if (Shift == 63 && (Byte & 0x7f) > 1) {
-      Malformed = true;
-      return 0;
-    }
-    Value |= uint64_t(Byte & 0x7f) << Shift;
-    if (!(Byte & 0x80))
-      return Value;
-  }
-  Malformed = true;
-  return 0;
-}
-
-void ByteWriter::writeVarU64(uint64_t Value) {
-  uint8_t Encoded[10];
-  writeBytes(Encoded, encodeVarU64(Value, Encoded));
 }
 
 void ByteWriter::writeBytes(const void *Data, size_t Size) {
@@ -76,11 +44,6 @@ void ByteWriter::writeBytes(const void *Data, size_t Size) {
 void ByteWriter::writeBlob(const std::vector<uint8_t> &Blob) {
   writeU64(Blob.size());
   writeBytes(Blob.data(), Blob.size());
-}
-
-void ByteWriter::writeString(const std::string &Str) {
-  writeU64(Str.size());
-  writeBytes(Str.data(), Str.size());
 }
 
 uint8_t ByteReader::readU8() {
@@ -114,209 +77,55 @@ double ByteReader::readF64() {
   return Value;
 }
 
+/// Rejects an overlong encoding: more than 10 bytes, or a tenth byte
+/// carrying bits past bit 63 — silently shifting those out would decode
+/// a corrupt field to a wrong value instead of failing.
 uint64_t ByteReader::readVarU64() {
-  bool Malformed = false;
-  const uint64_t Value = decodeVarU64(
-      [&]() -> int {
-        const uint8_t Byte = readU8();
-        return Failed ? -1 : Byte;
-      },
-      Malformed);
-  if (Malformed)
+  uint64_t Value = 0;
+  for (unsigned Shift = 0; Shift < 64; Shift += 7) {
+    const uint8_t Byte = readU8();
+    if (Failed)
+      return 0;
+    if (Shift == 63 && (Byte & 0x7f) > 1)
+      break;
+    Value |= uint64_t(Byte & 0x7f) << Shift;
+    if (!(Byte & 0x80))
+      return Value;
+  }
+  Failed = true;
+  return 0;
+}
+
+const uint8_t *ByteReader::readSpan(size_t Count) {
+  if (Failed || Count > Size - Offset) {
     Failed = true;
-  return Value;
+    return nullptr;
+  }
+  const uint8_t *Span = Data + Offset;
+  Offset += Count;
+  return Span;
 }
 
 bool ByteReader::readBytes(void *Out, size_t Count) {
-  if (Failed || Count > Size - Offset) {
-    Failed = true;
+  const uint8_t *Span = readSpan(Count);
+  // A zero-byte read may see a null buffer, and memcpy/memset with a
+  // null pointer are undefined even for zero bytes.
+  if (Count == 0)
+    return !Failed;
+  if (Failed) {
     std::memset(Out, 0, Count);
     return false;
   }
-  std::memcpy(Out, Data + Offset, Count);
-  Offset += Count;
+  std::memcpy(Out, Span, Count);
   return true;
 }
 
 std::vector<uint8_t> ByteReader::readBlob() {
-  uint64_t Count = readU64();
-  if (Failed || Count > Size - Offset) {
-    Failed = true;
-    return {};
-  }
-  std::vector<uint8_t> Blob(Data + Offset, Data + Offset + Count);
-  Offset += Count;
-  return Blob;
-}
-
-std::string ByteReader::readString() {
-  uint64_t Count = readU64();
-  if (Failed || Count > Size - Offset) {
-    Failed = true;
-    return {};
-  }
-  std::string Str(reinterpret_cast<const char *>(Data + Offset), Count);
-  Offset += Count;
-  return Str;
-}
-
-//===----------------------------------------------------------------------===//
-// Streaming layer
-//===----------------------------------------------------------------------===//
-
-ByteSink::~ByteSink() = default;
-ByteSource::~ByteSource() = default;
-
-bool VectorSink::write(const void *Data, size_t Size) {
-  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  Out.insert(Out.end(), Bytes, Bytes + Size);
-  return true;
-}
-
-FileSink::FileSink(const std::string &Path)
-    : File(std::fopen(Path.c_str(), "wb")) {}
-
-FileSink::~FileSink() { close(); }
-
-bool FileSink::write(const void *Data, size_t Size) {
-  if (!File)
-    return false;
-  if (std::fwrite(Data, 1, Size, File) != Size) {
-    WriteFailed = true;
-    return false;
-  }
-  return true;
-}
-
-bool FileSink::close() {
-  if (!File)
-    return !WriteFailed;
-  const bool Ok = std::fclose(File) == 0 && !WriteFailed;
-  File = nullptr;
-  WriteFailed = !Ok;
-  return Ok;
-}
-
-size_t MemorySource::read(void *Out, size_t Count) {
-  const size_t Take = Count < Size - Offset ? Count : Size - Offset;
-  // An empty buffer has a null Data, and memcpy from null is undefined
-  // even for zero bytes.
-  if (Take == 0)
-    return 0;
-  std::memcpy(Out, Data + Offset, Take);
-  Offset += Take;
-  return Take;
-}
-
-FileSource::FileSource(const std::string &Path)
-    : File(std::fopen(Path.c_str(), "rb")) {}
-
-FileSource::~FileSource() {
-  if (File)
-    std::fclose(File);
-}
-
-size_t FileSource::read(void *Out, size_t Size) {
-  if (!File)
-    return 0;
-  return std::fread(Out, 1, Size, File);
-}
-
-bool FileSource::exhausted() {
-  if (!File)
-    return true;
-  // Peek one byte: a successful read means trailing garbage.
-  uint8_t Byte;
-  if (std::fread(&Byte, 1, 1, File) == 1) {
-    std::ungetc(Byte, File);
-    return false;
-  }
-  return std::feof(File) != 0;
-}
-
-void StreamWriter::writeU32(uint32_t Value) {
-  uint8_t Raw[4];
-  for (int I = 0; I < 4; ++I)
-    Raw[I] = static_cast<uint8_t>(Value >> (8 * I));
-  writeBytes(Raw, 4);
-}
-
-void StreamWriter::writeU64(uint64_t Value) {
-  uint8_t Raw[8];
-  for (int I = 0; I < 8; ++I)
-    Raw[I] = static_cast<uint8_t>(Value >> (8 * I));
-  writeBytes(Raw, 8);
-}
-
-void StreamWriter::writeF64(double Value) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &Value, sizeof(Bits));
-  writeU64(Bits);
-}
-
-void StreamWriter::writeVarU64(uint64_t Value) {
-  uint8_t Encoded[10];
-  writeBytes(Encoded, encodeVarU64(Value, Encoded));
-}
-
-void StreamWriter::writeBytes(const void *Data, size_t Size) {
+  const uint64_t Count = readU64();
+  const uint8_t *Span = readSpan(Count);
   if (Failed)
-    return;
-  if (!Sink.write(Data, Size))
-    Failed = true;
-}
-
-uint8_t StreamReader::readU8() {
-  uint8_t Value = 0;
-  readBytes(&Value, 1);
-  return Value;
-}
-
-uint32_t StreamReader::readU32() {
-  uint8_t Raw[4] = {};
-  readBytes(Raw, 4);
-  uint32_t Value = 0;
-  for (int I = 3; I >= 0; --I)
-    Value = (Value << 8) | Raw[I];
-  return Value;
-}
-
-uint64_t StreamReader::readU64() {
-  uint8_t Raw[8] = {};
-  readBytes(Raw, 8);
-  uint64_t Value = 0;
-  for (int I = 7; I >= 0; --I)
-    Value = (Value << 8) | Raw[I];
-  return Value;
-}
-
-double StreamReader::readF64() {
-  uint64_t Bits = readU64();
-  double Value;
-  std::memcpy(&Value, &Bits, sizeof(Value));
-  return Value;
-}
-
-uint64_t StreamReader::readVarU64() {
-  bool Malformed = false;
-  const uint64_t Value = decodeVarU64(
-      [&]() -> int {
-        const uint8_t Byte = readU8();
-        return Failed ? -1 : Byte;
-      },
-      Malformed);
-  if (Malformed)
-    Failed = true;
-  return Value;
-}
-
-bool StreamReader::readBytes(void *Out, size_t Count) {
-  if (Failed || Source.read(Out, Count) != Count) {
-    Failed = true;
-    std::memset(Out, 0, Count);
-    return false;
-  }
-  return true;
+    return {};
+  return std::vector<uint8_t>(Span, Span + Count);
 }
 
 bool exterminator::writeFileBytes(const std::string &Path,

@@ -5,21 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Little-endian binary readers/writers used by heap images (§3.4) and
-/// runtime patch files (§6).  Readers are fail-soft: out-of-bounds reads
-/// set a sticky failure flag and return zeros, so callers can validate once
-/// at the end instead of after every field (no exceptions, per the LLVM
-/// coding standards).
-///
-/// Two layers:
-///
-///  * ByteWriter/ByteReader — in-memory buffers, used by the small formats
-///    (patch files, run summaries).
-///  * ByteSink/ByteSource + StreamWriter/StreamReader — streaming field
-///    codecs over an abstract byte stream, used by heap-image format v2 so
-///    multi-megabyte images serialize straight to disk without an
-///    intermediate buffer.  Both layers share the LEB128 varint encoding
-///    the columnar image format leans on.
+/// Little-endian binary readers/writers: the one field codec every
+/// serialized artifact uses — heap images and bundles (§3.4), runtime
+/// patch files (§6), run summaries, server state and every wire payload.
+/// Each artifact encodes into a ByteWriter buffer and decodes from a
+/// ByteReader over the bytes it already holds; files are written whole
+/// with writeFileBytes and read whole with readFileBytes.  Readers are
+/// fail-soft: out-of-bounds reads set a sticky failure flag and return
+/// zeros, so callers can validate once at the end instead of after every
+/// field (no exceptions, per the LLVM coding standards).  Both sides
+/// share the LEB128 varint encoding the columnar image format leans on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +23,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace exterminator {
@@ -46,10 +41,11 @@ public:
   void writeBytes(const void *Data, size_t Size);
   /// Length-prefixed byte string.
   void writeBlob(const std::vector<uint8_t> &Blob);
-  void writeString(const std::string &Str);
 
   const std::vector<uint8_t> &buffer() const { return Buffer; }
   size_t size() const { return Buffer.size(); }
+  /// Moves the encoded bytes out, leaving the writer empty.
+  std::vector<uint8_t> take() { return std::move(Buffer); }
 
 private:
   std::vector<uint8_t> Buffer;
@@ -68,8 +64,11 @@ public:
   double readF64();
   uint64_t readVarU64();
   bool readBytes(void *Out, size_t Count);
+  /// Consumes \p Count bytes and returns where they start in the buffer
+  /// — no copy.  Check failed() afterwards: fewer than \p Count bytes
+  /// left fails the reader.
+  const uint8_t *readSpan(size_t Count);
   std::vector<uint8_t> readBlob();
-  std::string readString();
 
   /// True if any read ran past the end of the buffer.
   bool failed() const { return Failed; }
@@ -81,122 +80,6 @@ private:
   const uint8_t *Data;
   size_t Size;
   size_t Offset = 0;
-  bool Failed = false;
-};
-
-//===----------------------------------------------------------------------===//
-// Streaming layer
-//===----------------------------------------------------------------------===//
-
-/// Abstract byte destination for streaming serialization.
-class ByteSink {
-public:
-  virtual ~ByteSink();
-  /// Returns false on write failure (sticky in StreamWriter).
-  virtual bool write(const void *Data, size_t Size) = 0;
-};
-
-/// Appends to a caller-owned byte vector.
-class VectorSink : public ByteSink {
-public:
-  explicit VectorSink(std::vector<uint8_t> &Out) : Out(Out) {}
-  bool write(const void *Data, size_t Size) override;
-
-private:
-  std::vector<uint8_t> &Out;
-};
-
-/// Buffered writes to a file; the destructor closes.  Check ok() (or
-/// close()'s return) — buffered bytes flush on close.
-class FileSink : public ByteSink {
-public:
-  explicit FileSink(const std::string &Path);
-  ~FileSink() override;
-  bool write(const void *Data, size_t Size) override;
-  /// Flushes and closes; returns false if anything failed.
-  bool close();
-  bool ok() const { return File != nullptr; }
-
-private:
-  std::FILE *File = nullptr;
-  bool WriteFailed = false;
-};
-
-/// Abstract byte origin for streaming deserialization.
-class ByteSource {
-public:
-  virtual ~ByteSource();
-  /// Reads up to \p Size bytes; returns the count actually read (short
-  /// reads only at end of stream).
-  virtual size_t read(void *Out, size_t Size) = 0;
-};
-
-/// Reads from a caller-owned memory range.
-class MemorySource : public ByteSource {
-public:
-  MemorySource(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-  explicit MemorySource(const std::vector<uint8_t> &Buffer)
-      : Data(Buffer.data()), Size(Buffer.size()) {}
-  size_t read(void *Out, size_t Size) override;
-  /// Bytes not yet consumed (the streaming analogue of ByteReader::atEnd).
-  size_t remaining() const { return Size - Offset; }
-
-private:
-  const uint8_t *Data;
-  size_t Size;
-  size_t Offset = 0;
-};
-
-/// Buffered reads from a file; the destructor closes.
-class FileSource : public ByteSource {
-public:
-  explicit FileSource(const std::string &Path);
-  ~FileSource() override;
-  size_t read(void *Out, size_t Size) override;
-  bool ok() const { return File != nullptr; }
-  /// True once the underlying file is exhausted and the buffer drained.
-  bool exhausted();
-
-private:
-  std::FILE *File = nullptr;
-};
-
-/// Little-endian field encoder over any ByteSink with sticky failure.
-class StreamWriter {
-public:
-  explicit StreamWriter(ByteSink &Sink) : Sink(Sink) {}
-
-  void writeU8(uint8_t Value) { writeBytes(&Value, 1); }
-  void writeU32(uint32_t Value);
-  void writeU64(uint64_t Value);
-  void writeF64(double Value);
-  void writeVarU64(uint64_t Value);
-  void writeBytes(const void *Data, size_t Size);
-
-  /// True if any write failed.
-  bool failed() const { return Failed; }
-
-private:
-  ByteSink &Sink;
-  bool Failed = false;
-};
-
-/// Little-endian field decoder over any ByteSource with sticky failure.
-class StreamReader {
-public:
-  explicit StreamReader(ByteSource &Source) : Source(Source) {}
-
-  uint8_t readU8();
-  uint32_t readU32();
-  uint64_t readU64();
-  double readF64();
-  uint64_t readVarU64();
-  bool readBytes(void *Out, size_t Count);
-
-  bool failed() const { return Failed; }
-
-private:
-  ByteSource &Source;
   bool Failed = false;
 };
 

@@ -55,5 +55,3 @@ double RunningStat::variance() const {
     return 0.0;
   return M2 / static_cast<double>(Count - 1);
 }
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }

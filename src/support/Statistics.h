@@ -37,7 +37,6 @@ public:
   double mean() const { return Count ? Mean : 0.0; }
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   double variance() const;
-  double stddev() const;
   double min() const { return Min; }
   double max() const { return Max; }
 

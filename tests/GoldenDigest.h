@@ -19,6 +19,10 @@
 /// differs between two runs of the same seeded workload while every
 /// other field is identical.
 ///
+/// Serialized bytes (heap-image and bundle files, wire payloads) carry
+/// BaseAddress, so their digests are taken over rebasedImage copies
+/// whose miniheaps sit at fixed addresses.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXTERMINATOR_TESTS_GOLDENDIGEST_H
@@ -106,6 +110,48 @@ inline void digestImage(Fnv1a &H, const HeapImage &Image) {
     H.u64(Image.slotFirstRun(G));
   H.u64(Image.pool().size());
   H.bytes(Image.pool());
+}
+
+/// A copy of \p Image whose miniheap M has BaseAddress
+/// FixedBase + M * 1 MiB; every other field, run and pool byte is
+/// rebuilt unchanged.
+inline HeapImage rebasedImage(const HeapImage &Image,
+                              uint64_t FixedBase = uint64_t(1) << 32) {
+  HeapImage Out;
+  Out.AllocationTime = Image.AllocationTime;
+  Out.CanaryValue = Image.CanaryValue;
+  Out.CanaryFillProbability = Image.CanaryFillProbability;
+  Out.Multiplier = Image.Multiplier;
+  Out.HeapSeed = Image.HeapSeed;
+  for (uint32_t M = 0; M < Image.miniheapCount(); ++M) {
+    const ImageMiniheapInfo &Mini = Image.miniheapInfo(M);
+    Out.beginMiniheap(Mini.SizeClassIndex, Mini.ObjectSize,
+                      FixedBase + uint64_t(M) * (uint64_t(1) << 20),
+                      Mini.CreationTime);
+    for (uint32_t S = 0; S < Mini.NumSlots; ++S) {
+      const ImageLocation Loc{M, S};
+      Out.addSlot(Image.slotFlags(Loc), Image.objectId(Loc),
+                  Image.freeTime(Loc), Image.allocSite(Loc),
+                  Image.freeSite(Loc), Image.requestedSize(Loc));
+      const SlotContents Contents = Image.contents(Loc);
+      for (size_t R = 0; R < Contents.runCount(); ++R) {
+        const ContentsRun &Run = Contents.run(R);
+        if (Run.RunKind == ContentsRun::Pattern)
+          Out.addPatternRun(Run.Word, Run.Length);
+        else
+          Out.addLiteralRun(Image.pool().data() + Run.PoolOffset, Run.Length);
+      }
+    }
+  }
+  return Out;
+}
+
+inline std::vector<HeapImage>
+rebasedImages(const std::vector<HeapImage> &Images) {
+  std::vector<HeapImage> Out;
+  for (const HeapImage &Image : Images)
+    Out.push_back(rebasedImage(Image));
+  return Out;
 }
 
 inline uint64_t imageDigest(const HeapImage &Image) {

@@ -3,13 +3,12 @@
 // Covers the PR 10 codec layer: the LZ block codec and its envelope
 // (round trips, incompressibility, and the adversarial-input taxonomy —
 // declared-size bombs, truncation sweeps, corrupt back-references), the
-// codec-wrapped stream stages, and the delta-encoded image bundles with
-// the bundle-ratio pin on replicated espresso dumps.
+// block stream of the bundle file container, and the delta-encoded image
+// bundles with the bundle-ratio pin on replicated espresso dumps.
 //
 //===----------------------------------------------------------------------===//
 
 #include "codec/BlockCodec.h"
-#include "codec/CodecStream.h"
 #include "codec/DeltaCodec.h"
 
 #include "TestHelpers.h"
@@ -217,90 +216,96 @@ TEST(CodecEnvelope, StatsCountCompressionTraffic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Codec stream stages
+// Codec stream
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+std::vector<uint8_t> codecStream(const std::vector<uint8_t> &Raw) {
+  ByteWriter Writer;
+  encodeCodecStream(Raw.data(), Raw.size(), Writer);
+  return Writer.take();
+}
+
+} // namespace
 
 TEST(CodecStream, RoundTripsMultiBlockStream) {
   // Larger than CodecStreamBlockCap so the stream carries several
-  // blocks, written in awkward chunk sizes.
+  // blocks: a full one and a partial one, then the terminator.
   const std::vector<uint8_t> Raw = structuredBytes(3 * CodecStreamBlockCap / 2);
-  std::vector<uint8_t> Stream;
-  {
-    VectorSink Sink(Stream);
-    CompressingSink Compressor(Sink);
-    size_t Offset = 0, Chunk = 1;
-    while (Offset < Raw.size()) {
-      const size_t N = std::min(Chunk, Raw.size() - Offset);
-      ASSERT_TRUE(Compressor.write(Raw.data() + Offset, N));
-      Offset += N;
-      Chunk = Chunk * 3 + 1;
-    }
-    ASSERT_TRUE(Compressor.finish());
-  }
+  const std::vector<uint8_t> Stream = codecStream(Raw);
   ASSERT_LT(Stream.size(), Raw.size());
+  ByteReader Header(Stream);
+  EXPECT_EQ(Header.readVarU64(), CodecStreamBlockCap);
 
-  MemorySource Source(Stream);
-  DecompressingSource Decompressor(Source);
-  std::vector<uint8_t> Back(Raw.size());
-  size_t Got = 0;
-  while (Got < Back.size()) {
-    const size_t N = Decompressor.read(Back.data() + Got, 4096);
-    if (N == 0)
-      break;
-    Got += N;
-  }
-  ASSERT_EQ(Got, Raw.size());
+  ByteReader Reader(Stream);
+  std::vector<uint8_t> Back;
+  ASSERT_TRUE(decodeCodecStream(Reader, Back, Raw.size()));
   EXPECT_EQ(Back, Raw);
-  EXPECT_TRUE(Decompressor.finished());
-  EXPECT_EQ(Decompressor.read(Back.data(), 1), 0u); // terminator consumed
+  EXPECT_TRUE(Reader.atEnd()); // terminator consumed, nothing more
+
+  // An empty input is the terminator alone.
+  const std::vector<uint8_t> Empty = codecStream({});
+  EXPECT_EQ(Empty, std::vector<uint8_t>{0});
+  ByteReader EmptyReader(Empty);
+  ASSERT_TRUE(decodeCodecStream(EmptyReader, Back, 0));
+  EXPECT_TRUE(Back.empty());
+}
+
+TEST(CodecStream, StoresIncompressibleBlocksRaw) {
+  const std::vector<uint8_t> Raw = randomBytes(CodecStreamBlockCap + 100, 5);
+  const std::vector<uint8_t> Stream = codecStream(Raw);
+  ByteReader Reader(Stream);
+  EXPECT_EQ(Reader.readVarU64(), CodecStreamBlockCap);
+  EXPECT_EQ(Reader.readVarU64(), 0u); // stored: raw bytes follow
+  ByteReader Decode(Stream);
+  std::vector<uint8_t> Back;
+  ASSERT_TRUE(decodeCodecStream(Decode, Back, Raw.size()));
+  EXPECT_EQ(Back, Raw);
 }
 
 TEST(CodecStream, RejectsTruncationEverywhere) {
   const std::vector<uint8_t> Raw = structuredBytes(CodecStreamBlockCap + 100);
-  std::vector<uint8_t> Stream;
-  {
-    VectorSink Sink(Stream);
-    CompressingSink Compressor(Sink);
-    ASSERT_TRUE(Compressor.write(Raw.data(), Raw.size()));
-    ASSERT_TRUE(Compressor.finish());
-  }
-  // Every proper prefix must end in failed() or a short stream — never a
-  // clean finish with wrong bytes, never a crash.
+  const std::vector<uint8_t> Stream = codecStream(Raw);
+  // Every proper prefix lacks the terminator at least, so none may
+  // decode — and none may crash.
   for (size_t Cut = 0; Cut < Stream.size(); Cut += 997) {
-    MemorySource Source(Stream.data(), Cut);
-    DecompressingSource Decompressor(Source);
-    std::vector<uint8_t> Back(Raw.size());
-    size_t Got = 0;
-    for (;;) {
-      const size_t N = Decompressor.read(Back.data() + Got,
-                                         std::min<size_t>(4096, Raw.size() - Got));
-      if (N == 0)
-        break;
-      Got += N;
-      if (Got == Raw.size())
-        break;
-    }
-    EXPECT_TRUE(Decompressor.failed() || Got < Raw.size() ||
-                !Decompressor.finished())
+    ByteReader Reader(Stream.data(), Cut);
+    std::vector<uint8_t> Back;
+    EXPECT_FALSE(decodeCodecStream(Reader, Back, Raw.size()))
         << "clean decode from truncation at " << Cut;
   }
+  ByteReader Reader(Stream.data(), Stream.size() - 1);
+  std::vector<uint8_t> Back;
+  EXPECT_FALSE(decodeCodecStream(Reader, Back, Raw.size()));
 }
 
 TEST(CodecStream, RejectsOversizedDeclaredBlock) {
   // A stream whose first block declares more raw bytes than the cap
   // must fail before allocating that much.
-  std::vector<uint8_t> Stream;
-  {
-    VectorSink Sink(Stream);
-    StreamWriter Writer(Sink);
-    Writer.writeVarU64(uint64_t(CodecStreamBlockCap) * 16); // bomb
-    Writer.writeVarU64(0);                                  // "stored"
-  }
-  MemorySource Source(Stream);
-  DecompressingSource Decompressor(Source);
-  uint8_t Byte;
-  EXPECT_EQ(Decompressor.read(&Byte, 1), 0u);
-  EXPECT_TRUE(Decompressor.failed());
+  ByteWriter Writer;
+  Writer.writeVarU64(uint64_t(CodecStreamBlockCap) * 16); // bomb
+  Writer.writeVarU64(0);                                  // "stored"
+  ByteReader Reader(Writer.buffer());
+  std::vector<uint8_t> Back;
+  EXPECT_FALSE(decodeCodecStream(Reader, Back, ~uint64_t(0)));
+  EXPECT_EQ(Back.capacity(), 0u);
+}
+
+TEST(CodecStream, RejectsRunningTotalPastBudgetBeforeDecoding) {
+  // Three blocks, each within the cap: the decode budget bounds their
+  // sum, checked over every header before anything is decompressed.
+  const std::vector<uint8_t> Raw = structuredBytes(5 * CodecStreamBlockCap / 2);
+  const std::vector<uint8_t> Stream = codecStream(Raw);
+  const CodecStatsSnapshot Before = codecStats();
+  ByteReader Reader(Stream);
+  std::vector<uint8_t> Back;
+  EXPECT_FALSE(decodeCodecStream(Reader, Back, Raw.size() - 1));
+  EXPECT_EQ(Back.capacity(), 0u);
+  EXPECT_EQ(codecStats().DecompressCalls, Before.DecompressCalls);
+  ByteReader Exact(Stream);
+  ASSERT_TRUE(decodeCodecStream(Exact, Back, Raw.size()));
+  EXPECT_EQ(Back, Raw);
 }
 
 //===----------------------------------------------------------------------===//
@@ -416,5 +421,31 @@ TEST(BundleContainer, BareBundleFilesAreRefused) {
   const std::string Path = ::testing::TempDir() + "/codec_bare.xib";
   ASSERT_TRUE(writeFileBytes(Path, Bare));
   EXPECT_FALSE(loadImageBundle(Path, Back));
+  std::remove(Path.c_str());
+}
+
+TEST(BundleContainer, RefusesStreamDeclaringMoreThanTheFileBound) {
+  // loadImageBundle holds the whole decoded stream, so the raw total the
+  // block headers declare is checked against MaxBundleFileRawBytes
+  // before anything is decompressed.  A CodecStreamBlockCap block of
+  // zeros compresses to about a kilobyte; one more of them than the
+  // bound admits makes a ~8 MB file declaring just over 2 GiB.
+  const std::vector<uint8_t> ZeroBlock =
+      codecStream(std::vector<uint8_t>(CodecStreamBlockCap, 0));
+  const uint64_t Blocks = MaxBundleFileRawBytes / CodecStreamBlockCap + 1;
+  ByteWriter Writer;
+  Writer.writeU32(CompressedBundleMagic);
+  for (uint64_t I = 0; I < Blocks; ++I)
+    Writer.writeBytes(ZeroBlock.data(), ZeroBlock.size() - 1); // no terminator
+  Writer.writeVarU64(0);
+  const std::string Path = ::testing::TempDir() + "/codec_bound.xib";
+  ASSERT_TRUE(writeFileBytes(Path, Writer.buffer()));
+
+  const CodecStatsSnapshot Before = codecStats();
+  std::vector<HeapImage> Back;
+  EXPECT_FALSE(loadImageBundle(Path, Back));
+  const CodecStatsSnapshot After = codecStats();
+  EXPECT_EQ(After.DecompressCalls, Before.DecompressCalls);
+  EXPECT_EQ(After.RejectedBlocks, Before.RejectedBlocks + 1);
   std::remove(Path.c_str());
 }

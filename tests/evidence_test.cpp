@@ -5,7 +5,8 @@
 // heaps, the run decomposition of the slot encoder, and the patch sets
 // §4 isolation and the diagnosis pipeline derive, each hashed and
 // compared with a committed constant under every canary kernel the host
-// supports.
+// supports.  The serialized bytes of those captures — v2 image files,
+// bundles, bundle files and every wire payload — are pinned the same way.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,8 @@
 
 #include "diagnose/DiagnosisPipeline.h"
 #include "diefast/Canary.h"
+#include "exchange/WireProtocol.h"
+#include "heapimage/ImageBundle.h"
 #include "patch/PatchIO.h"
 #include "runtime/LiveRun.h"
 #include "support/RandomGenerator.h"
@@ -349,4 +352,190 @@ TEST(EvidencePath, PipelineDerivesGoldenPatchSetAndEpoch) {
   const std::vector<uint8_t> Bytes = serializePatchSet(Pipeline.patches());
   EXPECT_EQ(fnv1a64(Bytes), 0x2a868af25ad30b81ull);
   EXPECT_EQ(Bytes.size(), 52u);
+}
+
+//===----------------------------------------------------------------------===//
+// Serialized bytes
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One serialized artifact and the FNV-1a-64 digest and size its bytes
+/// had when the constants were recorded.
+struct BytesGolden {
+  std::string Name;
+  std::vector<uint8_t> Bytes;
+  uint64_t Digest;
+  size_t Size;
+};
+
+void expectGoldenBytes(const std::vector<BytesGolden> &Cases) {
+  for (const BytesGolden &Case : Cases) {
+    const uint64_t Digest = fnv1a64(Case.Bytes);
+    EXPECT_EQ(Digest, Case.Digest)
+        << Case.Name << ": 0x" << std::hex << Digest;
+    EXPECT_EQ(Case.Bytes.size(), Case.Size) << Case.Name;
+  }
+}
+
+std::vector<uint8_t> fileBytes(const std::string &Path) {
+  std::vector<uint8_t> Bytes;
+  EXPECT_TRUE(readFileBytes(Path, Bytes)) << Path;
+  return Bytes;
+}
+
+/// The capture fixtures' images at fixed slab addresses, by name.
+std::vector<HeapImage> fixtureImages(const char *Name) {
+  for (CaptureFixture &Fixture : captureFixtures())
+    if (std::strcmp(Fixture.Name, Name) == 0)
+      return rebasedImages(captureAll(Fixture.Runs));
+  ADD_FAILURE() << "no fixture " << Name;
+  return {};
+}
+
+} // namespace
+
+TEST(EvidencePath, HeapImageBytesMatchGoldenDigests) {
+  const std::pair<const char *, std::pair<uint64_t, size_t>> Goldens[] = {
+      {"scripted-overflow", {0xb44a8964712655b7ull, 3786}},
+      {"scripted-dangling", {0xd6630903575d71f4ull, 2215}},
+      {"squid", {0xf3466806df2f6c0full, 1290}},
+      {"espresso", {0x0a990c7df26f7853ull, 8986}},
+  };
+  std::vector<BytesGolden> Cases;
+  for (const auto &[Name, Golden] : Goldens) {
+    std::vector<uint8_t> Bytes;
+    for (const HeapImage &Image : fixtureImages(Name)) {
+      const std::vector<uint8_t> One = serializeHeapImage(Image);
+      Bytes.insert(Bytes.end(), One.begin(), One.end());
+    }
+    Cases.push_back({Name, std::move(Bytes), Golden.first, Golden.second});
+  }
+  // A saved file holds exactly the serialized bytes.
+  const HeapImage Image = fixtureImages("scripted-overflow").front();
+  const std::string Path = ::testing::TempDir() + "/golden_image.xhi";
+  ASSERT_TRUE(saveHeapImage(Image, Path));
+  Cases.push_back({"scripted-overflow run0.xhi", fileBytes(Path),
+                   0x226839a9ba2556edull, 1259});
+  expectGoldenBytes(Cases);
+}
+
+TEST(EvidencePath, BundleBytesMatchGoldenDigests) {
+  // The scripted-overflow bundle's members use full and metadata
+  // references, and its bodies CanaryRun, virgin-run, pattern and
+  // literal records.
+  const std::vector<HeapImage> Overflow = fixtureImages("scripted-overflow");
+  const std::vector<HeapImage> Dangling = fixtureImages("scripted-dangling");
+  // Two programs' images in one bundle: the squid base shares no slot
+  // metadata with the espresso members, so every member is encoded in
+  // full and the raw stream spans three 256 KiB container blocks.
+  std::vector<HeapImage> Mixed = fixtureImages("squid");
+  const HeapImage Espresso = fixtureImages("espresso").front();
+  Mixed.resize(1 + 100, Espresso);
+  ASSERT_GT(serializeImageBundle(Mixed).size(), size_t(512) * 1024);
+
+  std::vector<BytesGolden> Cases;
+  Cases.push_back({"overflow bundle", serializeImageBundle(Overflow),
+                   0x3cff5762de083128ull, 1753});
+  Cases.push_back({"dangling bundle", serializeImageBundle(Dangling),
+                   0xf4772161fd8f4b8dull, 1354});
+  Cases.push_back({"mixed bundle", serializeImageBundle(Mixed),
+                   0x6131a241024069f9ull, 560907});
+  // `xtermtool record`'s evidence.xib, and the multi-block container.
+  const std::string Record = ::testing::TempDir() + "/golden_record.xib";
+  ASSERT_TRUE(saveImageBundle(rebasedImages(scriptedEvidenceImages(3, 9)),
+                              Record));
+  Cases.push_back({"record evidence.xib", fileBytes(Record),
+                   0x447b7d596c308061ull, 926});
+  const std::string Large = ::testing::TempDir() + "/golden_mixed.xib";
+  ASSERT_TRUE(saveImageBundle(Mixed, Large));
+  Cases.push_back({"mixed .xib", fileBytes(Large), 0x1e72d5b401cfa318ull,
+                   11784});
+  expectGoldenBytes(Cases);
+}
+
+TEST(EvidencePath, WirePayloadBytesMatchGoldenDigests) {
+  const std::vector<HeapImage> Overflow = fixtureImages("scripted-overflow");
+  const ImageEvidence Evidence{Overflow, fixtureImages("scripted-dangling")};
+  const DiagnosisPipeline Scratch;
+  const RunSummary Summary = Scratch.summarize(Overflow.front(), true);
+  PatchSet Patches;
+  Patches.addPad(0xabc, 24);
+  Patches.addFrontPad(0xdef, 16);
+  Patches.addDeferral(0x123, 0x456, 512);
+  Patches.addHardwareReport(0x7f0000001000ull, 0x3, 4);
+
+  ImagesReply Images;
+  Images.Instance = 0x1122334455667788ull;
+  Images.Epoch = 7;
+  Images.OverflowFindings = 2;
+  Images.DanglingFindings = 300;
+
+  SummaryReply Summaries;
+  Summaries.Instance = 0x0102030405060708ull;
+  Summaries.Epoch = 9;
+  CumulativeOverflowFinding Overflowing;
+  Overflowing.AllocSite = 0xabc;
+  Overflowing.LogBayesFactor = 3.5;
+  Overflowing.LogThreshold = 1.25;
+  Overflowing.PadBytes = 24;
+  Overflowing.TrialCount = 7;
+  Overflowing.ObservedCount = 6;
+  Summaries.Diagnosis.Overflows.push_back(Overflowing);
+  CumulativeDanglingFinding Dangling;
+  Dangling.AllocSite = 0x123;
+  Dangling.FreeSite = 0x456;
+  Dangling.LogBayesFactor = -0.75;
+  Dangling.LogThreshold = 2.0;
+  Dangling.DeferralTicks = 512;
+  Dangling.TrialCount = 4;
+  Dangling.ObservedCount = 4;
+  Summaries.Diagnosis.Danglings.push_back(Dangling);
+
+  PatchesReply Modified;
+  Modified.Instance = 0xfeedull;
+  Modified.Epoch = 3;
+  Modified.Modified = true;
+  Modified.Patches = Patches;
+  PatchesReply Unmodified = Modified;
+  Unmodified.Modified = false;
+
+  StatsReply Samples;
+  Samples.Instance = 5;
+  Samples.Epoch = 6;
+  Samples.Format = StatsFormat::Samples;
+  Samples.Samples.push_back({"xterm_ingest_images_total", "", 12.0,
+                             SampleKind::Counter});
+  Samples.Samples.push_back(
+      {"xterm_active_patches", "kind=\"pad\"", 1.0, SampleKind::Gauge});
+  StatsReply Text;
+  Text.Instance = 5;
+  Text.Epoch = 6;
+  Text.Format = StatsFormat::Text;
+  Text.Text = "xterm_active_patches{kind=\"pad\"} 1\n";
+
+  expectGoldenBytes({
+      {"SubmitImages", encodeSubmitImages(Evidence), 0xb77da71cc86868ccull,
+       3107},
+      {"SubmitSummary",
+       encodeSubmitSummary(Summary, 3, 0xdeadbeefcafef00dull),
+       0x64bf0baf2cedeb4cull, 99},
+      {"FetchPatches", encodeFetchPatches(41, 0x0a0b0c0d0e0f1011ull),
+       0x5c5d1f8ea75a919cull, 16},
+      {"StatsRequest", encodeStatsRequest(StatsFormat::Text),
+       0xaf63bc4c8601b62cull, 1},
+      {"SubmitImagesReply", encodeImagesReply(Images), 0xdb942ecf809e2d82ull,
+       19},
+      {"SubmitSummaryReply", encodeSummaryReply(Summaries),
+       0x41f2932a4c7f6565ull, 90},
+      {"PatchesReply modified", encodePatchesReply(Modified),
+       0x9e24aa64769f090full, 106},
+      {"PatchesReply unmodified", encodePatchesReply(Unmodified),
+       0x00f519b2465c6f93ull, 17},
+      {"ErrorReply", encodeErrorReply("oversized declared expansion"),
+       0xd13cf21e391336a7ull, 29},
+      {"StatsReply samples", encodeStatsReply(Samples), 0x047c1d17172eebdcull,
+       95},
+      {"StatsReply text", encodeStatsReply(Text), 0x2fcb517040c73b5dull, 53},
+  });
 }

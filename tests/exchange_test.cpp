@@ -640,16 +640,14 @@ void expectErrorReply(const std::vector<uint8_t> &Response,
 /// and the raw payload with no envelope — as a pre-v4 peer sends it.
 std::vector<uint8_t> legacyV3Frame(MessageType Type,
                                    const std::vector<uint8_t> &Payload) {
-  std::vector<uint8_t> Out;
-  VectorSink Sink(Out);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU32(FrameMagic);
   Writer.writeU8(3);
   Writer.writeU8(static_cast<uint8_t>(Type));
   Writer.writeU32(static_cast<uint32_t>(Payload.size()));
   Writer.writeBytes(Payload.data(), Payload.size());
   Writer.writeU32(frameChecksum(Payload.data(), Payload.size()));
-  return Out;
+  return Writer.take();
 }
 
 } // namespace
@@ -722,8 +720,7 @@ TEST(PatchExchange, RejectsMalformedBundlePayload) {
   // out-of-range dictionary reference (built like the ImageBundle test).
   std::vector<uint8_t> Bundle;
   {
-    VectorSink Sink(Bundle);
-    StreamWriter Writer(Sink);
+    ByteWriter Writer;
     Writer.writeU32(0x58494231);
     Writer.writeU32(ImageBundleFormatV2);
     Writer.writeVarU64(1);
@@ -750,6 +747,7 @@ TEST(PatchExchange, RejectsMalformedBundlePayload) {
     Writer.writeU8(1);
     Writer.writeVarU64(16);
     Writer.writeU64(0);
+    Bundle = Writer.take();
   }
   expectRejectedThenAlive(Server,
                           encodeFrame(MessageType::SubmitImages, Bundle));
@@ -763,8 +761,7 @@ TEST(PatchExchange, RejectsSlotAmplificationBomb) {
   PatchServer Server;
   std::vector<uint8_t> Bundle;
   {
-    VectorSink Sink(Bundle);
-    StreamWriter Writer(Sink);
+    ByteWriter Writer;
     Writer.writeU32(0x58494231);          // magic
     Writer.writeU32(ImageBundleFormatV2); // bundle version
     Writer.writeVarU64(1);       // one image
@@ -784,6 +781,7 @@ TEST(PatchExchange, RejectsSlotAmplificationBomb) {
     Writer.writeU8(0xff);                 // virgin-run tag
     Writer.writeVarU64(MaxWireSlots + 8);
     Writer.writeU64(0);
+    Bundle = Writer.take();
   }
   expectRejectedThenAlive(Server,
                           encodeFrame(MessageType::SubmitImages, Bundle));
@@ -805,9 +803,7 @@ namespace {
 /// runs of one word each.
 std::vector<uint8_t> fullReferencePayload(bool Literal, uint64_t Refs) {
   constexpr uint64_t SlotBytes = 64 * 1024;
-  std::vector<uint8_t> Payload;
-  VectorSink Sink(Payload);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU32(0x58494231); // "XIB1"
   Writer.writeU32(ImageBundleFormatV2);
   Writer.writeVarU64(2); // base + member
@@ -854,10 +850,8 @@ std::vector<uint8_t> fullReferencePayload(bool Literal, uint64_t Refs) {
       }
     }
   }
-  EXPECT_FALSE(Writer.failed());
-  const std::vector<uint8_t> Fallback = serializeImageBundle({});
-  Payload.insert(Payload.end(), Fallback.begin(), Fallback.end());
-  return Payload;
+  serializeImageBundle({}, Writer); // the empty fallback bundle
+  return Writer.take();
 }
 
 } // namespace
@@ -978,28 +972,24 @@ std::vector<uint8_t> compressiblePayload(size_t Size) {
 /// compressed-frame sender.
 std::vector<uint8_t> forgedV4Frame(MessageType Type,
                                    const std::vector<uint8_t> &Envelope) {
-  std::vector<uint8_t> Out;
-  VectorSink Sink(Out);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU32(FrameMagic);
   Writer.writeU8(ProtocolVersion);
   Writer.writeU8(static_cast<uint8_t>(Type));
   Writer.writeU32(static_cast<uint32_t>(Envelope.size()));
   Writer.writeBytes(Envelope.data(), Envelope.size());
   Writer.writeU32(frameChecksum(Envelope.data(), Envelope.size()));
-  return Out;
+  return Writer.take();
 }
 
 /// An envelope declaring an expansion past the frame budget: the
 /// compression bomb every decoder must reject before allocating.
 std::vector<uint8_t> bombEnvelope() {
-  std::vector<uint8_t> Envelope;
-  VectorSink Sink(Envelope);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU8(PayloadEncodingLz);
   Writer.writeVarU64(uint64_t(MaxFramePayload) + 1);
   Writer.writeU8(0x00); // token bytes; never reached
-  return Envelope;
+  return Writer.take();
 }
 
 } // namespace

@@ -2,8 +2,9 @@
 //
 // Covers the columnar format-v2 heap image: capture, run-encoded
 // contents, the HeapImageView lookups, v2 round-trips, refusal of the
-// removed v1 layout and of malformed input, and the image-size reduction
-// the columnar layout exists for.
+// removed v1 layout and of malformed input, the image-size reduction
+// the columnar layout exists for, and image and bundle saves that fail
+// part-way leaving the old file intact.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,14 +17,24 @@
 #include "runtime/Exterminator.h"
 #include "workload/EspressoWorkload.h"
 #include "workload/SquidWorkload.h"
+#include "workload/ScriptedBugs.h"
 #include "workload/TraceWorkload.h"
+
+#include "GoldenDigest.h"
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 using namespace exterminator;
+using exterminator::testing_support::imageDigest;
+using exterminator::testing_support::imagesDigest;
 
 namespace {
 
@@ -267,6 +278,31 @@ TEST(HeapImageIO, V2RoundTripOnRandomizedImages) {
   }
 }
 
+TEST(HeapImageIO, EachMetadataFieldAloneRoundTrips) {
+  // Captured slots set the object id whenever they set any other field,
+  // so only a built image has a slot whose one recorded field is, say,
+  // its requested size.  Each must still get a metadata record, in the
+  // v2 image and in both bundle bodies (base and member).
+  HeapImage Image;
+  Image.beginMiniheap(1, 16, 0x100000, 2);
+  const uint32_t Fields[][5] = {{7, 0, 0, 0, 0}, {0, 9, 0, 0, 0},
+                                {0, 0, 0x101, 0, 0}, {0, 0, 0, 0x202, 0},
+                                {0, 0, 0, 0, 12}};
+  for (const uint32_t *F : Fields) {
+    Image.addSlot(0, F[0], F[1], F[2], F[3], F[4]);
+    Image.addPatternRun(0, 16);
+  }
+  HeapImage Back;
+  ASSERT_TRUE(deserializeHeapImage(serializeHeapImage(Image), Back));
+  EXPECT_TRUE(Back == Image);
+  std::vector<HeapImage> Bundle;
+  ASSERT_TRUE(deserializeImageBundle(serializeImageBundle({Image, Image}),
+                                     Bundle));
+  ASSERT_EQ(Bundle.size(), 2u);
+  EXPECT_TRUE(Bundle[0] == Image);
+  EXPECT_TRUE(Bundle[1] == Image);
+}
+
 //===----------------------------------------------------------------------===//
 // The removed v1 layout
 //===----------------------------------------------------------------------===//
@@ -327,8 +363,8 @@ TEST(HeapImageIO, RefusesRemovedV1Buffer) {
   const std::vector<uint8_t> V1 = v1Layout(Image);
   EXPECT_EQ(V1.size(), v1Bytes(Image));
   EXPECT_FALSE(deserializeHeapImage(V1, Back));
-  MemorySource Source(V1);
-  EXPECT_FALSE(deserializeHeapImage(Source, Back));
+  ByteReader Reader(V1);
+  EXPECT_FALSE(deserializeHeapImage(Reader, Back));
 }
 
 TEST(HeapImageIO, RefusesRemovedV1File) {
@@ -589,9 +625,7 @@ namespace {
 /// uses only plain records, which both bundle format versions share.
 std::vector<uint8_t> oneSlotBundle(uint32_t FormatVersion,
                                    uint64_t AllocSiteIndex) {
-  std::vector<uint8_t> Bytes;
-  VectorSink Sink(Bytes);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU32(0x58494231);    // "XIB1"
   Writer.writeU32(FormatVersion); // bundle version
   Writer.writeVarU64(1);          // one image
@@ -620,8 +654,7 @@ std::vector<uint8_t> oneSlotBundle(uint32_t FormatVersion,
   Writer.writeU8(1);      // pattern
   Writer.writeVarU64(16);
   Writer.writeU64(0);
-  EXPECT_FALSE(Writer.failed());
-  return Bytes;
+  return Writer.take();
 }
 
 } // namespace
@@ -647,14 +680,52 @@ TEST(ImageBundle, RejectsRemovedFormatVersion) {
 }
 
 TEST(ImageBundle, RejectsOversizedImageCount) {
-  std::vector<uint8_t> Bytes;
-  VectorSink Sink(Bytes);
-  StreamWriter Writer(Sink);
+  ByteWriter Writer;
   Writer.writeU32(0x58494231);
   Writer.writeU32(ImageBundleFormatV2);
   Writer.writeVarU64(MaxBundleImages + 1);
   std::vector<HeapImage> Out;
-  EXPECT_FALSE(deserializeImageBundle(Bytes, Out));
+  EXPECT_FALSE(deserializeImageBundle(Writer.buffer(), Out));
+}
+
+TEST(ImageFiles, FailedSaveLeavesTheOldFileIntact) {
+  // A save that fails part-way must leave the file it replaces loadable.
+  // The child (threadsafe death-test style re-executes the binary) caps
+  // its file size at 64 bytes with SIGXFSZ ignored, so each save's
+  // writes fail with EFBIG; both saves must report failure.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<HeapImage> Images = scriptedEvidenceImages(3, 9);
+  const std::string ImagePath = ::testing::TempDir() + "/failed_save.xhi";
+  const std::string BundlePath = ::testing::TempDir() + "/failed_save.xib";
+  ASSERT_TRUE(saveHeapImage(Images[0], ImagePath));
+  ASSERT_TRUE(saveImageBundle({Images[0], Images[1]}, BundlePath));
+  EXPECT_EXIT(
+      {
+        rlimit Limit;
+        Limit.rlim_cur = Limit.rlim_max = 64;
+        if (std::signal(SIGXFSZ, SIG_IGN) == SIG_ERR ||
+            setrlimit(RLIMIT_FSIZE, &Limit) != 0)
+          std::exit(3);
+        // Exit 2: a save claimed success past the limit.
+        if (saveHeapImage(Images[2], ImagePath) ||
+            saveImageBundle(Images, BundlePath))
+          std::exit(2);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  // The child re-ran the first saves with its own slab addresses, so
+  // the files are compared by the address-free digest.
+  HeapImage Loaded;
+  ASSERT_TRUE(loadHeapImage(ImagePath, Loaded));
+  EXPECT_EQ(imageDigest(Loaded), imageDigest(Images[0]));
+  std::vector<HeapImage> Bundle;
+  ASSERT_TRUE(loadImageBundle(BundlePath, Bundle));
+  EXPECT_EQ(imagesDigest(Bundle), imagesDigest({Images[0], Images[1]}));
+  for (const std::string &Path : {ImagePath, BundlePath}) {
+    EXPECT_NE(::access((Path + ".tmp").c_str(), F_OK), 0) << Path;
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(ImageBundle, FileRoundTrip) {

@@ -373,14 +373,14 @@ TEST(Serializer, RoundTripScalars) {
   EXPECT_FALSE(Reader.failed());
 }
 
-TEST(Serializer, RoundTripBlobAndString) {
+TEST(Serializer, RoundTripBlob) {
   ByteWriter Writer;
   Writer.writeBlob({1, 2, 3, 4, 5});
-  Writer.writeString("exterminator");
+  Writer.writeBlob({6});
 
   ByteReader Reader(Writer.buffer());
   EXPECT_EQ(Reader.readBlob(), (std::vector<uint8_t>{1, 2, 3, 4, 5}));
-  EXPECT_EQ(Reader.readString(), "exterminator");
+  EXPECT_EQ(Reader.readBlob(), (std::vector<uint8_t>{6}));
   EXPECT_TRUE(Reader.atEnd());
 }
 
@@ -544,59 +544,25 @@ TEST(Serializer, VarintTenthByteOverflowBitsFail) {
   EXPECT_FALSE(MaxReader.failed());
 }
 
-TEST(Serializer, StreamWriterMatchesByteWriter) {
-  ByteWriter Legacy;
-  Legacy.writeU8(7);
-  Legacy.writeU32(0xcafebabe);
-  Legacy.writeU64(123456789);
-  Legacy.writeVarU64(300);
-  Legacy.writeF64(2.5);
-
-  std::vector<uint8_t> Streamed;
-  VectorSink Sink(Streamed);
-  StreamWriter Writer(Sink);
-  Writer.writeU8(7);
-  Writer.writeU32(0xcafebabe);
-  Writer.writeU64(123456789);
-  Writer.writeVarU64(300);
-  Writer.writeF64(2.5);
-
-  EXPECT_FALSE(Writer.failed());
-  EXPECT_EQ(Streamed, Legacy.buffer());
-}
-
-TEST(Serializer, StreamReaderReadsMemorySource) {
+TEST(Serializer, ReadSpanPointsIntoTheBuffer) {
   ByteWriter Writer;
   Writer.writeU32(42);
+  Writer.writeBytes("span", 4);
   Writer.writeVarU64(90000);
-  MemorySource Source(Writer.buffer());
-  StreamReader Reader(Source);
+  const std::vector<uint8_t> Bytes = Writer.take();
+  EXPECT_EQ(Writer.size(), 0u);
+  ByteReader Reader(Bytes);
   EXPECT_EQ(Reader.readU32(), 42u);
+  EXPECT_EQ(Reader.readSpan(4), Bytes.data() + 4);
   EXPECT_EQ(Reader.readVarU64(), 90000u);
-  EXPECT_FALSE(Reader.failed());
-  EXPECT_EQ(Source.remaining(), 0u);
-  Reader.readU8();
+  EXPECT_TRUE(Reader.atEnd());
+  EXPECT_EQ(Reader.readSpan(1), nullptr);
   EXPECT_TRUE(Reader.failed()); // sticky past-end failure
-}
-
-TEST(Serializer, FileSinkSourceRoundTrip) {
-  const std::string Path = ::testing::TempDir() + "/stream_test.bin";
-  {
-    FileSink Sink(Path);
-    ASSERT_TRUE(Sink.ok());
-    StreamWriter Writer(Sink);
-    Writer.writeU64(0x1122334455667788ULL);
-    Writer.writeVarU64(77);
-    EXPECT_FALSE(Writer.failed());
-    EXPECT_TRUE(Sink.close());
-  }
-  FileSource Source(Path);
-  ASSERT_TRUE(Source.ok());
-  StreamReader Reader(Source);
-  EXPECT_EQ(Reader.readU64(), 0x1122334455667788ULL);
-  EXPECT_EQ(Reader.readVarU64(), 77u);
-  EXPECT_FALSE(Reader.failed());
-  EXPECT_TRUE(Source.exhausted());
+  ByteReader Empty(nullptr, 0);
+  uint8_t Byte = 7;
+  EXPECT_TRUE(Empty.readBytes(&Byte, 0));
+  EXPECT_FALSE(Empty.readBytes(&Byte, 1));
+  EXPECT_EQ(Byte, 0u);
 }
 
 //===----------------------------------------------------------------------===//
