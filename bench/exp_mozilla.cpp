@@ -11,6 +11,9 @@
 // (case 2) — more runs because the culprit site also allocates more
 // correct objects while browsing.
 //
+// Exits 1 unless both case studies isolate the overflow site with no
+// false positive: the paper's cumulative-mode claim, gated in CI.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchReport.h"
@@ -30,6 +33,10 @@ struct CaseResult {
   bool SiteCorrect = false;
   bool FalsePositives = false;
   unsigned Runs = 0;
+
+  bool matchesPaper() const {
+    return Isolated && SiteCorrect && !FalsePositives;
+  }
 };
 
 CaseResult runCase(MozillaScenario Scenario, uint64_t MasterSeed) {
@@ -85,5 +92,11 @@ int main() {
   if (Immediate.Isolated && Browse.Isolated)
     note("shape check: browsing-first %s more runs (paper: it does)",
          Browse.Runs > Immediate.Runs ? "needs" : "does NOT need");
+  if (!Immediate.matchesPaper() || !Browse.matchesPaper()) {
+    std::fprintf(stderr, "Sec 7.2 check failed: a case study did not "
+                         "isolate the overflow site without false "
+                         "positives\n");
+    return 1;
+  }
   return 0;
 }

@@ -3,8 +3,8 @@
 #include "cumulative/BayesClassifier.h"
 
 #include "support/Serializer.h"
-#include "support/Statistics.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -15,11 +15,14 @@ using namespace exterminator;
 // Simpson quadrature intervals for the θ integral; the integrand is a
 // polynomial of degree = #trials, so a few hundred nodes are ample.
 static constexpr int NumIntervals = 512;
+static constexpr int NumNodes = NumIntervals + 1;
+
+// Trials computed as exactly 0 or 1 would make a single contrary
+// observation produce -inf and poison the product, so every probability
+// the likelihoods take is held to [ε, 1 − ε].
+static constexpr double Epsilon = 1e-12;
 
 static double clampProbability(double P) {
-  // Guard against trials computed as exactly 0 or 1, which would make a
-  // single contrary observation produce -inf and poison the product.
-  const double Epsilon = 1e-12;
   if (P < Epsilon)
     return Epsilon;
   if (P > 1.0 - Epsilon)
@@ -27,44 +30,103 @@ static double clampProbability(double P) {
   return P;
 }
 
+namespace {
+
+/// What the fold and the quadrature need of the θ grid, computed once.
+struct QuadratureNodes {
+  double Theta[NumNodes];
+  /// log(1 − θ); the θ = 1 node holds log ε, the clamp's floor, which
+  /// every miss folded at that node takes anyway.
+  double LogOneMinusTheta[NumNodes];
+  /// log of the Simpson weights 1, 4, 2, 4, …, 2, 4, 1.
+  double LogWeight[NumNodes];
+  double LogEpsilon;
+  /// log(H/3) with H the node spacing.
+  double LogHOver3;
+
+  QuadratureNodes() {
+    const double H = 1.0 / NumIntervals;
+    LogEpsilon = std::log(Epsilon);
+    LogHOver3 = std::log(H / 3.0);
+    for (int I = 0; I < NumNodes; ++I) {
+      Theta[I] = I * H;
+      LogOneMinusTheta[I] =
+          I == NumIntervals ? LogEpsilon : std::log(1.0 - Theta[I]);
+      const double Weight = (I == 0 || I == NumIntervals) ? 1.0
+                            : (I % 2 == 1)                ? 4.0
+                                                          : 2.0;
+      LogWeight[I] = std::log(Weight);
+    }
+  }
+};
+
+const QuadratureNodes &quadratureNodes() {
+  static const QuadratureNodes Nodes;
+  return Nodes;
+}
+
+/// log P(Y | H0) of one trial whose X is already clamped.
+double logNullTerm(double X, bool Observed) {
+  return std::log(Observed ? X : 1.0 - X);
+}
+
+/// Folds one trial into the running H0 log likelihood and the per-node
+/// H1 log likelihoods.  The batch statics and BayesAccumulator both fold
+/// through here, so they add the same terms in the same order.
+void foldTrial(const BayesTrial &Trial, double &LogH0, double *NodeLogSums) {
+  const QuadratureNodes &Nodes = quadratureNodes();
+  const double X = clampProbability(Trial.Probability);
+  const double LogNull = logNullTerm(X, Trial.Observed);
+  LogH0 += LogNull;
+  if (Trial.Observed) {
+    // P(Y=1 | θ, X) = (1−θ)X + θ: one log per node, but observed trials
+    // are the rare ones.
+    for (int I = 0; I < NumNodes; ++I) {
+      const double Theta = Nodes.Theta[I];
+      NodeLogSums[I] += std::log(clampProbability((1.0 - Theta) * X + Theta));
+    }
+    return;
+  }
+  // 1 − P(Y=1 | θ, X) = (1−θ)(1−X), so a miss reuses the H0 term's
+  // log(1−X) and costs one add per node; it never forms 1 − P(Y=1),
+  // which cancels when X is near 1.  (1−θ)(1−X) ≤ 1 − ε already, so only
+  // the clamp's floor applies.
+  for (int I = 0; I < NumNodes; ++I)
+    NodeLogSums[I] +=
+        std::max(Nodes.LogOneMinusTheta[I] + LogNull, Nodes.LogEpsilon);
+}
+
+/// log ∫₀¹ Π_i P(Y_i | θ, X_i) dθ by composite Simpson over the per-node
+/// log likelihoods: one max pass, one exp per node shifted by the max
+/// (so long trial sequences cannot underflow), one log.
+double logSimpson(const double *NodeLogSums) {
+  const QuadratureNodes &Nodes = quadratureNodes();
+  double Max = -std::numeric_limits<double>::infinity();
+  for (int I = 0; I < NumNodes; ++I)
+    Max = std::max(Max, NodeLogSums[I] + Nodes.LogWeight[I]);
+  double Sum = 0.0;
+  for (int I = 0; I < NumNodes; ++I)
+    Sum += std::exp(NodeLogSums[I] + Nodes.LogWeight[I] - Max);
+  return Max + std::log(Sum) + Nodes.LogHOver3;
+}
+
+} // namespace
+
 double
 BayesClassifier::logLikelihoodH0(const std::vector<BayesTrial> &Trials) {
   double LogSum = 0.0;
-  for (const BayesTrial &Trial : Trials) {
-    const double X = clampProbability(Trial.Probability);
-    LogSum += std::log(Trial.Observed ? X : 1.0 - X);
-  }
-  return LogSum;
-}
-
-/// log Π_i P(Y_i | θ, X_i) at a fixed θ.
-static double logLikelihoodAtTheta(const std::vector<BayesTrial> &Trials,
-                                   double Theta) {
-  double LogSum = 0.0;
-  for (const BayesTrial &Trial : Trials) {
-    const double X = clampProbability(Trial.Probability);
-    const double PYes = clampProbability((1.0 - Theta) * X + Theta);
-    LogSum += std::log(Trial.Observed ? PYes : 1.0 - PYes);
-  }
+  for (const BayesTrial &Trial : Trials)
+    LogSum += logNullTerm(clampProbability(Trial.Probability), Trial.Observed);
   return LogSum;
 }
 
 double
 BayesClassifier::logLikelihoodH1(const std::vector<BayesTrial> &Trials) {
-  // Composite Simpson over θ ∈ [0, 1], accumulated with log-sum-exp so
-  // long trial sequences cannot underflow.
-  const double H = 1.0 / NumIntervals;
-  double LogAccum = -std::numeric_limits<double>::infinity();
-  for (int I = 0; I <= NumIntervals; ++I) {
-    const double Theta = I * H;
-    double Weight = (I == 0 || I == NumIntervals) ? 1.0
-                    : (I % 2 == 1)                ? 4.0
-                                                  : 2.0;
-    const double LogTerm =
-        logLikelihoodAtTheta(Trials, Theta) + std::log(Weight);
-    LogAccum = logAdd(LogAccum, LogTerm);
-  }
-  return LogAccum + std::log(H / 3.0);
+  double LogH0 = 0.0;
+  std::vector<double> NodeLogSums(NumNodes, 0.0);
+  for (const BayesTrial &Trial : Trials)
+    foldTrial(Trial, LogH0, NodeLogSums.data());
+  return logSimpson(NodeLogSums.data());
 }
 
 double
@@ -90,23 +152,13 @@ bool BayesClassifier::isErrorSource(const std::vector<BayesTrial> &Trials,
 // BayesAccumulator
 //===----------------------------------------------------------------------===//
 
-BayesAccumulator::BayesAccumulator() : NodeLogSums(NumIntervals + 1, 0.0) {
+BayesAccumulator::BayesAccumulator() : NodeLogSums(NumNodes, 0.0) {
   rescore();
 }
 
 void BayesAccumulator::addTrial(const BayesTrial &Trial) {
   ++NumTrials;
-  const double X = clampProbability(Trial.Probability);
-  // Exactly logLikelihoodH0's per-trial term, folded in arrival order so
-  // the running sum matches the batch recompute bit for bit.
-  LogH0 += std::log(Trial.Observed ? X : 1.0 - X);
-  // And logLikelihoodAtTheta's per-trial term at every quadrature node.
-  const double H = 1.0 / NumIntervals;
-  for (int I = 0; I <= NumIntervals; ++I) {
-    const double Theta = I * H;
-    const double PYes = clampProbability((1.0 - Theta) * X + Theta);
-    NodeLogSums[I] += std::log(Trial.Observed ? PYes : 1.0 - PYes);
-  }
+  foldTrial(Trial, LogH0, NodeLogSums.data());
   rescore();
 }
 
@@ -123,10 +175,10 @@ bool BayesAccumulator::deserialize(ByteReader &Reader) {
   const uint64_t Nodes = Reader.readVarU64();
   // A node-count mismatch means the state was written by a build with a
   // different quadrature resolution; its sums are not comparable.
-  if (Reader.failed() || Nodes != uint64_t(NumIntervals) + 1)
+  if (Reader.failed() || Nodes != uint64_t(NumNodes))
     return false;
   const double H0 = Reader.readF64();
-  std::vector<double> Sums(NumIntervals + 1, 0.0);
+  std::vector<double> Sums(NumNodes, 0.0);
   for (double &Sum : Sums)
     Sum = Reader.readF64();
   if (Reader.failed())
@@ -139,15 +191,5 @@ bool BayesAccumulator::deserialize(ByteReader &Reader) {
 }
 
 double BayesAccumulator::logLikelihoodH1() const {
-  // The batch logLikelihoodH1 loop with the per-node trial sums already
-  // in hand.
-  const double H = 1.0 / NumIntervals;
-  double LogAccum = -std::numeric_limits<double>::infinity();
-  for (int I = 0; I <= NumIntervals; ++I) {
-    double Weight = (I == 0 || I == NumIntervals) ? 1.0
-                    : (I % 2 == 1)                ? 4.0
-                                                  : 2.0;
-    LogAccum = logAdd(LogAccum, NodeLogSums[I] + std::log(Weight));
-  }
-  return LogAccum + std::log(H / 3.0);
+  return logSimpson(NodeLogSums.data());
 }

@@ -19,17 +19,23 @@
 /// (c = 4): some probability the corruption is an overflow at all, split
 /// evenly across candidate sites.
 ///
-/// Likelihoods are evaluated in log space; the θ integral uses composite
-/// Simpson quadrature on the log-sum-exp of the per-node log likelihoods.
+/// Likelihoods are evaluated in log space over a 513-node θ grid: each
+/// trial adds its log P(Y | θ, X) to a running sum per node, and the θ
+/// integral is composite Simpson quadrature over those sums, taken as one
+/// max pass, one exp per node shifted by the max, and one log.  A miss
+/// (Y = 0) adds log(1−θ) + log(1−X), floored at log ε, since
+/// 1 − P(Y=1 | θ, X) = (1−θ)(1−X): the one log(1−X) the H0 term takes
+/// plus an add per node, and no 1 − P(Y=1) to cancel when X is near 1.
+/// A hit (Y = 1, the rare outcome) takes one log per node.
 ///
 /// Two evaluation forms exist: the batch statics (recompute over a trial
 /// vector, O(#quadrature nodes × #trials)) and BayesAccumulator, which
 /// folds each trial in as it arrives and re-scores its factor then, in
-/// O(#nodes).  The accumulator performs the identical additions in the
-/// identical order, so both forms produce bit-identical factors.  Since
-/// only the sites a summary touched re-score, the patch server classifies
-/// after every ingested summary in O(nodes) per touched site plus one
-/// compare per tracked site.
+/// O(#nodes).  Both fold and integrate through the same two functions,
+/// so they produce bit-identical factors.  Since only the sites a summary
+/// touched re-score, the patch server classifies after every ingested
+/// summary in O(nodes) per touched site plus one compare per tracked
+/// site.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,7 +91,7 @@ private:
 /// Simpson quadrature.  addTrial is O(nodes) and re-scores the factor,
 /// which logBayesFactor then returns in O(1) however many trials have
 /// accumulated.  Bit-identical to the batch statics over the same trial
-/// sequence (same additions, same order).
+/// sequence (same fold, same order, same quadrature).
 class BayesAccumulator {
 public:
   BayesAccumulator();

@@ -81,9 +81,9 @@ CumulativeIsolator::classifyOverflows() const {
     // One compare per tracked site: the accumulator scored itself when
     // it last took a trial (O(nodes) per touched site, bit-identical to
     // recomputing over State.Trials); only the threshold moves as new
-    // sites arrive.
+    // sites arrive.  Written so that a NaN factor is never classified.
     const double LogBF = State.Accum.logBayesFactor();
-    if (LogBF <= Threshold)
+    if (!(LogBF > Threshold))
       continue;
     CumulativeOverflowFinding Finding;
     Finding.AllocSite = Site;
@@ -112,7 +112,7 @@ CumulativeIsolator::classifyDanglings() const {
 
   for (const auto &[Key, State] : DanglingPairs) {
     const double LogBF = State.Accum.logBayesFactor();
-    if (LogBF <= Threshold)
+    if (!(LogBF > Threshold))
       continue;
     CumulativeDanglingFinding Finding;
     Finding.AllocSite = static_cast<SiteId>(Key >> 32);

@@ -17,6 +17,11 @@ static constexpr uint32_t SummaryMagic = 0x58525331; // "XRS1"
 /// incremental Bayes accumulator).
 static constexpr uint64_t MaxSummaryTrials = uint64_t(1) << 14;
 
+/// A trial's X is a probability.  The §5 classifier clamps it to
+/// [ε, 1 − ε] but would carry a NaN through into the Bayes factor, so
+/// anything outside [0, 1] is refused here (NaN fails both compares).
+static bool isProbability(double P) { return P >= 0.0 && P <= 1.0; }
+
 std::vector<uint8_t>
 exterminator::serializeRunSummary(const RunSummary &Summary) {
   ByteWriter Writer;
@@ -60,6 +65,8 @@ bool exterminator::deserializeRunSummary(const std::vector<uint8_t> &Buffer,
     Trial.Probability = Reader.readF64();
     Trial.Observed = Reader.readU8() != 0;
     Trial.PadEstimate = Reader.readU32();
+    if (!isProbability(Trial.Probability))
+      return false;
     SummaryOut.OverflowTrials.push_back(Trial);
   }
   const uint64_t NumDangling = Reader.readU64();
@@ -72,6 +79,8 @@ bool exterminator::deserializeRunSummary(const std::vector<uint8_t> &Buffer,
     Trial.Probability = Reader.readF64();
     Trial.Observed = Reader.readU8() != 0;
     Trial.FreeToFailure = Reader.readU64();
+    if (!isProbability(Trial.Probability))
+      return false;
     SummaryOut.DanglingTrials.push_back(Trial);
   }
   return Reader.atEnd();

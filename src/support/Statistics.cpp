@@ -27,14 +27,6 @@ double exterminator::geometricMean(const std::vector<double> &Values) {
   return std::exp(LogSum / static_cast<double>(Values.size()));
 }
 
-double exterminator::logAdd(double LogA, double LogB) {
-  if (LogA < LogB)
-    std::swap(LogA, LogB);
-  if (std::isinf(LogB) && LogB < 0)
-    return LogA;
-  return LogA + std::log1p(std::exp(LogB - LogA));
-}
-
 void RunningStat::add(double Value) {
   if (Count == 0) {
     Min = Max = Value;

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Small numeric helpers shared by the evaluation harness: arithmetic and
-/// geometric means (Figure 7 reports geometric-mean overheads), a Welford
-/// accumulator, and log-space addition used by the cumulative-mode Bayes
-/// classifier (§5.1).
+/// geometric means (Figure 7 reports geometric-mean overheads) and a
+/// Welford accumulator.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +24,6 @@ double mean(const std::vector<double> &Values);
 
 /// Geometric mean of \p Values; all entries must be positive.
 double geometricMean(const std::vector<double> &Values);
-
-/// log(exp(LogA) + exp(LogB)) computed without overflow.
-double logAdd(double LogA, double LogB);
 
 /// Streaming mean/variance (Welford's algorithm).
 class RunningStat {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -34,6 +35,14 @@ TEST(BayesClassifier, H1IntegralMatchesClosedForm) {
   std::vector<BayesTrial> Trials = {{0.0, true}};
   EXPECT_NEAR(std::exp(BayesClassifier::logLikelihoodH1(Trials)), 0.5,
               1e-6);
+  // n trials, X = 0, Y = 0: P(Y|θ) = 1−θ, so ∫(1−θ)ⁿ dθ = 1/(n+1).
+  // Misses fold as log(1−θ) + log(1−X) per node.
+  for (unsigned N : {1u, 2u, 3u, 8u, 32u}) {
+    const std::vector<BayesTrial> Misses(N, BayesTrial{0.0, false});
+    EXPECT_NEAR(std::exp(BayesClassifier::logLikelihoodH1(Misses)),
+                1.0 / (N + 1), 1e-6)
+        << N << " misses";
+  }
 }
 
 TEST(BayesClassifier, H1IntegralMatchesClosedFormQuadratic) {
@@ -106,6 +115,98 @@ TEST(BayesClassifier, ExtremeProbabilitiesAreClamped) {
   const double LogBF = BayesClassifier::logBayesFactor(Trials);
   EXPECT_TRUE(std::isfinite(LogBF));
   EXPECT_GT(LogBF, 10.0);
+}
+
+namespace {
+
+/// The §5 log Bayes factor of a trial stream evaluated in long double
+/// over the classifier's 512-interval Simpson grid, from the clamped
+/// likelihood the classifier defines: X held to [ε, 1 − ε],
+/// P(Y=1 | θ, X) = (1−θ)X + θ held to the same range, and
+/// P(Y=0 | θ, X) = (1−θ)(1−X) floored at ε.
+class LongDoubleBayesFactor {
+public:
+  LongDoubleBayesFactor()
+      : NodeLogSums(Intervals + 1, 0.0L), LogWeights(Intervals + 1) {
+    for (int I = 0; I <= Intervals; ++I)
+      LogWeights[I] = std::log(static_cast<long double>(
+          (I == 0 || I == Intervals) ? 1 : (I % 2 == 1) ? 4 : 2));
+  }
+
+  void addTrial(const BayesTrial &Trial) {
+    const double Clamped = Trial.Probability < Epsilon ? Epsilon
+                           : Trial.Probability > 1.0 - Epsilon
+                               ? 1.0 - Epsilon
+                               : Trial.Probability;
+    const long double X = Clamped;
+    LogH0 += std::log(Trial.Observed ? X : 1.0L - X);
+    for (int I = 0; I <= Intervals; ++I) {
+      const long double Theta = static_cast<long double>(I) / Intervals;
+      const long double P =
+          Trial.Observed
+              ? std::clamp((1.0L - Theta) * X + Theta,
+                           static_cast<long double>(Epsilon),
+                           static_cast<long double>(1.0 - Epsilon))
+              : std::max((1.0L - Theta) * (1.0L - X),
+                         static_cast<long double>(Epsilon));
+      NodeLogSums[I] += std::log(P);
+    }
+  }
+
+  long double logBayesFactor() const {
+    long double Max = -std::numeric_limits<long double>::infinity();
+    for (int I = 0; I <= Intervals; ++I)
+      Max = std::max(Max, NodeLogSums[I] + LogWeights[I]);
+    long double Sum = 0.0L;
+    for (int I = 0; I <= Intervals; ++I)
+      Sum += std::exp(NodeLogSums[I] + LogWeights[I] - Max);
+    const long double LogH1 =
+        Max + std::log(Sum) + std::log(1.0L / (3.0L * Intervals));
+    return LogH1 - LogH0;
+  }
+
+private:
+  static constexpr int Intervals = 512;
+  static constexpr double Epsilon = 1e-12;
+  long double LogH0 = 0.0L;
+  std::vector<long double> NodeLogSums;
+  std::vector<long double> LogWeights;
+};
+
+} // namespace
+
+TEST(BayesAccumulator, MatchesLongDoubleReferenceAtExtremeProbabilities) {
+  // X at the clamp's edges and beyond them (0, 1e-13, 1 − 1e-13, 1) in a
+  // quarter of the trials and uniform in the rest, both outcomes, past
+  // the isolator's 4,096-trial cap.  A fold that forms 1 − P(Y=1) for a
+  // miss keeps only a few digits when X is near 1 and fails this bound;
+  // the bound leaves room for the rounding of the f64 running sums, which
+  // reach about −2e4 here.
+  const double Extremes[] = {0.0, 1e-13, 1.0 - 1e-13, 1.0};
+  for (uint64_t Seed : {7u, 8u, 9u}) {
+    RandomGenerator Rng(Seed);
+    BayesAccumulator Accum;
+    LongDoubleBayesFactor Reference;
+    double WorstError = 0.0;
+    size_t WorstTrial = 0;
+    for (size_t I = 0; I < 4200; ++I) {
+      BayesTrial Trial;
+      Trial.Probability =
+          Rng.chance(0.25) ? Extremes[Rng.nextBelow(4)] : Rng.nextDouble();
+      Trial.Observed = Rng.chance(0.5);
+      Accum.addTrial(Trial);
+      Reference.addTrial(Trial);
+      const double Error = std::fabs(
+          static_cast<double>(Accum.logBayesFactor() -
+                              Reference.logBayesFactor()));
+      if (Error > WorstError) {
+        WorstError = Error;
+        WorstTrial = I;
+      }
+    }
+    EXPECT_LE(WorstError, 1e-9)
+        << "seed " << Seed << ", worst after trial " << WorstTrial;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -228,6 +329,9 @@ TEST(RunSummary, SerializationRoundTrip) {
   Summary.OverflowTrials.push_back(OverflowTrial{0xbbbb, 0.5, false, 0});
   Summary.DanglingTrials.push_back(
       DanglingTrial{0xcccc, 0xdddd, 0.75, true, 42});
+  // The ends of [0, 1] are probabilities too.
+  Summary.OverflowTrials.push_back(OverflowTrial{0xeeee, 0.0, false, 0});
+  Summary.DanglingTrials.push_back(DanglingTrial{0xeeee, 0xffff, 1.0, true, 9});
 
   RunSummary Back;
   ASSERT_TRUE(deserializeRunSummary(serializeRunSummary(Summary), Back));
@@ -241,6 +345,19 @@ TEST(RunSummary, SerializationRoundTrip) {
 TEST(RunSummary, DeserializeRejectsGarbage) {
   RunSummary Back;
   EXPECT_FALSE(deserializeRunSummary({9, 9, 9, 9}, Back));
+  // A trial probability outside [0, 1], NaN included.
+  const double Inf = std::numeric_limits<double>::infinity();
+  for (double Bad : {std::nan(""), -Inf, -0.25, 1.25, Inf}) {
+    RunSummary Overflow;
+    Overflow.OverflowTrials.push_back(OverflowTrial{0x1234, Bad, true, 64});
+    EXPECT_FALSE(deserializeRunSummary(serializeRunSummary(Overflow), Back))
+        << Bad;
+    RunSummary Dangling;
+    Dangling.DanglingTrials.push_back(
+        DanglingTrial{0x1234, 0x5678, Bad, true, 64});
+    EXPECT_FALSE(deserializeRunSummary(serializeRunSummary(Dangling), Back))
+        << Bad;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -314,6 +431,22 @@ TEST(CumulativeIsolator, DanglingPairCrossesThresholdWithFailures) {
   // the same regime (tens, not thousands or units).
   EXPECT_GE(Failures, 5u);
   EXPECT_LE(Failures, 40u);
+}
+
+TEST(CumulativeIsolator, NaNFactorIsNeverClassified) {
+  // A NaN X survives the classifier's clamp and makes the factor NaN,
+  // which is not above any threshold.
+  RunSummary Summary;
+  Summary.Failed = true;
+  Summary.CorruptionObserved = true;
+  Summary.OverflowTrials.push_back(
+      OverflowTrial{0x1234, std::nan(""), true, 65536});
+  Summary.DanglingTrials.push_back(
+      DanglingTrial{0x1234, 0x5678, std::nan(""), true, 100});
+  CumulativeIsolator Isolator;
+  Isolator.addRun(Summary);
+  EXPECT_TRUE(Isolator.classifyOverflows().empty());
+  EXPECT_TRUE(Isolator.classifyDanglings().empty());
 }
 
 TEST(CumulativeIsolator, PatchesReflectFindings) {

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <dirent.h>
@@ -751,6 +752,32 @@ TEST(PatchExchange, RejectsMalformedBundlePayload) {
   }
   expectRejectedThenAlive(Server,
                           encodeFrame(MessageType::SubmitImages, Bundle));
+}
+
+TEST(PatchExchange, RejectsSummaryWithNaNProbability) {
+  // A NaN X passes the classifier's clamp and makes the site's factor
+  // NaN, so one such summary must never reach the classifier (it could
+  // plant a 64 KiB pad).  The summary decoder refuses it, for overflow
+  // and dangling trials alike, and the state is untouched.
+  PatchServer Server;
+  const std::vector<uint8_t> Before = Server.serializeState();
+  RunSummary Overflow;
+  Overflow.Failed = true;
+  Overflow.CorruptionObserved = true;
+  Overflow.OverflowTrials.push_back(
+      OverflowTrial{0x1234, std::nan(""), true, 65536});
+  RunSummary Dangling;
+  Dangling.Failed = true;
+  Dangling.DanglingTrials.push_back(
+      DanglingTrial{0x1234, 0x5678, std::nan(""), true, 4096});
+  uint64_t Token = 0x7a11;
+  for (const RunSummary *Summary : {&Overflow, &Dangling})
+    expectRejectedThenAlive(
+        Server, encodeFrame(MessageType::SubmitSummary,
+                            encodeSubmitSummary(*Summary, 0, ++Token)));
+  EXPECT_EQ(Server.stats().SummariesIngested, 0u);
+  EXPECT_TRUE(Server.snapshot().Patches.empty());
+  EXPECT_EQ(Server.serializeState(), Before);
 }
 
 TEST(PatchExchange, RejectsSlotAmplificationBomb) {

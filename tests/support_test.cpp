@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <set>
 #include <thread>
 
@@ -464,16 +463,6 @@ TEST(Statistics, GeometricMeanBasic) {
 
 TEST(Statistics, GeometricMeanOfIdenticalValues) {
   EXPECT_NEAR(geometricMean({1.25, 1.25, 1.25}), 1.25, 1e-12);
-}
-
-TEST(Statistics, LogAddMatchesDirectComputation) {
-  const double A = std::log(0.3), B = std::log(0.7);
-  EXPECT_NEAR(logAdd(A, B), std::log(1.0), 1e-12);
-}
-
-TEST(Statistics, LogAddHandlesNegativeInfinity) {
-  const double NegInf = -std::numeric_limits<double>::infinity();
-  EXPECT_NEAR(logAdd(std::log(0.5), NegInf), std::log(0.5), 1e-12);
 }
 
 TEST(Statistics, RunningStatMatchesClosedForm) {
